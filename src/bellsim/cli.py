@@ -63,7 +63,10 @@ def _parse_grid(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(f"bad grid spec {text!r}")
         step = (stop_f - start_f) / count_i
         return [start_f + i * step for i in range(count_i)]
-    return [float(p) for p in text.split(",")]
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: {exc}") from exc
 
 
 def _load_or_build_scenario(spec: str):
@@ -275,11 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a bad input or an unreadable file ends in a
+    one-line ``error:`` on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (argparse.ArgumentTypeError, ValueError, KeyError, OSError) as exc:
+        message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        print("error: " + " ".join(message.splitlines()), file=sys.stderr)
         return 2
 
 

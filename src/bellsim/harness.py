@@ -53,6 +53,12 @@ CSV_COLUMNS = (
 )
 
 
+#: Keys a JSON run config may carry. ``scenario`` is read by the CLI (it
+#: attaches outcome coordinates to the trial log), not by ``RunConfig``.
+CONFIG_KEYS = ("model", "schedule", "trials", "seed", "trial_log_path", "report_path",
+               "report_format", "scenario")
+
+
 def chsh_schedule(
     a: AngleLike, a_prime: AngleLike, b: AngleLike, b_prime: AngleLike
 ) -> tuple[tuple[AnalyzerAngle, AnalyzerAngle], ...]:
@@ -105,11 +111,20 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
+        """Parse a config object: ``model`` is required, other keys outside
+        ``CONFIG_KEYS`` are rejected."""
+        if not isinstance(data, dict) or "model" not in data:
+            raise ValueError("config must be a JSON object with the required key 'model'")
+        unknown = sorted(set(data) - set(CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}; expected keys from {list(CONFIG_KEYS)}")
         schedule = data.get("schedule", "chsh-optimal")
         if schedule == "chsh-optimal":
             pairs = chsh_schedule(*CHSH_OPTIMAL_QUADRUPLE)
+        elif isinstance(schedule, list) and all(isinstance(p, list) and len(p) == 2 for p in schedule):
+            pairs = tuple((p[0], p[1]) for p in schedule)
         else:
-            pairs = tuple((pair[0], pair[1]) for pair in schedule)
+            raise ValueError(f"schedule must be 'chsh-optimal' or [a, b] pairs, got {schedule!r}")
         return cls(
             model=data["model"],
             schedule=pairs,
@@ -186,10 +201,7 @@ def resolve_model(name: str) -> ProbabilityModel:
 def _pair_tables(model: ProbabilityModel, a: AnalyzerAngle, b: AnalyzerAngle):
     """Cumulative prior and per-lambda cumulative joint cells for sampling."""
     prior_cum = np.cumsum(model.weights)
-    cells = np.empty((len(model.lambdas), 4))
-    for i in range(len(model.lambdas)):
-        joint = model.joint(a, b, i)
-        cells[i] = (joint.vv, joint.vh, joint.hv, joint.hh)
+    cells = model.cells([a], [b])[0, 0].reshape(-1, 4)  # (VV, VH, HV, HH) per lambda
     cell_cum = np.cumsum(cells, axis=1)
     return prior_cum, cell_cum
 
@@ -221,10 +233,6 @@ def _sample_chunk(
     return signs_a, signs_b
 
 
-def _even(value: int) -> int:
-    return value if value % 2 == 0 else value + 1
-
-
 def run_trials(
     config: RunConfig,
     scenario: Scenario | None = None,
@@ -240,7 +248,8 @@ def run_trials(
     supplied, its outcome event coordinates are attached to the log.
     """
     active = model if model is not None else resolve_model(config.model)
-    chunk = _even(max(2, int(chunk_size)))
+    chunk = max(2, int(chunk_size))
+    chunk += chunk % 2  # chunks must start on even trial indices
     pairs = []
     for pair_index, (a, b) in enumerate(config.schedule):
         prior_cum, cell_cum = _pair_tables(active, a, b)

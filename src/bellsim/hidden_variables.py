@@ -7,6 +7,13 @@ them is an executable proof that their CHSH combination never leaves
 uniformly over [0, 180) and responds deterministically per wing, which
 makes every locality condition hold per lambda by construction.
 
+Both models (a strategy mixture and the vector model) are built from
+per-wing responses: array functions mapping analyzer angles
+``degrees[n]`` to the probability of V for every lambda,
+``[n, n_lambda]``. The kernel is the outer product of the two wings'
+responses, Fine's picture of a local model (PRL 48, 291, 1982); a
+strategy mixture's response is a table lookup.
+
 The vector model's response rule works in doubled-angle space: the
 hidden axis and the analyzer axis are doubled, treated as axes again,
 and the wing answers V when they lie within 45 degrees of each other.
@@ -18,22 +25,13 @@ setting difference: +1 aligned, 0 at 22.5 degrees, -1 at 45 degrees.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .locality import ProbabilityModel
-from .quantum import (
-    AngleLike,
-    AnalyzerAngle,
-    JointDistribution,
-    OutcomeLabel,
-    ProbabilityPair,
-    Wing,
-    as_angle,
-)
+from .quantum import AngleLike, OutcomeLabel, Wing, as_angle
 
 #: Default quadrature resolution for continuous-lambda models.
 DEFAULT_LAMBDA_NODES = 2048
@@ -76,55 +74,49 @@ def strategy_chsh(strategy: DeterministicStrategy) -> float:
     return float(a0 * b0 + a0 * b1 + a1 * b0 - a1 * b1)
 
 
+#: The largest CHSH value over all sixteen strategies and the first
+#: strategy that reaches it, enumerated once.
+_CHSH_MAXIMUM = max(((strategy_chsh(s), s) for s in all_strategies()), key=lambda item: item[0])
+
+
 def deterministic_chsh_maximum(
     a: AngleLike, a_prime: AngleLike, b: AngleLike, b_prime: AngleLike
 ) -> tuple[float, DeterministicStrategy]:
     """Exact maximum of the CHSH expression over all sixteen strategies.
 
     The angle arguments label the setting indices; the bound itself does
-    not depend on their values.
+    not depend on their values, so it is enumerated once at import.
     """
     del a, a_prime, b, b_prime
-    best_value = -math.inf
-    best_strategy = None
-    for strategy in all_strategies():
-        value = strategy_chsh(strategy)
-        if value > best_value:
-            best_value = value
-            best_strategy = strategy
-    assert best_strategy is not None
-    return best_value, best_strategy
+    return _CHSH_MAXIMUM
 
 
-#: Vectorized per-wing response: maps an analyzer angle to the array of
-#: V-probabilities over the whole lambda grid at once.
-VectorResponse = Callable[[AnalyzerAngle], np.ndarray]
+#: Per-wing response: analyzer angles ``degrees[n]`` to the probability
+#: of V for every lambda, ``[n, n_lambda]``.
+Response = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class LhvModel(ProbabilityModel):
     """A probability model whose kernel factorizes per lambda.
 
-    ``vector_responses``, when present, holds (wing A, wing B)
-    whole-grid response functions used to evaluate correlations without
-    a per-lambda Python loop; they must agree with the kernel.
+    ``responses`` holds the (wing A, wing B) response functions; the
+    kernel is their outer product, and correlations reduce the two
+    response rows directly.
     """
 
-    vector_responses: tuple[VectorResponse, VectorResponse] | None = None
+    responses: tuple[Response, Response] | None = None
 
-    def correlation(self, a, b):
-        if self.vector_responses is None:
-            return super().correlation(a, b)
-        aa, bb = as_angle(a), as_angle(b)
-        key = (aa.degrees, bb.degrees)
-        cached = self._correlations.get(key)
-        if cached is None:
-            resp_a, resp_b = self.vector_responses
-            signs_a = 2.0 * resp_a(aa) - 1.0
-            signs_b = 2.0 * resp_b(bb) - 1.0
-            cached = float(np.dot(self.weights, signs_a * signs_b))
-            self._correlations[key] = cached
-        return cached
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.responses is None:
+            raise ValueError("an LhvModel needs its two wing responses; see from_responses")
+
+    def correlation(self, a: AngleLike, b: AngleLike) -> float:
+        response_a, response_b = self.responses
+        signs_a = 2.0 * response_a(np.array([as_angle(a).degrees]))[0] - 1.0
+        signs_b = 2.0 * response_b(np.array([as_angle(b).degrees]))[0] - 1.0
+        return float(np.dot(self.weights, signs_a * signs_b))
 
     @classmethod
     def from_responses(
@@ -132,36 +124,30 @@ class LhvModel(ProbabilityModel):
         name: str,
         lambdas: Sequence,
         weights: np.ndarray,
-        response_a: Callable[[AnalyzerAngle, object], ProbabilityPair],
-        response_b: Callable[[AnalyzerAngle, object], ProbabilityPair],
-        vector_responses: tuple[VectorResponse, VectorResponse] | None = None,
+        response_a: Response,
+        response_b: Response,
     ) -> "LhvModel":
-        """Build a model from per-wing response distributions.
+        """Build a model from per-wing response probabilities.
 
-        The kernel is assembled as the outer product of the two wings'
-        response probabilities, so factorizability per lambda is exact
-        by construction.
+        The kernel is the outer product of the two wings' (V, H)
+        probabilities, so factorizability per lambda is exact by
+        construction.
         """
 
-        def kernel(a: AnalyzerAngle, b: AnalyzerAngle, lam: object) -> JointDistribution:
-            pa = response_a(a, lam)
-            pb = response_b(b, lam)
-            return JointDistribution(
-                vv=pa.v * pb.v, vh=pa.v * pb.h, hv=pa.h * pb.v, hh=pa.h * pb.h
-            )
+        def kernel(a_deg: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
+            pa = np.asarray(response_a(a_deg), dtype=float)
+            pb = np.asarray(response_b(b_deg), dtype=float)
+            wing_a = np.stack([pa, 1.0 - pa], axis=-1)  # [a, lambda, outcome_a]
+            wing_b = np.stack([pb, 1.0 - pb], axis=-1)  # [b, lambda, outcome_b]
+            return wing_a[:, None, :, :, None] * wing_b[None, :, :, None, :]
 
         return cls(
             name=name,
             lambdas=tuple(lambdas),
             weights=weights,
             kernel=kernel,
-            vector_responses=vector_responses,
+            responses=(response_a, response_b),
         )
-
-
-def _doubled_axis_response(setting: AnalyzerAngle, lam: object) -> ProbabilityPair:
-    agrees = math.cos(4.0 * math.radians(float(lam) - setting.degrees)) >= 0.0
-    return ProbabilityPair(v=1.0, h=0.0) if agrees else ProbabilityPair(v=0.0, h=1.0)
 
 
 def builtin_vector_model(nodes: int = DEFAULT_LAMBDA_NODES) -> LhvModel:
@@ -179,17 +165,16 @@ def builtin_vector_model(nodes: int = DEFAULT_LAMBDA_NODES) -> LhvModel:
     weights = np.full(nodes, 1.0 / nodes)
     lambda_array = np.asarray(lambdas)
 
-    def vector_response(setting: AnalyzerAngle) -> np.ndarray:
-        agrees = np.cos(4.0 * np.radians(lambda_array - setting.degrees)) >= 0.0
+    def response(degrees: np.ndarray) -> np.ndarray:
+        agrees = np.cos(4.0 * np.radians(lambda_array[None, :] - degrees[:, None])) >= 0.0
         return agrees.astype(float)
 
     return LhvModel.from_responses(
         name="vector-lhv",
         lambdas=lambdas,
         weights=weights,
-        response_a=_doubled_axis_response,
-        response_b=_doubled_axis_response,
-        vector_responses=(vector_response, vector_response),
+        response_a=response,
+        response_b=response,
     )
 
 
@@ -203,9 +188,10 @@ def strategy_model(
 ) -> LhvModel:
     """Mixture of deterministic strategies bound to a concrete quadruple.
 
-    The kernel resolves each analyzer angle against the quadruple to
-    find its setting index, so it is only defined on those four angles.
-    Defaults to the uniform mixture over all sixteen strategies.
+    Each wing's response looks its analyzer angles up in the quadruple
+    to find their setting indices, so the model is only defined on those
+    four angles. Defaults to the uniform mixture over all sixteen
+    strategies.
     """
     chosen = tuple(strategies) if strategies is not None else all_strategies()
     prior = (
@@ -218,17 +204,20 @@ def strategy_model(
         Wing.B: {as_angle(b).degrees: 0, as_angle(b_prime).degrees: 1},
     }
 
-    def respond(wing: Wing):
-        def response(setting: AnalyzerAngle, lam: object) -> ProbabilityPair:
-            table = index_of[wing]
-            if setting.degrees not in table:
-                raise ValueError(
-                    f"angle {setting.degrees} is not one of the strategy quadruple"
-                )
-            label = lam.response(wing, table[setting.degrees])
-            if label is OutcomeLabel.V:
-                return ProbabilityPair(v=1.0, h=0.0)
-            return ProbabilityPair(v=0.0, h=1.0)
+    def respond(wing: Wing) -> Response:
+        settings = index_of[wing]
+        # P(V) per (setting index, strategy)
+        p_v = np.array(
+            [[float(s.response(wing, k) is OutcomeLabel.V) for s in chosen] for k in (0, 1)]
+        )
+
+        def response(degrees: np.ndarray) -> np.ndarray:
+            rows = []
+            for degree in degrees.tolist():
+                if degree not in settings:
+                    raise ValueError(f"angle {degree} is not one of the strategy quadruple")
+                rows.append(settings[degree])
+            return p_v[rows]
 
         return response
 

@@ -12,28 +12,32 @@ angle grid and report the worst-case deviation from each condition:
 * factorizability: the per-lambda joint must equal the product of the
   per-lambda marginals.
 
-Sweeps evaluate the kernel once per (a, b, lambda) cell into a cached
-table and reduce with numpy, so grids stay cheap even with thousands of
-lambda nodes. Kernels must be pure functions for the cache (and any
-parallel evaluation) to be sound.
+A model's kernel is array-valued: it maps normalized angles
+``a_degrees[na]`` and ``b_degrees[nb]`` to the table
+``[na, nb, n_lambda, 2, 2]``, indexed [a, b, lambda, outcome_a,
+outcome_b] with V=0, H=1. Grid tables, correlations, single cells and
+the sampler's per-pair cells all come from that one call and one
+validation step. Kernels must be pure for the table cache to be sound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .quantum import (
+    ATOL,
     AngleLike,
     AnalyzerAngle,
     JointDistribution,
     OutcomeLabel,
     PhotonPairState,
+    _as_pair_state,
+    _wing_projectors,
     as_angle,
     bell_phi_plus,
-    born_joint,
 )
 
 #: Default tolerance for a condition to count as holding.
@@ -44,19 +48,41 @@ SKIP_PROBABILITY = 1e-12
 
 _LABELS = (OutcomeLabel.V, OutcomeLabel.H)
 
-Kernel = Callable[[AnalyzerAngle, AnalyzerAngle, object], JointDistribution]
+#: ``kernel(a_degrees[na], b_degrees[nb]) -> probabilities[na, nb, n_lambda, 2, 2]``.
+Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _degrees(angles: Sequence[AngleLike]) -> np.ndarray:
+    return np.array([as_angle(x).degrees for x in angles], dtype=float)
+
+
+def _validated(raw: np.ndarray, shape: tuple) -> np.ndarray:
+    """The checks ``JointDistribution`` makes, over a whole kernel result:
+    entries in [-ATOL, 1 + ATOL] clamped to [0, 1], cells summing to 1."""
+    cells = np.array(raw, dtype=float)
+    if cells.shape != shape:
+        raise ValueError(f"kernel returned shape {cells.shape}, expected {shape}")
+    inside = (cells >= -ATOL) & (cells <= 1.0 + ATOL)
+    if not inside.all():
+        raise ValueError(f"joint entry: probability {cells[~inside][0]!r} outside [0, 1]")
+    np.copyto(cells, 0.0, where=cells < 0.0)
+    np.copyto(cells, 1.0, where=cells > 1.0)
+    totals = cells[..., 0, 0] + cells[..., 0, 1] + cells[..., 1, 0] + cells[..., 1, 1]
+    off = np.abs(totals - 1.0)
+    if totals.size and off.max() > ATOL:
+        raise ValueError(f"joint distribution sums to {totals.flat[off.argmax()]!r}, not 1")
+    return cells
 
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityModel:
-    """Bipartite model: prior-weighted lambdas and a per-lambda kernel."""
+    """Bipartite model: prior-weighted lambdas and an array-valued kernel."""
 
     name: str
     lambdas: tuple
     weights: np.ndarray
     kernel: Kernel
     _tables: dict = field(default_factory=dict, repr=False)
-    _correlations: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
@@ -73,8 +99,15 @@ class ProbabilityModel:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
 
+    def cells(self, a: Sequence[AngleLike], b: Sequence[AngleLike]) -> np.ndarray:
+        """Validated joint probabilities, shape (len(a), len(b), n_lambda, 2, 2)."""
+        a_deg, b_deg = _degrees(a), _degrees(b)
+        shape = (a_deg.size, b_deg.size, len(self.lambdas), 2, 2)
+        return _validated(self.kernel(a_deg, b_deg), shape)
+
     def joint(self, a: AngleLike, b: AngleLike, index: int) -> JointDistribution:
-        return self.kernel(as_angle(a), as_angle(b), self.lambdas[index])
+        vv, vh, hv, hh = self.cells([a], [b])[0, 0, index].reshape(4)
+        return JointDistribution(vv=float(vv), vh=float(vh), hv=float(hv), hh=float(hh))
 
     def table(self, grid: Sequence[AngleLike]) -> np.ndarray:
         """Joint probabilities for every grid cell.
@@ -83,45 +116,39 @@ class ProbabilityModel:
         [a, b, lambda, outcome_a, outcome_b] with V=0, H=1. Cached per
         grid, keyed by the normalized angles.
         """
-        angles = tuple(as_angle(g) for g in grid)
-        key = tuple(angle.degrees for angle in angles)
+        key = tuple(_degrees(grid).tolist())
         cached = self._tables.get(key)
-        if cached is not None:
-            return cached
-        n = len(angles)
-        m = len(self.lambdas)
-        table = np.empty((n, n, m, 2, 2))
-        for ia, a in enumerate(angles):
-            for ib, b in enumerate(angles):
-                for il, lam in enumerate(self.lambdas):
-                    table[ia, ib, il] = self.kernel(a, b, lam).as_array()
-        table.setflags(write=False)
-        self._tables[key] = table
-        return table
+        if cached is None:
+            cached = self.cells(key, key)
+            cached.setflags(write=False)
+            self._tables[key] = cached
+        return cached
 
     def correlation(self, a: AngleLike, b: AngleLike) -> float:
-        """Prior-weighted expectation of the +/-1 outcome product.
-
-        Cached per (a, b) pair; sound because kernels are pure.
-        """
-        aa, bb = as_angle(a), as_angle(b)
-        key = (aa.degrees, bb.degrees)
-        cached = self._correlations.get(key)
-        if cached is None:
-            values = [self.kernel(aa, bb, lam).correlation() for lam in self.lambdas]
-            cached = float(np.dot(self.weights, values))
-            self._correlations[key] = cached
-        return cached
+        """Prior-weighted expectation of the +/-1 outcome product."""
+        p = self.cells([a], [b])[0, 0]
+        values = (p[:, 0, 0] + p[:, 1, 1]) - (p[:, 0, 1] + p[:, 1, 0])
+        return float(np.dot(self.weights, values))
 
 
 def quantum_model(state: PhotonPairState | None = None) -> ProbabilityModel:
-    """The orthodox quantum model: one lambda, Born-rule kernel."""
-    prepared = state if state is not None else bell_phi_plus()
+    """The orthodox quantum model: one lambda, Born-rule kernel.
+
+    The kernel stacks each angle's (V, H) projectors and contracts them
+    with the state in one einsum, the batched form of ``born_joint``.
+    """
+    rho = _as_pair_state(state if state is not None else bell_phi_plus()).matrix.reshape(2, 2, 2, 2)
+
+    def kernel(a_deg: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
+        pa = np.stack([_wing_projectors(x) for x in a_deg.tolist()])
+        pb = np.stack([_wing_projectors(x) for x in b_deg.tolist()])
+        return np.einsum("ikjl,xmji,ynlk->xymn", rho, pa, pb).real[:, :, None]
+
     return ProbabilityModel(
         name="quantum",
         lambdas=(None,),
         weights=np.array([1.0]),
-        kernel=lambda a, b, _lam: born_joint(prepared, a, b),
+        kernel=kernel,
     )
 
 
@@ -135,11 +162,10 @@ def signalling_fixture_model(bias: float = 0.25) -> ProbabilityModel:
     if not (0.0 < bias <= 0.25):
         raise ValueError("bias must be in (0, 0.25]")
 
-    def kernel(a: AnalyzerAngle, b: AnalyzerAngle, _lam: object) -> JointDistribution:
-        p_va = 0.5 + (bias if b.degrees >= 90.0 else 0.0)
-        return JointDistribution(
-            vv=p_va * 0.5, vh=p_va * 0.5, hv=(1.0 - p_va) * 0.5, hh=(1.0 - p_va) * 0.5
-        )
+    def kernel(a_deg: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
+        p_va = 0.5 + np.where(b_deg >= 90.0, bias, 0.0)
+        rows = np.stack([p_va * 0.5, (1.0 - p_va) * 0.5], axis=-1)  # [b, outcome_a]
+        return np.broadcast_to(rows[None, :, None, :, None], (a_deg.size, b_deg.size, 1, 2, 2))
 
     return ProbabilityModel(
         name="signalling-fixture",
@@ -166,13 +192,7 @@ class ConditionReport:
             raise ValueError("a failing report must carry a witness")
 
     def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "holds": self.holds,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def default_angle_grid(count: int = 8) -> tuple[AnalyzerAngle, ...]:
@@ -183,15 +203,22 @@ def default_angle_grid(count: int = 8) -> tuple[AnalyzerAngle, ...]:
     return tuple(AnalyzerAngle(i * step) for i in range(count))
 
 
-def _require_grid(grid: Sequence[AngleLike]) -> tuple[AnalyzerAngle, ...]:
+def _grid_table(
+    model: ProbabilityModel, grid: Sequence[AngleLike]
+) -> tuple[tuple[AnalyzerAngle, ...], np.ndarray]:
     angles = tuple(as_angle(g) for g in grid)
     if not angles:
         raise ValueError("angle grid must be nonempty")
-    return angles
+    return angles, model.table(angles)
 
 
 def _label(index: int) -> str:
     return _LABELS[index].value
+
+
+def _report(condition: str, deviation: float, witness: dict | None, tol: float) -> ConditionReport:
+    holds = deviation <= tol
+    return ConditionReport(condition, holds, deviation, tol, None if holds else witness)
 
 
 def check_parameter_independence(
@@ -201,8 +228,7 @@ def check_parameter_independence(
 ) -> ConditionReport:
     """Worst per-lambda dependence of either wing's marginal on the
     remote setting, over all setting pairs drawn from the grid."""
-    angles = _require_grid(grid)
-    table = model.table(angles)
+    angles, table = _grid_table(model, grid)
     best = (-1.0, None)
     for wing_name, marg, remote_axis in (
         ("A", table.sum(axis=4), 1),
@@ -228,15 +254,7 @@ def check_parameter_independence(
                 "probability_low": float(along.min()),
             }
             best = (deviation, witness)
-    deviation, witness = best
-    holds = deviation <= tol
-    return ConditionReport(
-        condition="parameter_independence",
-        holds=holds,
-        max_deviation=deviation,
-        tolerance=tol,
-        witness=None if holds else witness,
-    )
+    return _report("parameter_independence", *best, tol)
 
 
 def check_outcome_independence(
@@ -247,8 +265,7 @@ def check_outcome_independence(
     """Worst per-lambda dependence of either wing's probability on the
     remote outcome. Conditioning outcomes of zero probability are
     skipped, since deterministic branches legitimately produce them."""
-    angles = _require_grid(grid)
-    table = model.table(angles)
+    angles, table = _grid_table(model, grid)
     marg_a = table.sum(axis=4)  # [a, b, lam, oa]
     marg_b = table.sum(axis=3)  # [a, b, lam, ob]
     best = (-1.0, None)
@@ -281,15 +298,7 @@ def check_outcome_independence(
                 ),
             }
             best = (deviation, witness)
-    deviation, witness = best
-    holds = deviation <= tol
-    return ConditionReport(
-        condition="outcome_independence",
-        holds=holds,
-        max_deviation=deviation,
-        tolerance=tol,
-        witness=None if holds else witness,
-    )
+    return _report("outcome_independence", *best, tol)
 
 
 def check_factorizability(
@@ -299,16 +308,14 @@ def check_factorizability(
 ) -> ConditionReport:
     """Worst per-lambda gap between the joint and the product of the
     per-lambda marginals."""
-    angles = _require_grid(grid)
-    table = model.table(angles)
+    angles, table = _grid_table(model, grid)
     marg_a = table.sum(axis=4)
     marg_b = table.sum(axis=3)
     product = marg_a[:, :, :, :, None] * marg_b[:, :, :, None, :]
     dev = np.abs(table - product)
     deviation = float(dev.max())
-    holds = deviation <= tol
     witness = None
-    if not holds:
+    if deviation > tol:
         ia, ib, lam_i, oa, ob = np.unravel_index(dev.argmax(), dev.shape)
         witness = {
             "a_deg": angles[ia].degrees,
@@ -319,13 +326,7 @@ def check_factorizability(
             "joint": float(table[ia, ib, lam_i, oa, ob]),
             "product_of_marginals": float(product[ia, ib, lam_i, oa, ob]),
         }
-    return ConditionReport(
-        condition="factorizability",
-        holds=holds,
-        max_deviation=deviation,
-        tolerance=tol,
-        witness=witness,
-    )
+    return _report("factorizability", deviation, witness, tol)
 
 
 def chsh(
@@ -348,8 +349,7 @@ def no_signalling_deviation(
     model: ProbabilityModel, grid: Sequence[AngleLike]
 ) -> float:
     """Dependence of the lambda-averaged marginals on the remote setting."""
-    angles = _require_grid(grid)
-    table = model.table(angles)
+    _, table = _grid_table(model, grid)
     weights = model.weights
     avg_a = np.tensordot(table.sum(axis=4), weights, axes=([2], [0]))  # [a, b, oa]
     avg_b = np.tensordot(table.sum(axis=3), weights, axes=([2], [0]))  # [a, b, ob]

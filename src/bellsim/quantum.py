@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -155,6 +156,15 @@ class PhotonPairState:
 
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
+
+    # Each wing's reduced state, built and validated on first use.
+    @cached_property
+    def _reduced_a(self) -> "SingleWingState":
+        return SingleWingState(_partial_trace(self.matrix, keep=Wing.A))
+
+    @cached_property
+    def _reduced_b(self) -> "SingleWingState":
+        return SingleWingState(_partial_trace(self.matrix, keep=Wing.B))
 
 
 @dataclass(frozen=True)
@@ -336,9 +346,9 @@ def _partial_trace(matrix: np.ndarray, keep: Wing) -> np.ndarray:
 
 
 def reduced_state(state: PhotonPairState | np.ndarray, wing: Wing) -> SingleWingState:
-    """Partial trace over the other wing."""
+    """Partial trace over the other wing, computed once per pair state."""
     rho = _as_pair_state(state)
-    return SingleWingState(_partial_trace(rho.matrix, keep=wing))
+    return rho._reduced_a if wing is Wing.A else rho._reduced_b
 
 
 def born_marginal(
@@ -350,8 +360,9 @@ def born_marginal(
     never references the remote analyzer angle.
     """
     local = reduced_state(state, wing).matrix
-    p_v = float(np.einsum("ij,ji->", local, _wing_projectors(angle)[0]).real)
-    p_h = float(np.einsum("ij,ji->", local, _wing_projectors(angle)[1]).real)
+    projectors = _wing_projectors(angle)
+    p_v = float(np.einsum("ij,ji->", local, projectors[0]).real)
+    p_h = float(np.einsum("ij,ji->", local, projectors[1]).real)
     return ProbabilityPair(
         v=_clamp_probability(p_v, "marginal V"),
         h=_clamp_probability(p_h, "marginal H"),

@@ -114,3 +114,40 @@ class TestSimulateCommand:
         payload = json.loads(captured.out)
         assert payload["model"] == "lhv"
         assert payload["seed"] == 1
+
+
+class TestErrors:
+    """Bad inputs end in one ``error:`` line on stderr and exit code 2."""
+
+    def run_error(self, capsys, *argv) -> str:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def write_config(self, tmp_path, config: dict) -> str:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    def test_config_without_model(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, {"trials": 10})
+        assert "'model'" in self.run_error(capsys, "simulate", "--config", path)
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        path = str(tmp_path / "absent.json")
+        assert "absent.json" in self.run_error(capsys, "simulate", "--config", path)
+
+    def test_zero_trials(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, {"model": "qm", "trials": 0})
+        assert "trials" in self.run_error(capsys, "simulate", "--config", path)
+
+    def test_unknown_config_key(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, {"model": "qm", "trials": 10, "bogus_key": 1})
+        assert "'bogus_key'" in self.run_error(capsys, "simulate", "--config", path)
+
+    def test_bad_grid_angle(self, capsys):
+        assert "0,x,3" in self.run_error(capsys, "nosignal", "--grid", "0,x,3")

@@ -51,6 +51,36 @@ class TestRunConfig:
         cfg = RunConfig.from_json_dict({"model": "qm", "schedule": "chsh-optimal"})
         assert cfg.schedule == OPTIMAL_SCHEDULE
 
+    def test_json_round_trip_every_field(self):
+        cfg = config(
+            model="lhv",
+            schedule=((10.0, 37.3), (190.0, -22.5)),
+            trials=7,
+            seed=2**63,
+            trial_log_path="trials.jsonl",
+            report_path="report.csv",
+            report_format="csv",
+        )
+        data = json.loads(json.dumps(cfg.to_json_dict()))
+        assert RunConfig.from_json_dict(data) == cfg
+        assert RunConfig.from_json_dict(data).to_json_dict() == cfg.to_json_dict()
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="bogus_key"):
+            RunConfig.from_json_dict({"model": "qm", "bogus_key": 1})
+
+    def test_missing_model_rejected(self):
+        with pytest.raises(ValueError, match="'model'"):
+            RunConfig.from_json_dict({"trials": 10})
+
+    def test_scenario_key_accepted(self):
+        cfg = RunConfig.from_json_dict({"model": "qm", "scenario": "overlap"})
+        assert cfg.schedule == OPTIMAL_SCHEDULE
+
+    def test_malformed_schedule_rejected(self):
+        with pytest.raises(ValueError, match="schedule"):
+            RunConfig.from_json_dict({"model": "qm", "schedule": [[0.0]]})
+
 
 class TestDeterminism:
     def test_identical_configs_bit_identical_logs(self):

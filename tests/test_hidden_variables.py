@@ -75,6 +75,29 @@ class TestDeterministicStrategies:
         model = strategy_model(0.0, 45.0, 22.5, -22.5)
         assert chsh(model, 0.0, 45.0, 22.5, -22.5) == pytest.approx(0.0, abs=1e-12)
 
+    def test_maximum_witness_is_first_in_enumeration(self):
+        value, witness = deterministic_chsh_maximum(1.0, 2.0, 3.0, 4.0)
+        first = next(s for s in all_strategies() if strategy_chsh(s) == value)
+        assert witness == first
+
+    def test_strategy_model_is_a_lookup(self):
+        chosen = all_strategies()[5]
+        model = strategy_model(0.0, 45.0, 22.5, -22.5, strategies=[chosen], weights=[1.0])
+        cells = model.cells([0.0, 45.0], [22.5, 157.5])
+        for k in (0, 1):
+            for m in (0, 1):
+                oa = 0 if chosen.response(Wing.A, k) is V else 1
+                ob = 0 if chosen.response(Wing.B, m) is V else 1
+                assert cells[k, m, 0, oa, ob] == 1.0
+                assert cells[k, m, 0].sum() == 1.0
+
+    def test_strategy_model_rejects_other_angles(self):
+        model = strategy_model(0.0, 45.0, 22.5, -22.5)
+        with pytest.raises(ValueError, match="quadruple"):
+            model.table([0.0, 10.0])
+        with pytest.raises(ValueError, match="quadruple"):
+            model.correlation(10.0, 22.5)
+
 
 @pytest.fixture(scope="module")
 def model():

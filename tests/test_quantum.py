@@ -260,6 +260,28 @@ class TestReducedState:
         reduced = reduced_state(maximally_mixed_pair(), Wing.B)
         assert_allclose(reduced.matrix, np.eye(2) / 2.0, atol=1e-12)
 
+    def test_built_once_per_state_and_wing(self):
+        state = random_state(3)
+        for wing in (Wing.A, Wing.B):
+            assert reduced_state(state, wing) is reduced_state(state, wing)
+        assert reduced_state(state, Wing.A) is not reduced_state(state, Wing.B)
+        assert reduced_state(random_state(3), Wing.A) is not reduced_state(state, Wing.A)
+
+    @given(st.integers(0, 10_000), angle_floats)
+    @settings(max_examples=100, deadline=None)
+    def test_cached_marginal_is_bit_identical(self, seed, angle):
+        state = random_state(seed)
+        traced = {
+            Wing.A: np.einsum("ikjk->ij", state.matrix.reshape(2, 2, 2, 2)),
+            Wing.B: np.einsum("kikj->ij", state.matrix.reshape(2, 2, 2, 2)),
+        }
+        for wing, local in traced.items():
+            assert np.array_equal(reduced_state(state, wing).matrix, local)
+            p_v = float(np.einsum("ij,ji->", local, analyzer_projector(angle, V).matrix).real)
+            first = born_marginal(state, wing, angle)
+            assert born_marginal(state, wing, angle) == first
+            assert first.v == pytest.approx(p_v, abs=1e-15)
+
 
 class TestConditionalRemoteState:
     def test_collapse_to_observed_axis(self):
