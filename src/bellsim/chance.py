@@ -200,6 +200,25 @@ def _born_probability(
     return pair.for_label(label)
 
 
+def _open_target(
+    point: SpacetimePoint, target: Target, scenario: Scenario, what: str
+) -> tuple[ReferenceClass, dict[Wing, OutcomeLabel], ChanceValue | None]:
+    """The reference class at ``point``, the target's wings it cannot see yet
+    and, when the outcomes it can see settle the target, its 0/1 chance."""
+    rc = reference_class_at(point, scenario)
+    if not rc.state_backed:
+        raise NoChanceDefinedError(
+            f"the preparation event is outside the past cone of "
+            f"({point.t}, {point.x}); no {what} is defined there"
+        )
+    wanted = _target_components(target)
+    if any(rc.outcomes.get(wing, label) is not label for wing, label in wanted.items()):
+        return rc, {}, ChanceValue(value=0.0, at=point, target=target)
+    open_wings = {wing: label for wing, label in wanted.items() if wing not in rc.outcomes}
+    settled = None if open_wings else ChanceValue(value=1.0, at=point, target=target)
+    return rc, open_wings, settled
+
+
 def chance_at(point: SpacetimePoint, target: Target, scenario: Scenario) -> ChanceValue:
     """The chance of ``target`` relativized to ``point``.
 
@@ -207,23 +226,9 @@ def chance_at(point: SpacetimePoint, target: Target, scenario: Scenario) -> Chan
     exactly 0 or 1. Otherwise the value is the Born probability of the
     target conditional on every outcome visible at the point.
     """
-    rc = reference_class_at(point, scenario)
-    if not rc.state_backed:
-        raise NoChanceDefinedError(
-            f"the preparation event is outside the past cone of "
-            f"({point.t}, {point.x}); no chance is defined there"
-        )
-    wanted = _target_components(target)
-    open_wings: dict[Wing, OutcomeLabel] = {}
-    indicator = 1.0
-    for wing, label in wanted.items():
-        if wing in rc.outcomes:
-            if rc.outcomes[wing] is not label:
-                indicator = 0.0
-        else:
-            open_wings[wing] = label
-    if indicator == 0.0 or not open_wings:
-        return ChanceValue(value=indicator, at=point, target=target)
+    rc, open_wings, settled = _open_target(point, target, scenario, "chance")
+    if settled is not None:
+        return settled
     conditioning = {w: o for w, o in rc.outcomes.items() if w not in open_wings}
     value = _born_probability(scenario.state, rc, point, open_wings, conditioning)
     return ChanceValue(value=value, at=point, target=target)
@@ -360,23 +365,9 @@ def estimated_chance(
         applied = apply_intervention(scenario, contemplated)
         assert isinstance(applied, Scenario)
         scenario = applied
-    rc = reference_class_at(point, scenario)
-    if not rc.state_backed:
-        raise NoChanceDefinedError(
-            f"the preparation event is outside the past cone of "
-            f"({point.t}, {point.x}); no estimate is defined there"
-        )
-    wanted = _target_components(target)
-    open_wings: dict[Wing, OutcomeLabel] = {}
-    indicator = 1.0
-    for wing, label in wanted.items():
-        if wing in rc.outcomes:
-            if rc.outcomes[wing] is not label:
-                indicator = 0.0
-        else:
-            open_wings[wing] = label
-    if indicator == 0.0 or not open_wings:
-        return ChanceValue(value=indicator, at=point, target=target)
+    rc, open_wings, settled = _open_target(point, target, scenario, "estimate")
+    if settled is not None:
+        return settled
 
     # Wings whose outcome will condition the downstream chance but is
     # not yet visible here. Their angles come from the (possibly
@@ -384,17 +375,12 @@ def estimated_chance(
     mix_wings = [
         wing
         for wing in (Wing.A, Wing.B)
-        if wing not in wanted
+        if wing not in open_wings
         and wing not in rc.outcomes
         and scenario.angle(wing) is not None
     ]
-    known = dict(rc.outcomes)
     if not mix_wings:
-        value = _born_probability(
-            scenario.state, rc, point, open_wings,
-            {w: o for w, o in known.items() if w not in open_wings},
-        )
-        return ChanceValue(value=value, at=point, target=target)
+        return chance_at(point, target, scenario)
 
     # At most one wing remains to mix over in a bipartite scenario.
     (mix_wing,) = mix_wings
@@ -407,13 +393,13 @@ def estimated_chance(
     for hypothesized in (OutcomeLabel.V, OutcomeLabel.H):
         weight = _born_probability(
             scenario.state, mix_rc, point, {mix_wing: hypothesized},
-            {w: o for w, o in known.items() if w is not mix_wing},
+            {w: o for w, o in rc.outcomes.items() if w is not mix_wing},
         )
         if weight <= ZERO_PROBABILITY:
             continue
         downstream = _born_probability(
             scenario.state, mix_rc, point, open_wings,
-            {**{w: o for w, o in known.items() if w not in open_wings},
+            {**{w: o for w, o in rc.outcomes.items() if w not in open_wings},
              mix_wing: hypothesized},
         )
         estimate += weight * downstream

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .locality import ProbabilityModel
+from .locality import ProbabilityModel, _clamp_probabilities
 from .quantum import AngleLike, OutcomeLabel, Wing, as_angle
 
 #: Default quadrature resolution for continuous-lambda models.
@@ -102,7 +102,8 @@ class LhvModel(ProbabilityModel):
 
     ``responses`` holds the (wing A, wing B) response functions; the
     kernel is their outer product, and correlations reduce the two
-    response rows directly.
+    response rows directly, after the same range check and clamp that
+    ``table`` applies.
     """
 
     responses: tuple[Response, Response] | None = None
@@ -113,10 +114,12 @@ class LhvModel(ProbabilityModel):
             raise ValueError("an LhvModel needs its two wing responses; see from_responses")
 
     def correlation(self, a: AngleLike, b: AngleLike) -> float:
-        response_a, response_b = self.responses
-        signs_a = 2.0 * response_a(np.array([as_angle(a).degrees]))[0] - 1.0
-        signs_b = 2.0 * response_b(np.array([as_angle(b).degrees]))[0] - 1.0
-        return float(np.dot(self.weights, signs_a * signs_b))
+        signs = []
+        for response, angle in zip(self.responses, (a, b)):
+            p_v = np.array(response(np.array([as_angle(angle).degrees]))[0], dtype=float)
+            _clamp_probabilities(p_v, "response")
+            signs.append(2.0 * p_v - 1.0)
+        return float(np.dot(self.weights, signs[0] * signs[1]))
 
     @classmethod
     def from_responses(
@@ -199,10 +202,15 @@ def strategy_model(
         if weights is not None
         else np.full(len(chosen), 1.0 / len(chosen))
     )
-    index_of = {
-        Wing.A: {as_angle(a).degrees: 0, as_angle(a_prime).degrees: 1},
-        Wing.B: {as_angle(b).degrees: 0, as_angle(b_prime).degrees: 1},
-    }
+    index_of = {}
+    for wing, pair in ((Wing.A, (a, a_prime)), (Wing.B, (b, b_prime))):
+        first, second = (as_angle(angle).degrees for angle in pair)
+        if first == second:
+            raise ValueError(
+                f"wing {wing.value} repeats the angle {first} in the strategy quadruple; "
+                "its two settings need distinct angles"
+            )
+        index_of[wing] = {first: 0, second: 1}
 
     def respond(wing: Wing) -> Response:
         settings = index_of[wing]

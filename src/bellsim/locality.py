@@ -56,17 +56,25 @@ def _degrees(angles: Sequence[AngleLike]) -> np.ndarray:
     return np.array([as_angle(x).degrees for x in angles], dtype=float)
 
 
+def _clamp_probabilities(values: np.ndarray, what: str) -> None:
+    """Check that every entry of the float array ``values`` lies in
+    [-ATOL, 1 + ATOL], then clamp it to [0, 1] in place."""
+    low, high = values.min(initial=0.0), values.max(initial=1.0)
+    if not (low >= -ATOL and high <= 1.0 + ATOL):  # also false for NaN
+        bad = float(values[~((values >= -ATOL) & (values <= 1.0 + ATOL))][0])
+        raise ValueError(f"{what} entry: probability {bad!r} outside [0, 1]")
+    if low < 0.0 or high > 1.0:
+        np.copyto(values, 0.0, where=values < 0.0)
+        np.copyto(values, 1.0, where=values > 1.0)
+
+
 def _validated(raw: np.ndarray, shape: tuple) -> np.ndarray:
     """The checks ``JointDistribution`` makes, over a whole kernel result:
     entries in [-ATOL, 1 + ATOL] clamped to [0, 1], cells summing to 1."""
     cells = np.array(raw, dtype=float)
     if cells.shape != shape:
         raise ValueError(f"kernel returned shape {cells.shape}, expected {shape}")
-    inside = (cells >= -ATOL) & (cells <= 1.0 + ATOL)
-    if not inside.all():
-        raise ValueError(f"joint entry: probability {cells[~inside][0]!r} outside [0, 1]")
-    np.copyto(cells, 0.0, where=cells < 0.0)
-    np.copyto(cells, 1.0, where=cells > 1.0)
+    _clamp_probabilities(cells, "joint")
     totals = cells[..., 0, 0] + cells[..., 0, 1] + cells[..., 1, 0] + cells[..., 1, 1]
     off = np.abs(totals - 1.0)
     if totals.size and off.max() > ATOL:

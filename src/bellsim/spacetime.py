@@ -1,7 +1,17 @@
 """1+1 dimensional Minkowski geometry for the two-wing experiment.
 
-Points carry lab-frame coordinates (t, x) in units with c = 1. Light
-cones are closed: the lightlike boundary counts as causally accessible.
+Points carry lab-frame coordinates (t, x) in units with c = 1 and store
+their null coordinates u = t - x and w = t + x, computed once when the
+point is built. Light cones are closed, and classification only compares
+stored floats: q is in p's past when q.u <= p.u and q.w <= p.w, in its
+future when both are >=, and spacelike otherwise. A boost scales u by
+e^zeta and w by e^-zeta and derives t and x from them. Rounded scaling
+by one positive factor never reverses an order, so a boost keeps every
+class, except that a spacelike pair whose null gap rounds to 0 becomes
+lightlike. Inputs are classified by their float values: (0.1, 0.2) and
+(0.4, 0.5), lightlike in decimal, are not in float. A boosted scenario
+saved to JSON re-derives u and w from its rounded t and x.
+
 Regions are represented by labeled events rather than extended point
 sets, since only membership and causal relations are ever queried.
 
@@ -24,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Union
 
@@ -40,9 +50,6 @@ from .quantum import (
     bell_phi_plus,
 )
 
-#: Null-coordinate slack treated as "on the light cone".
-CONE_ATOL = 1e-12
-
 SCENARIO_FORMAT = "bellsim-scenario-v1"
 
 
@@ -50,18 +57,30 @@ SCENARIO_FORMAT = "bellsim-scenario-v1"
 class SpacetimePoint:
     t: float
     x: float
+    #: Null coordinates t - x and t + x, stored when the point is built.
+    u: float = field(init=False, repr=False, compare=False)
+    w: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("t", "x"):
-            value = float(getattr(self, name))
+        t, x = float(self.t), float(self.x)
+        self._store(t, x, t - x, t + x)
+
+    @classmethod
+    def _from_null(cls, u: float, w: float) -> "SpacetimePoint":
+        point = object.__new__(cls)
+        point._store(u / 2.0 + w / 2.0, w / 2.0 - u / 2.0, u, w)
+        return point
+
+    def _store(self, t: float, x: float, u: float, w: float) -> None:
+        for name, value in (("t", t), ("x", x), ("u", u), ("w", w)):
             if not math.isfinite(value):
-                raise ValueError(f"coordinate {name}={value!r} must be finite")
+                raise ValueError(f"coordinate {name}={value!r} of ({t}, {x}) must be finite")
             object.__setattr__(self, name, value)
 
     def boosted(self, rapidity: float) -> "SpacetimePoint":
         """Active Lorentz boost with the given rapidity."""
-        ch, sh = math.cosh(rapidity), math.sinh(rapidity)
-        return SpacetimePoint(t=self.t * ch - self.x * sh, x=self.x * ch - self.t * sh)
+        k = math.exp(rapidity)
+        return SpacetimePoint._from_null(self.u * k, self.w / k)
 
 
 class CausalRelation(Enum):
@@ -70,36 +89,27 @@ class CausalRelation(Enum):
     SPACELIKE = "spacelike"
 
 
-def causal_relation(
-    p: SpacetimePoint, q: SpacetimePoint, tol: float = CONE_ATOL
-) -> CausalRelation:
+def causal_relation(p: SpacetimePoint, q: SpacetimePoint) -> CausalRelation:
     """Classify q relative to p's closed light cones.
 
-    Works in null coordinates u = dt - dx, w = dt + dx of q - p, whose
-    signs are invariant under boosts; |u| or |w| within ``tol`` of zero
-    counts as lying on the cone. The degenerate case q == p is reported
-    as CAUSAL_PAST (a point belongs to its own closed cone).
+    Compares the stored null coordinates of the two points. The
+    degenerate case q == p is reported as CAUSAL_PAST (a point belongs
+    to its own closed cone).
     """
-    u = (q.t - p.t) - (q.x - p.x)
-    w = (q.t - p.t) + (q.x - p.x)
-    if abs(u) <= tol:
-        u = 0.0
-    if abs(w) <= tol:
-        w = 0.0
-    if u <= 0.0 and w <= 0.0:
+    if q.u <= p.u and q.w <= p.w:
         return CausalRelation.CAUSAL_PAST
-    if u >= 0.0 and w >= 0.0:
+    if q.u >= p.u and q.w >= p.w:
         return CausalRelation.CAUSAL_FUTURE
     return CausalRelation.SPACELIKE
 
 
-def in_causal_past(q: SpacetimePoint, p: SpacetimePoint, tol: float = CONE_ATOL) -> bool:
+def in_causal_past(q: SpacetimePoint, p: SpacetimePoint) -> bool:
     """True when q lies in the closed causal past of p."""
-    return causal_relation(p, q, tol) is CausalRelation.CAUSAL_PAST
+    return causal_relation(p, q) is CausalRelation.CAUSAL_PAST
 
 
-def is_spacelike(p: SpacetimePoint, q: SpacetimePoint, tol: float = CONE_ATOL) -> bool:
-    return causal_relation(p, q, tol) is CausalRelation.SPACELIKE
+def is_spacelike(p: SpacetimePoint, q: SpacetimePoint) -> bool:
+    return causal_relation(p, q) is CausalRelation.SPACELIKE
 
 
 class RegionLabel(Enum):
@@ -178,6 +188,8 @@ class Scenario:
     p_prime: SpacetimePoint
     q: SpacetimePoint
     r: SpacetimePoint
+    #: (preparations, settings by wing, outcomes by wing), built once.
+    _by_kind: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
@@ -185,6 +197,7 @@ class Scenario:
         if len(set(ids)) != len(ids):
             raise ValueError(f"event ids are not unique: {ids}")
         preparations, settings, outcomes = _events_by_kind(self.events)
+        object.__setattr__(self, "_by_kind", (preparations, settings, outcomes))
         for wing, outcome in outcomes.items():
             if outcome.region is not _OUTCOME_REGION[wing]:
                 raise ValueError(
@@ -224,16 +237,14 @@ class Scenario:
     # -- accessors ---------------------------------------------------------
 
     def preparation_event(self) -> EventRecord | None:
-        preparations, _, _ = _events_by_kind(self.events)
+        preparations, _, _ = self._by_kind
         return preparations[0] if preparations else None
 
     def setting_event(self, wing: Wing) -> EventRecord | None:
-        _, settings, _ = _events_by_kind(self.events)
-        return settings.get(wing)
+        return self._by_kind[1].get(wing)
 
     def outcome_event(self, wing: Wing) -> EventRecord | None:
-        _, _, outcomes = _events_by_kind(self.events)
-        return outcomes.get(wing)
+        return self._by_kind[2].get(wing)
 
     def angle(self, wing: Wing) -> AnalyzerAngle | None:
         setting = self.setting_event(wing)

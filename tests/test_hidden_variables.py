@@ -5,6 +5,7 @@ import pytest
 
 from bellsim.hidden_variables import (
     DeterministicStrategy,
+    LhvModel,
     all_strategies,
     builtin_vector_model,
     deterministic_chsh_maximum,
@@ -97,6 +98,40 @@ class TestDeterministicStrategies:
             model.table([0.0, 10.0])
         with pytest.raises(ValueError, match="quadruple"):
             model.correlation(10.0, 22.5)
+
+    @pytest.mark.parametrize(
+        "quadruple, wing, angle",
+        [((0.0, 0.0, 22.5, 45.0), "A", "0.0"), ((0.0, 45.0, 22.5, 202.5), "B", "22.5")],
+    )
+    def test_strategy_model_rejects_repeated_angle(self, quadruple, wing, angle):
+        # a repeated angle used to map silently to setting index 1
+        with pytest.raises(ValueError, match=f"wing {wing} repeats the angle {angle}"):
+            strategy_model(*quadruple)
+
+
+class TestResponseRange:
+    @pytest.mark.parametrize("p_v", [1.5, -0.25])
+    def test_correlation_and_table_reject_out_of_range_response(self, p_v):
+        def bad(degrees):
+            return np.full((degrees.size, 1), p_v)
+
+        def fair(degrees):
+            return np.full((degrees.size, 1), 0.5)
+
+        for response_a, response_b in ((bad, fair), (fair, bad)):
+            model = LhvModel.from_responses("bad", (0,), np.ones(1), response_a, response_b)
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                model.correlation(0.0, 0.0)
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                model.table([0.0])
+
+    def test_correlation_clamps_within_atol(self):
+        def nearly_one(degrees):
+            return np.full((degrees.size, 1), 1.0 + 1e-13)
+
+        model = LhvModel.from_responses("edge", (0,), np.ones(1), nearly_one, nearly_one)
+        assert model.correlation(0.0, 0.0) == 1.0
+        assert model.table([0.0])[0, 0, 0, 0, 0] == 1.0
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim.chance import chance_at, vertical_outcome
+from bellsim.cli import main
 from bellsim.quantum import OutcomeLabel, Wing, product_polarized
 from bellsim.spacetime import (
     CausalRelation,
@@ -220,3 +225,137 @@ class TestSerialization:
         restored = Scenario.from_json(s.to_json())
         assert restored.outcome_event(Wing.B) is None
         assert isinstance(restored.preparation_event().kind, Preparation)
+
+
+SCALES = (1.0, 1e3, 1e5, 1e6)
+
+
+def assert_boost_keeps_order(p: SpacetimePoint, q: SpacetimePoint, zeta: float) -> bool:
+    """PAST and FUTURE survive the boost; SPACELIKE survives it unless the
+    boosted null gap is exactly 0 (a near-lightlike pair tied by rounding).
+    Returns whether the pair tied."""
+    before = causal_relation(p, q)
+    bp, bq = p.boosted(zeta), q.boosted(zeta)
+    after = causal_relation(bp, bq)
+    if before is SPACELIKE and after is not SPACELIKE:
+        assert bq.u == bp.u or bq.w == bp.w, (p, q, zeta)
+        return True
+    assert after is before, (p, q, zeta)
+    return False
+
+
+@st.composite
+def scaled_pairs(draw):
+    """A point at one of SCALES and a second point that is either generic or
+    within a few ulps of the scale from the first one's light cone."""
+    scale = draw(st.sampled_from(SCALES))
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    p = SpacetimePoint(draw(unit) * scale, draw(unit) * scale)
+    if draw(st.booleans()):
+        return p, SpacetimePoint(draw(unit) * scale, draw(unit) * scale)
+    d = draw(unit) * scale
+    direction = draw(st.sampled_from((-1.0, 1.0)))
+    nudge = draw(st.integers(-4, 4)) * math.ulp(scale)
+    return p, SpacetimePoint(p.t + d + nudge, p.x + direction * d)
+
+
+class TestExactBoosts:
+    @given(scaled_pairs(), rapidities)
+    @settings(max_examples=500)
+    def test_boost_never_reverses_an_order(self, pair, zeta):
+        assert_boost_keeps_order(*pair, zeta)
+
+    def test_boost_never_reverses_an_order_seeded_sweep(self):
+        rng = np.random.default_rng(2024)
+        ties = 0
+        for scale in SCALES:
+            for _ in range(2000):
+                t, x, d = rng.uniform(-scale, scale, size=3)
+                p = SpacetimePoint(t, x)
+                near = SpacetimePoint(t + d + int(rng.integers(-4, 5)) * math.ulp(scale),
+                                      x + rng.choice((-1.0, 1.0)) * d)
+                generic = SpacetimePoint(*rng.uniform(-scale, scale, size=2))
+                zeta = float(rng.uniform(-2.0, 2.0))
+                ties += assert_boost_keeps_order(p, near, zeta)
+                assert not assert_boost_keeps_order(p, generic, zeta)
+        assert ties > 0  # the sweep reaches the tie case it allows
+
+    @given(
+        st.integers(-2**20, 2**20), st.integers(-2**20, 2**20),
+        st.integers(-2**20, 2**20), st.sampled_from((-1, 1)), rapidities,
+    )
+    @settings(max_examples=300)
+    def test_exactly_lightlike_pair_keeps_its_class(self, t, x, d, direction, zeta):
+        p = SpacetimePoint(t / 2**10, x / 2**10)
+        q = SpacetimePoint((t + d) / 2**10, (x + direction * d) / 2**10)
+        before = causal_relation(p, q)
+        assert before is (FUTURE if d > 0 else PAST)
+        assert causal_relation(p.boosted(zeta), q.boosted(zeta)) is before
+
+    def test_boosted_null_coordinates_scale_exactly(self):
+        p = SpacetimePoint(3.0, 1.0).boosted(0.5)
+        assert (p.u, p.w) == (2.0 * math.exp(0.5), 4.0 / math.exp(0.5))
+        assert (p.t, p.x) == (p.u / 2 + p.w / 2, p.w / 2 - p.u / 2)
+
+    def test_on_cone_scaled_and_boosted_build(self):
+        """The overlap layout scaled by 2**10, with q moved exactly onto wing
+        B's outcome light cone and everything boosted by 5/32, still builds,
+        and q conditions on the B outcome it sees."""
+        scale, zeta = 2.0**10, 5.0 / 32.0
+
+        def move(point):
+            return SpacetimePoint(point.t * scale, point.x * scale).boosted(zeta)
+
+        base = standard_scenario(settings_in_overlap=True, angle_a=0.0, angle_b=22.5)
+        on_cone = Scenario(
+            state=base.state,
+            events=tuple(dataclasses.replace(ev, point=move(ev.point)) for ev in base.events),
+            p=move(base.p), p_prime=move(base.p_prime),
+            q=move(SpacetimePoint(7.0, 5.0)), r=move(base.r),
+        )
+        assert causal_relation(on_cone.q, on_cone.outcome_event(Wing.B).point) is PAST
+        value = chance_at(on_cone.q, vertical_outcome(Wing.A), on_cone).value
+        assert value == pytest.approx(math.cos(math.radians(22.5)) ** 2, abs=1e-12)
+
+
+class TestNonFiniteNullCoordinates:
+    def test_overflowing_null_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="must be finite") as info:
+            SpacetimePoint(1e308, 1e308)
+        assert "\n" not in str(info.value)
+
+    def test_overflowing_boost_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            SpacetimePoint(1e308, -1e308 / 2).boosted(2.0)
+
+    def test_cli_reports_overflowing_point(self, capsys):
+        code = main(["chances", "--scenario", "overlap", "--point", "1e308,1e308",
+                     "--target", "eA"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+class TestEventIndex:
+    def test_accessors_read_the_index_built_once(self, monkeypatch):
+        import bellsim.spacetime as spacetime
+
+        s = standard_scenario()
+        calls = []
+        real = spacetime._events_by_kind
+        monkeypatch.setattr(spacetime, "_events_by_kind",
+                            lambda events: calls.append(1) or real(events))
+        assert s.preparation_event().id == "o"
+        assert s.setting_event(Wing.A).id == "setting-a"
+        assert s.outcome_event(Wing.B).id == "outcome-b"
+        assert s.angle(Wing.B).degrees == 0.0
+        assert calls == []
+
+    def test_index_is_rebuilt_for_new_events(self):
+        s = standard_scenario()
+        stripped = s.with_events(ev for ev in s.events if ev.id != "outcome-b")
+        assert stripped.outcome_event(Wing.B) is None
+        assert s.outcome_event(Wing.B) is not None
+        assert stripped == s.with_events(stripped.events)
