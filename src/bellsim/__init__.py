@@ -95,7 +95,6 @@ from .harness import (
     ReportBundle,
     RunConfig,
     TrialLog,
-    TrialRecord,
     chsh_schedule,
     emit_report,
     empirical_statistics,

@@ -357,13 +357,12 @@ def estimated_chance(
     see.
     """
     if contemplated is not None:
-        if isinstance(contemplated.mode, ForceOutcome):
+        applied = apply_intervention(scenario, contemplated)
+        if isinstance(applied, SenselessIntervention):
             raise SenselessInterventionError(
                 "cannot estimate a chance under an outcome-forcing intervention; "
                 "no such scenario exists"
             )
-        applied = apply_intervention(scenario, contemplated)
-        assert isinstance(applied, Scenario)
         scenario = applied
     rc, open_wings, settled = _open_target(point, target, scenario, "estimate")
     if settled is not None:
@@ -500,7 +499,8 @@ def causally_depends(
     baseline = chance_at(at, effect, scenario)
     for intervention in interventions:
         altered_scenario = apply_intervention(scenario, intervention)
-        assert isinstance(altered_scenario, Scenario)
+        if isinstance(altered_scenario, SenselessIntervention):
+            raise SenselessInterventionError(altered_scenario.reason)
         try:
             altered = chance_at(at, effect, altered_scenario)
         except NoChanceDefinedError:

@@ -32,6 +32,7 @@ from .harness import (
 from .hidden_variables import deterministic_chsh_maximum, strategy_chsh, all_strategies
 from .locality import chsh as analytic_chsh
 from .locality import (
+    CONDITION_TOL,
     check_factorizability,
     check_outcome_independence,
     check_parameter_independence,
@@ -188,9 +189,9 @@ def _condition_attachments(model, schedule) -> tuple:
     reports.append(
         {
             "condition": "no_signalling",
-            "holds": deviation <= 1e-12,
+            "holds": deviation <= CONDITION_TOL,
             "max_deviation": deviation,
-            "tolerance": 1e-12,
+            "tolerance": CONDITION_TOL,
             "witness": None,
         }
     )
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ns = sub.add_parser("nosignal", help="no-signalling deviation over a grid")
     p_ns.add_argument("--model", choices=("qm", "lhv", "fixture"), default="qm")
     p_ns.add_argument("--grid", default="0:180:8", help="'start:stop:count' or 'a,b,c' degrees")
-    p_ns.add_argument("--tol", type=float, default=1e-12)
+    p_ns.add_argument("--tol", type=float, default=CONDITION_TOL)
     p_ns.set_defaults(func=_cmd_nosignal)
 
     p_lb = sub.add_parser("lhv-bound", help="deterministic-strategy CHSH bound")

@@ -8,6 +8,12 @@ the joint outcome cell. Chunks therefore start on even trial indices
 (Philox jumps in blocks of four outputs), and workers write into
 preassigned slots, so the log is identical whether trials run in one
 block, in chunks, or on several threads.
+
+A pair's trials are stored as one ``uint8`` array of joint outcome
+cells, cell = 2 * index_A + index_B with V = 0 and H = 1, so 0..3 are
+VV, VH, HV and HH: the order of a model table's last two axes and of the
+report's ``f_VV..f_HH`` columns. Statistics count these cells and the
+trial log is written from them.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,42 +142,50 @@ class RunConfig:
         )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One sampled coincidence."""
+#: +/-1 sign of each cell's outcome on wing A and on wing B (V = +1).
+_SIGN_A = np.array([1, 1, -1, -1], dtype=np.int8)
+_SIGN_B = np.array([1, -1, 1, -1], dtype=np.int8)
 
-    pair_index: int
-    trial_index: int
-    a: AnalyzerAngle
-    b: AnalyzerAngle
-    outcome_a: OutcomeLabel
-    outcome_b: OutcomeLabel
-    coordinates: dict | None = None
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class PairSamples:
-    """All trials of one scheduled pair, as +/-1 sign arrays."""
+    """All trials of one scheduled pair, as one read-only array of joint
+    outcome cells (0..3 = VV, VH, HV, HH)."""
 
     pair_index: int
     a: AnalyzerAngle
     b: AnalyzerAngle
-    signs_a: np.ndarray
-    signs_b: np.ndarray
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("signs_a", "signs_b"):
-            arr = np.asarray(getattr(self, name), dtype=np.int8)
-            if not np.isin(arr, (-1, 1)).all():
-                raise ValueError(f"{name} must contain only +/-1")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.signs_a.shape != self.signs_b.shape:
-            raise ValueError("wings recorded different trial counts")
+        cells = np.asarray(self.cells)
+        if cells.dtype.kind not in "iu" or cells.ndim != 1:
+            raise ValueError(
+                f"cells must be a 1-D integer array, got dtype {cells.dtype} "
+                f"with shape {cells.shape}"
+            )
+        if cells.size and not (cells.min() >= 0 and cells.max() <= 3):
+            raise ValueError("cells must lie in 0..3 (VV, VH, HV, HH)")
+        object.__setattr__(self, "cells", _read_only(cells.astype(np.uint8, copy=False)))
 
     @property
     def n(self) -> int:
-        return int(self.signs_a.size)
+        return int(self.cells.size)
+
+    @property
+    def signs_a(self) -> np.ndarray:
+        """Wing A outcomes as +1 (V) / -1 (H), a read-only ``int8`` array."""
+        return _read_only(_SIGN_A[self.cells])
+
+    @property
+    def signs_b(self) -> np.ndarray:
+        """Wing B outcomes as +1 (V) / -1 (H), a read-only ``int8`` array."""
+        return _read_only(_SIGN_B[self.cells])
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,19 +193,6 @@ class TrialLog:
     config: RunConfig
     pairs: tuple[PairSamples, ...]
     outcome_coordinates: dict | None = None
-
-    def records(self) -> Iterator[TrialRecord]:
-        for pair in self.pairs:
-            for i in range(pair.n):
-                yield TrialRecord(
-                    pair_index=pair.pair_index,
-                    trial_index=i,
-                    a=pair.a,
-                    b=pair.b,
-                    outcome_a=OutcomeLabel.from_sign(int(pair.signs_a[i])),
-                    outcome_b=OutcomeLabel.from_sign(int(pair.signs_b[i])),
-                    coordinates=self.outcome_coordinates,
-                )
 
 
 def resolve_model(name: str) -> ProbabilityModel:
@@ -213,9 +214,13 @@ def _sample_chunk(
     hi: int,
     prior_cum: np.ndarray,
     cell_cum: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample trials [lo, hi); lo must be even (stream block alignment)."""
-    assert lo % 2 == 0
+) -> np.ndarray:
+    """Joint outcome cells of trials [lo, hi) as a ``uint8`` array."""
+    if lo % 2:
+        raise ValueError(
+            f"chunk start must be an even trial index, got {lo}: trial i reads "
+            "Philox positions 2i and 2i + 1, and Philox advances in blocks of two trials"
+        )
     bitgen = np.random.Philox(key=np.array([seed, pair_index], dtype=np.uint64))
     if lo:
         bitgen.advance(lo // 2)  # one Philox block covers two trials
@@ -223,14 +228,10 @@ def _sample_chunk(
     u_cell = uniforms[1::2]
     if len(prior_cum) == 1:
         # single-lambda model: the lambda draw is consumed but unused
-        cell = (u_cell[:, None] >= cell_cum[0, :3]).sum(axis=1)
-    else:
-        lam = np.searchsorted(prior_cum, uniforms[0::2], side="right")
-        np.clip(lam, 0, len(prior_cum) - 1, out=lam)
-        cell = (u_cell[:, None] >= cell_cum[lam, :3]).sum(axis=1)
-    signs_a = (1 - 2 * (cell >> 1)).astype(np.int8)
-    signs_b = (1 - 2 * (cell & 1)).astype(np.int8)
-    return signs_a, signs_b
+        return (u_cell[:, None] >= cell_cum[0, :3]).sum(axis=1, dtype=np.uint8)
+    lam = np.searchsorted(prior_cum, uniforms[0::2], side="right")
+    np.clip(lam, 0, len(prior_cum) - 1, out=lam)
+    return (u_cell[:, None] >= cell_cum[lam, :3]).sum(axis=1, dtype=np.uint8)
 
 
 def run_trials(
@@ -255,15 +256,11 @@ def run_trials(
         prior_cum, cell_cum = _pair_tables(active, a, b)
         n = config.trials
         bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        signs_a = np.empty(n, dtype=np.int8)
-        signs_b = np.empty(n, dtype=np.int8)
+        cells = np.empty(n, dtype=np.uint8)
 
-        def fill(span, *, _pair=pair_index, _pc=prior_cum, _cc=cell_cum,
-                 _sa=signs_a, _sb=signs_b):
+        def fill(span, *, _pair=pair_index, _pc=prior_cum, _cc=cell_cum, _cells=cells):
             lo, hi = span
-            sa, sb = _sample_chunk(config.seed, _pair, lo, hi, _pc, _cc)
-            _sa[lo:hi] = sa
-            _sb[lo:hi] = sb
+            _cells[lo:hi] = _sample_chunk(config.seed, _pair, lo, hi, _pc, _cc)
 
         if workers > 1 and len(bounds) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -271,9 +268,7 @@ def run_trials(
         else:
             for span in bounds:
                 fill(span)
-        pairs.append(
-            PairSamples(pair_index=pair_index, a=a, b=b, signs_a=signs_a, signs_b=signs_b)
-        )
+        pairs.append(PairSamples(pair_index, a, b, cells))
     coordinates = None
     if scenario is not None:
         coordinates = {}
@@ -403,14 +398,7 @@ class ReportBundle:
 
 def _pair_statistics(pair: PairSamples) -> PairStatistics:
     n = pair.n
-    a_v = pair.signs_a == 1
-    b_v = pair.signs_b == 1
-    counts = (
-        int(np.count_nonzero(a_v & b_v)),
-        int(np.count_nonzero(a_v & ~b_v)),
-        int(np.count_nonzero(~a_v & b_v)),
-        int(np.count_nonzero(~a_v & ~b_v)),
-    )
+    counts = tuple(int(c) for c in np.bincount(pair.cells, minlength=4))
     frequencies = tuple(c / n for c in counts)
     correlation = (counts[0] + counts[3] - counts[1] - counts[2]) / n
     variance = max(1.0 - correlation * correlation, 0.0)
@@ -536,28 +524,32 @@ def emit_report(bundle: ReportBundle, format: str, path: str) -> None:
 
 
 def write_trial_log(log: TrialLog, path: str) -> None:
-    """Stream the log as JSON lines, one object per trial."""
+    """Stream the log as JSON lines, one object per trial, keys sorted.
+
+    Within a pair a line depends only on its cell and its trial index,
+    and ``trial`` sorts last, so each (pair, cell) line is encoded once
+    up to the trial value and only the index is written per trial.
+    """
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            for record in log.records():
-                handle.write(
-                    json.dumps(
-                        {
-                            "pair": record.pair_index,
-                            "trial": record.trial_index,
-                            "a_deg": record.a.degrees,
-                            "b_deg": record.b.degrees,
-                            "A": record.outcome_a.value,
-                            "B": record.outcome_b.value,
-                            **(
-                                {"coordinates": record.coordinates}
-                                if record.coordinates is not None
-                                else {}
-                            ),
-                        },
-                        sort_keys=True,
-                    )
-                )
-                handle.write("\n")
+            for pair in log.pairs:
+                heads = [_trial_line_head(log, pair, cell) for cell in range(4)]
+                for trial, cell in enumerate(pair.cells.tolist()):
+                    handle.write(f"{heads[cell]}{trial}}}\n")
     except OSError as exc:
         raise OSError(f"failed to write trial log to {path!r}: {exc}") from exc
+
+
+def _trial_line_head(log: TrialLog, pair: PairSamples, cell: int) -> str:
+    """A trial line of this pair and cell, up to the trial index."""
+    fields = {
+        "pair": pair.pair_index,
+        "trial": 0,
+        "a_deg": pair.a.degrees,
+        "b_deg": pair.b.degrees,
+        "A": "VH"[cell >> 1],
+        "B": "VH"[cell & 1],
+    }
+    if log.outcome_coordinates is not None:
+        fields["coordinates"] = log.outcome_coordinates
+    return json.dumps(fields, sort_keys=True)[: -len("0}")]  # "trial" sorts last

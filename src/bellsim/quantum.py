@@ -66,14 +66,6 @@ class OutcomeLabel(Enum):
     def sign(self) -> int:
         return 1 if self is OutcomeLabel.V else -1
 
-    @classmethod
-    def from_sign(cls, sign: int) -> "OutcomeLabel":
-        if sign == 1:
-            return cls.V
-        if sign == -1:
-            return cls.H
-        raise ValueError(f"outcome sign must be +1 or -1, got {sign!r}")
-
 
 @dataclass(frozen=True)
 class AnalyzerAngle:

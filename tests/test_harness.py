@@ -3,20 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.harness import (
     CHSH_OPTIMAL_QUADRUPLE,
     CSV_COLUMNS,
+    PairSamples,
     ReportBundle,
     RunConfig,
+    _pair_tables,
+    _sample_chunk,
     chsh_schedule,
     emit_report,
     empirical_statistics,
     render_report,
+    resolve_model,
     run_trials,
     write_trial_log,
 )
-from bellsim.quantum import bell_phi_plus, born_joint
+from bellsim.quantum import as_angle, bell_phi_plus, born_joint
 from bellsim.spacetime import standard_scenario
 
 OPTIMAL_SCHEDULE = chsh_schedule(*CHSH_OPTIMAL_QUADRUPLE)
@@ -138,10 +144,89 @@ class TestSampling:
         # responses flip deterministically 45 degrees apart
         assert stats.correlation == -1.0
 
-    def test_scenario_coordinates_attached(self):
+    def test_scenario_coordinates_attached(self, tmp_path):
         log = run_trials(config(trials=5), scenario=standard_scenario())
-        record = next(log.records())
-        assert record.coordinates["A"] == {"t": 6.0, "x": -4.0}
+        assert log.outcome_coordinates["A"] == {"t": 6.0, "x": -4.0}
+        path = tmp_path / "trials.jsonl"
+        write_trial_log(log, str(path))
+        first = json.loads(path.read_text().splitlines()[0])
+        assert list(first) == ["A", "B", "a_deg", "b_deg", "coordinates", "pair", "trial"]
+        assert first["coordinates"] == log.outcome_coordinates
+        assert (first["pair"], first["trial"]) == (0, 0)
+
+    def test_chunk_must_start_on_even_trial(self):
+        prior_cum, cell_cum = _pair_tables(resolve_model("qm"), as_angle(0.0), as_angle(22.5))
+        with pytest.raises(ValueError, match="even"):
+            _sample_chunk(0, 0, 3, 10, prior_cum, cell_cum)
+        assert _sample_chunk(0, 0, 4, 10, prior_cum, cell_cum).dtype == np.uint8
+
+
+class TestPairSamples:
+    @pytest.mark.parametrize(
+        "cells",
+        [np.array([0, 3, 4]), np.array([0, -1]), np.array([0.0, 1.0]), np.zeros((2, 2), dtype=int)],
+        ids=["cell-4", "negative", "float", "2-D"],
+    )
+    def test_rejects_bad_cells(self, cells):
+        with pytest.raises(ValueError, match="cells"):
+            PairSamples(0, as_angle(0.0), as_angle(0.0), cells)
+
+    def test_cells_and_signs_are_read_only(self):
+        cells = np.array([0, 1, 2, 3, 3, 1, 0], dtype=np.int64)
+        pair = PairSamples(0, as_angle(0.0), as_angle(0.0), cells)
+        assert pair.cells.dtype == np.uint8 and not pair.cells.flags.writeable
+        assert pair.n == 7
+        for signs, expected in (
+            (pair.signs_a, 1 - 2 * (cells >> 1)),
+            (pair.signs_b, 1 - 2 * (cells & 1)),
+        ):
+            assert signs.dtype == np.int8
+            assert not signs.flags.writeable
+            assert np.array_equal(signs, expected)
+
+
+def per_trial_log(log) -> bytes:
+    """Reference trial log: one ``json.dumps`` per trial, built from the signs."""
+    label = {1: "V", -1: "H"}
+    lines = []
+    for pair in log.pairs:
+        for i, (sa, sb) in enumerate(zip(pair.signs_a.tolist(), pair.signs_b.tolist())):
+            record = {"pair": pair.pair_index, "trial": i, "a_deg": pair.a.degrees,
+                      "b_deg": pair.b.degrees, "A": label[sa], "B": label[sb]}
+            if log.outcome_coordinates is not None:
+                record["coordinates"] = log.outcome_coordinates
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines).encode()
+
+
+class TestExecutionPlanProperty:
+    """Bit-identity under any (workers, chunk_size) plan."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(["qm", "lhv"]),
+        seed=st.integers(0, 2**64 - 1),
+        with_scenario=st.booleans(),
+        workers=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_cells_and_log_bytes_do_not_depend_on_plan(
+        self, model, seed, with_scenario, workers, data, tmp_path_factory
+    ):
+        trials = data.draw(st.integers(1, 5000), label="trials")
+        chunk = data.draw(st.integers(1, trials + 3), label="chunk_size")
+        cfg = config(model=model, trials=trials, seed=seed)
+        scenario = standard_scenario() if with_scenario else None
+        single = run_trials(cfg, scenario, workers=1, chunk_size=trials + trials % 2)
+        planned = run_trials(cfg, scenario, workers=workers, chunk_size=chunk)
+        for p1, p2 in zip(single.pairs, planned.pairs, strict=True):
+            assert np.array_equal(p1.cells, p2.cells)
+        out = tmp_path_factory.mktemp("log")
+        write_trial_log(single, str(out / "single.jsonl"))
+        write_trial_log(planned, str(out / "planned.jsonl"))
+        single_bytes = (out / "single.jsonl").read_bytes()
+        assert (out / "planned.jsonl").read_bytes() == single_bytes
+        assert single_bytes == per_trial_log(single)
 
 
 class TestStatistics:
