@@ -30,6 +30,7 @@ from enum import Enum
 from typing import Mapping, Union
 
 from .quantum import (
+    ATOL,
     AngleLike,
     AnalyzerAngle,
     OutcomeLabel,
@@ -432,11 +433,10 @@ class CausalVerdict:
 #: Replacement states offered as interventions on the preparation event.
 #: Chosen so that for every analyzer angle at least one member shifts the
 #: marginal away from any prior value (the 0- and 45-degree polarized
-#: pairs cannot both give a 1/2 marginal at the same angle).
-_PREPARATION_BATTERY = (
-    (0.0, 0.0),
-    (45.0, 45.0),
-    (90.0, 0.0),
+#: pairs cannot both give a 1/2 marginal at the same angle). Built once:
+#: states are immutable and cache their reduced states.
+_PREPARATION_BATTERY = tuple(
+    product_polarized(a, b) for a, b in ((0.0, 0.0), (45.0, 45.0), (90.0, 0.0))
 )
 
 #: Angle offsets (degrees) tried when intervening on a setting event,
@@ -447,8 +447,8 @@ _SETTING_OFFSETS = (30.0, 45.0, 60.0)
 def _admissible_interventions(scenario: Scenario, cause: EventRecord) -> list[Intervention]:
     if isinstance(cause.kind, Preparation):
         return [
-            Intervention(target=cause, mode=ReplacePreparation(product_polarized(ta, tb)))
-            for ta, tb in _PREPARATION_BATTERY
+            Intervention(target=cause, mode=ReplacePreparation(state))
+            for state in _PREPARATION_BATTERY
         ]
     if isinstance(cause.kind, Setting):
         wing = cause.kind.wing
@@ -463,28 +463,20 @@ def _admissible_interventions(scenario: Scenario, cause: EventRecord) -> list[In
     return []
 
 
-def causally_depends(
-    effect: Target,
-    cause: EventRecord,
-    scenario: Scenario,
-    *,
-    tol: float = DEPENDENCE_TOL,
-    probe: SpacetimePoint | None = None,
-) -> CausalVerdict:
+def causally_depends(effect: Target, cause: EventRecord, scenario: Scenario) -> CausalVerdict:
     """Interventionist dependence test for ``effect`` on ``cause``.
 
     Enumerates the admissible interventions on the cause event and
-    compares the effect's chance at a fixed probe point (the scenario's
-    r by default: inside the preparation's future, outside both outcome
-    futures). Outcome events admit no intervention at all, which is
-    reported as a verdict, not an error. Interventions that leave the
-    effect's chance undefined are skipped: they withdraw the chance
-    rather than altering it.
+    compares the effect's chance at the scenario's probe r (inside the
+    preparation's future, outside both outcome futures); a change beyond
+    ``DEPENDENCE_TOL`` is a dependence. Outcome events admit no
+    intervention at all, which is reported as a verdict, not an error.
+    Interventions that leave the effect's chance undefined are skipped:
+    they withdraw the chance rather than altering it.
     """
     if isinstance(cause.kind, Outcome) and isinstance(effect, OutcomeTarget):
         if cause.kind.wing is effect.wing:
             raise ValueError("effect and cause must be distinct events")
-    at = probe if probe is not None else scenario.r
     interventions = _admissible_interventions(scenario, cause)
     if not interventions:
         return CausalVerdict(
@@ -496,16 +488,16 @@ def causally_depends(
             if isinstance(cause.kind, Outcome)
             else None,
         )
-    baseline = chance_at(at, effect, scenario)
+    baseline = chance_at(scenario.r, effect, scenario)
     for intervention in interventions:
         altered_scenario = apply_intervention(scenario, intervention)
         if isinstance(altered_scenario, SenselessIntervention):
             raise SenselessInterventionError(altered_scenario.reason)
         try:
-            altered = chance_at(at, effect, altered_scenario)
+            altered = chance_at(scenario.r, effect, altered_scenario)
         except NoChanceDefinedError:
             continue
-        if abs(altered.value - baseline.value) > tol:
+        if abs(altered.value - baseline.value) > DEPENDENCE_TOL:
             return CausalVerdict(
                 kind=CausalVerdictKind.DEPENDENT,
                 witness=(baseline, altered),
@@ -537,10 +529,10 @@ class LocalCausalityReadings:
     fixed_point_samples: tuple[tuple[str, float, float], ...]
 
 
-def local_causality_readings(
-    scenario: Scenario, *, tol: float = 1e-12
-) -> LocalCausalityReadings:
-    """Evaluate both readings for the wing-A vertical outcome."""
+def local_causality_readings(scenario: Scenario) -> LocalCausalityReadings:
+    """Evaluate both readings for the wing-A vertical outcome; the
+    conditional-equality reading holds when the two probabilities agree
+    within ``ATOL``."""
     angle_a = scenario.angle(Wing.A)
     angle_b = scenario.angle(Wing.B)
     outcome_b = scenario.outcome_event(Wing.B)
@@ -570,7 +562,7 @@ def local_causality_readings(
         if base != respecified:
             fixed_point_holds = False
     return LocalCausalityReadings(
-        conditional_equality_holds=abs(unconditional - conditional) <= tol,
+        conditional_equality_holds=abs(unconditional - conditional) <= ATOL,
         unconditional=unconditional,
         conditional_on_remote=conditional,
         fixed_point_holds=fixed_point_holds,

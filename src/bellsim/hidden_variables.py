@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .locality import ProbabilityModel, _clamp_probabilities
-from .quantum import AngleLike, OutcomeLabel, Wing, as_angle
+from .locality import ProbabilityModel
+from .quantum import AngleLike, OutcomeLabel, Wing, _clamp_probabilities, as_angle
 
 #: Default quadrature resolution for continuous-lambda models.
 DEFAULT_LAMBDA_NODES = 2048
@@ -153,16 +153,15 @@ class LhvModel(ProbabilityModel):
         )
 
 
-def builtin_vector_model(nodes: int = DEFAULT_LAMBDA_NODES) -> LhvModel:
+def builtin_vector_model() -> LhvModel:
     """Uniform hidden-axis model with the doubled-angle sign response.
 
     The lambda prior is a midpoint quadrature over [0, 180) with
-    ``nodes`` cells, so the response discontinuities fall on cell
-    boundaries and grid sums at multiples of 180/nodes degrees are
-    exact.
+    ``DEFAULT_LAMBDA_NODES`` cells, so the response discontinuities fall
+    on cell boundaries and grid sums at multiples of 180 /
+    ``DEFAULT_LAMBDA_NODES`` degrees are exact.
     """
-    if nodes < 1:
-        raise ValueError("quadrature needs at least one node")
+    nodes = DEFAULT_LAMBDA_NODES
     step = 180.0 / nodes
     lambdas = tuple((i + 0.5) * step for i in range(nodes))
     weights = np.full(nodes, 1.0 / nodes)

@@ -17,7 +17,11 @@ A model's kernel is array-valued: it maps normalized angles
 ``[na, nb, n_lambda, 2, 2]``, indexed [a, b, lambda, outcome_a,
 outcome_b] with V=0, H=1. Grid tables, correlations, single cells and
 the sampler's per-pair cells all come from that one call and one
-validation step. Kernels must be pure for the table cache to be sound.
+validation step, ``quantum._validated``, the same check that every
+scalar Born result passes. The quantum model's kernel is the Born rule
+itself: ``quantum``'s projector stack and pair einsum, batched over the
+angles. A model keeps the table of the last grid it was asked for;
+kernels must be pure for that cache to be sound.
 """
 
 from __future__ import annotations
@@ -28,14 +32,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quantum import (
-    ATOL,
     AngleLike,
     AnalyzerAngle,
     JointDistribution,
     OutcomeLabel,
     PhotonPairState,
     _as_pair_state,
-    _wing_projectors,
+    _born_pairs,
+    _projectors,
+    _validated,
     as_angle,
     bell_phi_plus,
 )
@@ -56,32 +61,6 @@ def _degrees(angles: Sequence[AngleLike]) -> np.ndarray:
     return np.array([as_angle(x).degrees for x in angles], dtype=float)
 
 
-def _clamp_probabilities(values: np.ndarray, what: str) -> None:
-    """Check that every entry of the float array ``values`` lies in
-    [-ATOL, 1 + ATOL], then clamp it to [0, 1] in place."""
-    low, high = values.min(initial=0.0), values.max(initial=1.0)
-    if not (low >= -ATOL and high <= 1.0 + ATOL):  # also false for NaN
-        bad = float(values[~((values >= -ATOL) & (values <= 1.0 + ATOL))][0])
-        raise ValueError(f"{what} entry: probability {bad!r} outside [0, 1]")
-    if low < 0.0 or high > 1.0:
-        np.copyto(values, 0.0, where=values < 0.0)
-        np.copyto(values, 1.0, where=values > 1.0)
-
-
-def _validated(raw: np.ndarray, shape: tuple) -> np.ndarray:
-    """The checks ``JointDistribution`` makes, over a whole kernel result:
-    entries in [-ATOL, 1 + ATOL] clamped to [0, 1], cells summing to 1."""
-    cells = np.array(raw, dtype=float)
-    if cells.shape != shape:
-        raise ValueError(f"kernel returned shape {cells.shape}, expected {shape}")
-    _clamp_probabilities(cells, "joint")
-    totals = cells[..., 0, 0] + cells[..., 0, 1] + cells[..., 1, 0] + cells[..., 1, 1]
-    off = np.abs(totals - 1.0)
-    if totals.size and off.max() > ATOL:
-        raise ValueError(f"joint distribution sums to {totals.flat[off.argmax()]!r}, not 1")
-    return cells
-
-
 @dataclass(frozen=True, eq=False)
 class ProbabilityModel:
     """Bipartite model: prior-weighted lambdas and an array-valued kernel."""
@@ -90,7 +69,8 @@ class ProbabilityModel:
     lambdas: tuple
     weights: np.ndarray
     kernel: Kernel
-    _tables: dict = field(default_factory=dict, repr=False)
+    #: (normalized grid, table) of the last ``table`` call.
+    _last_table: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
@@ -121,16 +101,18 @@ class ProbabilityModel:
         """Joint probabilities for every grid cell.
 
         Shape (len(grid), len(grid), n_lambda, 2, 2), indexed
-        [a, b, lambda, outcome_a, outcome_b] with V=0, H=1. Cached per
-        grid, keyed by the normalized angles.
+        [a, b, lambda, outcome_a, outcome_b] with V=0, H=1. The last
+        grid's table is kept, keyed by the normalized angles, so the
+        checkers sweeping one grid build it once; another grid replaces it.
         """
         key = tuple(_degrees(grid).tolist())
-        cached = self._tables.get(key)
-        if cached is None:
-            cached = self.cells(key, key)
-            cached.setflags(write=False)
-            self._tables[key] = cached
-        return cached
+        last = self._last_table
+        if last is None or last[0] != key:
+            table = self.cells(key, key)
+            table.setflags(write=False)
+            last = (key, table)
+            object.__setattr__(self, "_last_table", last)
+        return last[1]
 
     def correlation(self, a: AngleLike, b: AngleLike) -> float:
         """Prior-weighted expectation of the +/-1 outcome product."""
@@ -142,15 +124,14 @@ class ProbabilityModel:
 def quantum_model(state: PhotonPairState | None = None) -> ProbabilityModel:
     """The orthodox quantum model: one lambda, Born-rule kernel.
 
-    The kernel stacks each angle's (V, H) projectors and contracts them
-    with the state in one einsum, the batched form of ``born_joint``.
+    The kernel is ``born_joint``'s own projector stack and pair einsum,
+    over every angle at once.
     """
-    rho = _as_pair_state(state if state is not None else bell_phi_plus()).matrix.reshape(2, 2, 2, 2)
+    rho = _as_pair_state(state if state is not None else bell_phi_plus()).matrix
 
     def kernel(a_deg: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
-        pa = np.stack([_wing_projectors(x) for x in a_deg.tolist()])
-        pb = np.stack([_wing_projectors(x) for x in b_deg.tolist()])
-        return np.einsum("ikjl,xmji,ynlk->xymn", rho, pa, pb).real[:, :, None]
+        pa, pb = _projectors(a_deg.tolist()), _projectors(b_deg.tolist())
+        return _born_pairs(rho, pa, pb)[:, :, None]
 
     return ProbabilityModel(
         name="quantum",

@@ -14,6 +14,17 @@ the conventions are fixed once in this module:
 * States are density operators throughout, so mixed states such as
   ``identity / 2`` are first class; pure states are rank-1 operators.
 
+This module is the only place that turns a state and analyzer angles
+into probabilities. Three private helpers do it, for the scalar
+``born_*`` functions and the quantum model's array kernel alike:
+``_projectors`` stacks every angle's (V, H) projector pair,
+``_born_pairs`` is the one pair einsum, and ``_validated`` (with
+``_clamp_probabilities``) is the one check-and-clamp: entries in
+[-ATOL, 1 + ATOL] clamped to [0, 1], joint cells summing to 1 within
+ATOL. A pair state is checked together with both of its reduced
+states, so every Born probability of an accepted state passes that
+check.
+
 The module deliberately restricts to two-outcome polarization
 measurements; general observables with arbitrary outcome sets (and the
 projection-valued-measure machinery they would need) are out of scope.
@@ -27,16 +38,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-#: Absolute tolerance for analytic identities (hermiticity, normalization).
+#: Absolute tolerance for analytic identities (hermiticity, normalization,
+#: the eigenvalue floor of a density operator) and for probabilities.
 ATOL = 1e-12
-
-#: Eigenvalue floor below which a density operator is rejected.
-PSD_ATOL = 1e-10
 
 #: Probabilities at or below this threshold count as impossible outcomes.
 ZERO_PROBABILITY = 1e-14
@@ -121,7 +129,7 @@ def _check_density(matrix: np.ndarray, dim: int, what: str) -> np.ndarray:
     if abs(trace - 1.0) > ATOL:
         raise ValueError(f"{what}: trace {trace.real:.15g} differs from 1")
     lowest = float(np.linalg.eigvalsh(m).min())
-    if lowest < -PSD_ATOL:
+    if lowest < -ATOL:
         raise ValueError(f"{what}: negative eigenvalue {lowest:.3e}")
     return m
 
@@ -135,6 +143,14 @@ class PhotonPairState:
     def __post_init__(self) -> None:
         checked = _check_density(self.matrix, 4, "photon pair state")
         object.__setattr__(self, "matrix", _frozen_matrix(checked))
+        # A marginal is bounded below by its reduced state's lowest
+        # eigenvalue, not the pair's, so both reduced states are built and
+        # checked here, once.
+        try:
+            reduced = {wing: SingleWingState(_partial_trace(checked, keep=wing)) for wing in Wing}
+        except ValueError as exc:
+            raise ValueError(f"photon pair state: reduced {exc}") from None
+        object.__setattr__(self, "_reduced", reduced)
 
     @classmethod
     def from_vector(cls, vector: np.ndarray) -> "PhotonPairState":
@@ -148,15 +164,6 @@ class PhotonPairState:
 
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
-
-    # Each wing's reduced state, built and validated on first use.
-    @cached_property
-    def _reduced_a(self) -> "SingleWingState":
-        return SingleWingState(_partial_trace(self.matrix, keep=Wing.A))
-
-    @cached_property
-    def _reduced_b(self) -> "SingleWingState":
-        return SingleWingState(_partial_trace(self.matrix, keep=Wing.B))
 
 
 @dataclass(frozen=True)
@@ -202,10 +209,31 @@ class ProbabilityPair(NamedTuple):
         return self.v if label is OutcomeLabel.V else self.h
 
 
-def _clamp_probability(value: float, what: str) -> float:
-    if not (-ATOL <= value <= 1.0 + ATOL):
-        raise ValueError(f"{what}: probability {value!r} outside [0, 1]")
-    return min(max(value, 0.0), 1.0)
+def _clamp_probabilities(values: np.ndarray, what: str) -> None:
+    """Check that every entry of the float array ``values`` lies in
+    [-ATOL, 1 + ATOL], then clamp it to [0, 1] in place."""
+    low, high = values.min(initial=0.0), values.max(initial=1.0)
+    if not (low >= -ATOL and high <= 1.0 + ATOL):  # also false for NaN
+        bad = float(values[~((values >= -ATOL) & (values <= 1.0 + ATOL))][0])
+        raise ValueError(f"{what} entry: probability {bad!r} outside [0, 1]")
+    if low < 0.0 or high > 1.0:
+        np.copyto(values, 0.0, where=values < 0.0)
+        np.copyto(values, 1.0, where=values > 1.0)
+
+
+def _validated(raw: np.ndarray, shape: tuple) -> np.ndarray:
+    """A float copy of joint probabilities ``raw`` (last two axes: outcome
+    A, outcome B), checked to have ``shape``, entries clamped by
+    :func:`_clamp_probabilities` and each 2x2 cell summing to 1."""
+    cells = np.array(raw, dtype=float)
+    if cells.shape != shape:
+        raise ValueError(f"kernel returned shape {cells.shape}, expected {shape}")
+    _clamp_probabilities(cells, "joint")
+    totals = cells[..., 0, 0] + cells[..., 0, 1] + cells[..., 1, 0] + cells[..., 1, 1]
+    off = np.abs(totals - 1.0)
+    if off.max(initial=0.0) > ATOL:
+        raise ValueError(f"joint distribution sums to {float(totals.flat[off.argmax()])!r}, not 1")
+    return cells
 
 
 @dataclass(frozen=True)
@@ -218,13 +246,9 @@ class JointDistribution:
     hh: float
 
     def __post_init__(self) -> None:
-        for name in ("vv", "vh", "hv", "hh"):
-            object.__setattr__(
-                self, name, _clamp_probability(getattr(self, name), f"joint entry {name}")
-            )
-        total = self.vv + self.vh + self.hv + self.hh
-        if abs(total - 1.0) > ATOL:
-            raise ValueError(f"joint distribution sums to {total!r}, not 1")
+        cells = _validated([[self.vv, self.vh], [self.hv, self.hh]], (2, 2))
+        for name, value in zip(("vv", "vh", "hv", "hh"), cells.reshape(4).tolist()):
+            object.__setattr__(self, name, value)
 
     def prob(self, a: OutcomeLabel, b: OutcomeLabel) -> float:
         key = ("v" if a is OutcomeLabel.V else "h") + ("v" if b is OutcomeLabel.V else "h")
@@ -271,9 +295,23 @@ def axis_ket(angle: AngleLike) -> np.ndarray:
     return np.array([math.sin(rad), math.cos(rad)], dtype=complex)
 
 
-def orthogonal_ket(angle: AngleLike) -> np.ndarray:
-    rad = as_angle(angle).radians
-    return np.array([math.cos(rad), -math.sin(rad)], dtype=complex)
+def _projectors(angles: Iterable[AngleLike]) -> np.ndarray:
+    """Stacked (V, H) projector pairs, shape [n, 2, 2, 2], indexed [angle,
+    outcome] with V=0, H=1.
+
+    V projects onto ``axis_ket``, H onto the orthogonal axis, so each
+    pair sums to the identity. Rank-1 outer products satisfy the
+    projector laws by construction, so no validation runs here.
+    """
+    trig = [(math.sin(rad), math.cos(rad)) for rad in (as_angle(x).radians for x in angles)]
+    return np.array(
+        [e for s, c in trig for e in (s * s, s * c, c * s, c * c, c * c, -c * s, -s * c, s * s)],
+        dtype=complex,
+    ).reshape(-1, 2, 2, 2)
+
+
+def _outcome_index(outcome: OutcomeLabel) -> int:
+    return 0 if outcome is OutcomeLabel.V else 1
 
 
 def analyzer_projector(angle: AngleLike, outcome: OutcomeLabel) -> Projector:
@@ -282,8 +320,7 @@ def analyzer_projector(angle: AngleLike, outcome: OutcomeLabel) -> Projector:
     V projects onto the analyzer axis, H onto the orthogonal axis, so
     the two projectors for one angle sum to the identity.
     """
-    ket = axis_ket(angle) if outcome is OutcomeLabel.V else orthogonal_ket(angle)
-    return Projector(np.outer(ket, ket.conj()))
+    return Projector(_projectors([angle])[0, _outcome_index(outcome)])
 
 
 def product_polarized(angle_a: AngleLike, angle_b: AngleLike) -> PhotonPairState:
@@ -299,18 +336,11 @@ def _as_pair_state(state: PhotonPairState | np.ndarray) -> PhotonPairState:
     return PhotonPairState(state)
 
 
-def _wing_projectors(angle: AngleLike) -> np.ndarray:
-    """Stacked (V, H) projector matrices; rank-1 outer products satisfy
-    the projector laws by construction, so validation is skipped here."""
-    rad = as_angle(angle).radians
-    sin, cos = math.sin(rad), math.cos(rad)
-    return np.array(
-        [
-            [[sin * sin, sin * cos], [cos * sin, cos * cos]],
-            [[cos * cos, -cos * sin], [-sin * cos, sin * sin]],
-        ],
-        dtype=complex,
-    )
+def _born_pairs(rho: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Unvalidated Tr(rho P_A x P_B) for the 4x4 matrix ``rho`` and every
+    pair of stacked projector pairs ``pa[x]``, ``pb[y]``: shape [x, y, 2, 2],
+    indexed [angle_a, angle_b, outcome_a, outcome_b]."""
+    return np.einsum("ikjl,xmji,ynlk->xymn", rho.reshape(2, 2, 2, 2), pa, pb).real
 
 
 def born_joint(
@@ -318,16 +348,8 @@ def born_joint(
 ) -> JointDistribution:
     """Joint outcome distribution Tr(rho P_A x P_B) for analyzers at a, b."""
     rho = _as_pair_state(state)
-    reshaped = rho.matrix.reshape(2, 2, 2, 2)
-    pa = _wing_projectors(a)
-    pb = _wing_projectors(b)
-    table = np.einsum("ikjl,mji,nlk->mn", reshaped, pa, pb).real
-    return JointDistribution(
-        vv=float(table[0, 0]),
-        vh=float(table[0, 1]),
-        hv=float(table[1, 0]),
-        hh=float(table[1, 1]),
-    )
+    (vv, vh), (hv, hh) = _born_pairs(rho.matrix, _projectors([a]), _projectors([b]))[0, 0].tolist()
+    return JointDistribution(vv=vv, vh=vh, hv=hv, hh=hh)
 
 
 def _partial_trace(matrix: np.ndarray, keep: Wing) -> np.ndarray:
@@ -339,8 +361,7 @@ def _partial_trace(matrix: np.ndarray, keep: Wing) -> np.ndarray:
 
 def reduced_state(state: PhotonPairState | np.ndarray, wing: Wing) -> SingleWingState:
     """Partial trace over the other wing, computed once per pair state."""
-    rho = _as_pair_state(state)
-    return rho._reduced_a if wing is Wing.A else rho._reduced_b
+    return _as_pair_state(state)._reduced[wing]
 
 
 def born_marginal(
@@ -352,13 +373,9 @@ def born_marginal(
     never references the remote analyzer angle.
     """
     local = reduced_state(state, wing).matrix
-    projectors = _wing_projectors(angle)
-    p_v = float(np.einsum("ij,ji->", local, projectors[0]).real)
-    p_h = float(np.einsum("ij,ji->", local, projectors[1]).real)
-    return ProbabilityPair(
-        v=_clamp_probability(p_v, "marginal V"),
-        h=_clamp_probability(p_h, "marginal H"),
-    )
+    p = np.einsum("ij,mji->m", local, _projectors([angle])[0]).real
+    _clamp_probabilities(p, "marginal")
+    return ProbabilityPair(*p.tolist())
 
 
 def born_conditional(
@@ -374,24 +391,19 @@ def born_conditional(
     raises :class:`UndefinedConditionalError`.
     """
     cond_wing, cond_label = given
-    joint = born_joint(state, a, b)
+    rho = _as_pair_state(state)
+    joint = _validated(_born_pairs(rho.matrix, _projectors([a]), _projectors([b]))[0, 0], (2, 2))
     cond_angle = a if cond_wing is Wing.A else b
-    denom = born_marginal(state, cond_wing, cond_angle).for_label(cond_label)
+    denom = born_marginal(rho, cond_wing, cond_angle).for_label(cond_label)
     if denom <= ZERO_PROBABILITY:
         raise UndefinedConditionalError(
             f"conditioning outcome {cond_label.value} on wing {cond_wing.value} "
             f"has probability {denom!r}"
         )
-    if cond_wing is Wing.A:
-        p_v = joint.prob(cond_label, OutcomeLabel.V) / denom
-        p_h = joint.prob(cond_label, OutcomeLabel.H) / denom
-    else:
-        p_v = joint.prob(OutcomeLabel.V, cond_label) / denom
-        p_h = joint.prob(OutcomeLabel.H, cond_label) / denom
-    return ProbabilityPair(
-        v=_clamp_probability(p_v, "conditional V"),
-        h=_clamp_probability(p_h, "conditional H"),
-    )
+    index = _outcome_index(cond_label)
+    ratios = (joint[index] if cond_wing is Wing.A else joint[:, index]) / denom
+    _clamp_probabilities(ratios, "conditional")
+    return ProbabilityPair(*ratios.tolist())
 
 
 def correlation_E(state: PhotonPairState | np.ndarray, a: AngleLike, b: AngleLike) -> float:
@@ -411,7 +423,7 @@ def conditional_remote_state(
     renormalizes. ``wing`` names the observed side.
     """
     rho = _as_pair_state(state)
-    proj = analyzer_projector(angle, outcome).matrix
+    proj = _projectors([angle])[0, _outcome_index(outcome)]
     if wing is Wing.A:
         lift = np.kron(proj, _IDENTITY2)
     else:

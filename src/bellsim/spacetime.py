@@ -387,7 +387,6 @@ _PROBE_R_LATE = SpacetimePoint(9.75, 0.0)
 def standard_scenario(
     *,
     settings_in_overlap: bool = False,
-    late_settings: bool | None = None,
     angle_a: AngleLike | None = 0.0,
     angle_b: AngleLike | None = 0.0,
     outcome_a: OutcomeLabel | None = OutcomeLabel.V,
@@ -400,19 +399,12 @@ def standard_scenario(
     regions, spacelike separated from everything on the opposite side.
     With ``settings_in_overlap=True`` both settings move deep into the
     shared past, inside the backward cones of both outcome regions, and
-    every probe point can see them. ``late_settings`` may be passed
-    explicitly for clarity but must agree with ``settings_in_overlap``;
-    asking for both placements at once is rejected.
+    every probe point can see them.
 
     An angle of None means no measurement is performed on that wing, in
     which case the wing has a setting event with no axis and no outcome
     event; requesting an outcome there is rejected.
     """
-    if late_settings is not None and late_settings == settings_in_overlap:
-        raise ValueError(
-            "layout conflict: settings cannot be both in the overlap and late "
-            "(settings_in_overlap and late_settings must disagree)"
-        )
     angles: dict[Wing, AnalyzerAngle | None] = {
         Wing.A: None if angle_a is None else as_angle(angle_a),
         Wing.B: None if angle_b is None else as_angle(angle_b),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from bellsim.chance import (
     ForceOutcome,
     Intervention,
     NoChanceDefinedError,
+    OutcomeTarget,
     ReferenceClass,
     ReplacePreparation,
     SenselessIntervention,
@@ -25,7 +27,18 @@ from bellsim.chance import (
     set_angle_intervention,
     vertical_outcome,
 )
-from bellsim.quantum import OutcomeLabel, Wing, bell_phi_plus, product_polarized
+from bellsim.quantum import (
+    OutcomeLabel,
+    PhotonPairState,
+    Wing,
+    bell_phi_plus,
+    born_conditional,
+    born_joint,
+    born_marginal,
+    conditional_remote_state,
+    maximally_mixed_pair,
+    product_polarized,
+)
 from bellsim.spacetime import (
     Outcome,
     Scenario,
@@ -328,3 +341,127 @@ class TestLocalCausalityReadings:
         # cos^2(45) = 1/2 equals the marginal, so this reading holds here
         assert readings.conditional_equality_holds
         assert readings.fixed_point_holds
+
+
+# -- golden chance values --------------------------------------------------------
+
+#: SHA-256 digests of seeded chance-layer outputs, one per layer, captured
+#: before the scalar ``born_*`` functions and the model kernel were routed
+#: through one Born-rule path. Floats are hashed by ``repr``, which round
+#: trips exactly, so any change in any bit of any value shows.
+CHANCE_GOLDEN = {
+    "born": "9dae533b652c959cd13622e1f93d26758dc116f5f81fbc5701eb6e87763af2d0",
+    "chance": "cca50ced704e75ce642145d6c2996a6d15a2fe0db38edc9a5be0d262cfafa7e7",
+    "estimate": "dca12a14214001a91085862cef4483115fd75e08b6c8e4e7014abf83512b33f0",
+    "dependence": "488923a42881e210fe50e9afadf46952f613836bae84868fe29076653ab75e15",
+    "readings": "6546872d8d176f4dfb81353f0c99bfd08e34fae65cac3293234be0a9655418ce",
+}
+
+
+def _golden_states():
+    """Fixed states plus seeded random pure and mixed ones."""
+    rng = np.random.default_rng(20160517)
+    states = [
+        bell_phi_plus(),
+        maximally_mixed_pair(),
+        product_polarized(0.0, 45.0),
+        product_polarized(30.0, 120.0),
+    ]
+    for k in range(8):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        if k % 2:
+            states.append(PhotonPairState.from_vector(g[0]))
+        else:
+            m = g @ g.conj().T
+            states.append(PhotonPairState(m / m.trace().real))
+    return states
+
+
+def _outcome(call):
+    """``repr`` of a call's result, or the name of the error it raised."""
+    try:
+        return repr(call())
+    except (NoChanceDefinedError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _chance_layer_lines():
+    rng = np.random.default_rng(7)
+    states = _golden_states()
+    lines = {key: [] for key in CHANCE_GOLDEN}
+    for state in states:
+        for a, b in [(0.0, 22.5), (45.0, 90.0), *rng.uniform(-200.0, 200.0, size=(3, 2)).tolist()]:
+            lines["born"].append(repr(born_joint(state, a, b).as_array().tolist()))
+            for wing, angle in ((Wing.A, a), (Wing.B, b)):
+                lines["born"].append(repr(born_marginal(state, wing, angle)))
+                for label in (V, H):
+                    lines["born"].append(
+                        _outcome(lambda: born_conditional(state, a, b, given=(wing, label)))
+                    )
+                    lines["born"].append(
+                        _outcome(
+                            lambda: conditional_remote_state(
+                                state, wing, angle, label
+                            ).matrix.tolist()
+                        )
+                    )
+    targets = (E_A, E_B, OutcomeTarget(Wing.B, H), joint_vertical())
+    for state in states[:6]:
+        for overlap_layout in (True, False):
+            for a, b in [(0.0, 22.5), (15.0, 15.0), tuple(rng.uniform(0.0, 180.0, size=2))]:
+                for oa, ob in ((V, V), (V, H), (H, None)):
+                    s = standard_scenario(
+                        settings_in_overlap=overlap_layout,
+                        angle_a=a,
+                        angle_b=b,
+                        outcome_a=oa,
+                        outcome_b=ob,
+                        state=state,
+                    )
+                    contemplated = (
+                        None,
+                        set_angle_intervention(s, Wing.B, b + 30.0),
+                        set_angle_intervention(s, Wing.B, None),
+                        replace_preparation_intervention(s, product_polarized(a, 45.0)),
+                    )
+                    for name in ("p", "p'", "q", "r"):
+                        point = s.probe(name)
+                        for target in targets:
+                            lines["chance"].append(
+                                _outcome(lambda: chance_at(point, target, s).value)
+                            )
+                        for intervention in contemplated:
+                            lines["estimate"].append(
+                                _outcome(
+                                    lambda: estimated_chance(point, E_A, intervention, s).value
+                                )
+                            )
+                    for ev in s.events:
+                        for effect in (E_A, E_B):
+                            if isinstance(ev.kind, Outcome) and ev.kind.wing is effect.wing:
+                                continue
+                            verdict = causally_depends(effect, ev, s)
+                            witness = (
+                                None
+                                if verdict.witness is None
+                                else tuple(c.value for c in verdict.witness)
+                            )
+                            intervention = verdict.intervention
+                            mode = None if intervention is None else intervention.mode
+                            lines["dependence"].append(
+                                repr((verdict.kind.value, witness, type(mode).__name__,
+                                      getattr(mode, "angle", None)))
+                            )
+                    if ob is not None:
+                        r = local_causality_readings(s)
+                        lines["readings"].append(repr(dataclasses.astuple(r)))
+    return lines
+
+
+def test_chance_layer_is_bit_identical():
+    lines = _chance_layer_lines()
+    digests = {
+        key: hashlib.sha256("\n".join(values).encode()).hexdigest()
+        for key, values in lines.items()
+    }
+    assert digests == CHANCE_GOLDEN

@@ -63,6 +63,16 @@ class TestModelValidation:
         t2 = quantum.table(list(GRID))
         assert t1 is t2
 
+    def test_second_grid_replaces_the_first(self):
+        model = quantum_model()
+        first = model.table(GRID)
+        second = model.table(GRID[:3])
+        assert second.shape[:2] == (3, 3)
+        assert model.table(GRID[:3]) is second
+        rebuilt = model.table(GRID)
+        assert rebuilt is not first
+        assert np.array_equal(rebuilt, first)
+
 
 class TestQuantumSignature:
     """The fourfold pattern: PI holds, OI fails, factorizability fails,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bellsim.quantum import (
+    ZERO_PROBABILITY,
     AnalyzerAngle,
     OutcomeLabel,
     PhotonPairState,
@@ -80,6 +81,35 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="eigenvalue"):
             PhotonPairState(m)
 
+    @pytest.mark.parametrize(
+        "diagonal, message",
+        [
+            # lowest eigenvalue -1e-11: born_joint(s, 0, 0) once gave hh = -1e-11
+            ([0.5 + 1e-11, 0.5, 0.0, -1e-11], "photon pair state: negative eigenvalue"),
+            # lowest eigenvalue -0.9e-10: both reduced states once failed in born_marginal
+            ([0.5 + 0.9e-10, 0.5 + 0.9e-10, -0.9e-10, -0.9e-10], "negative eigenvalue"),
+            # a pair floor that passes but a reduced state at -1.8e-12
+            ([0.5 + 0.9e-12, 0.5 + 0.9e-12, -0.9e-12, -0.9e-12], "reduced single wing state"),
+        ],
+    )
+    def test_rejects_states_whose_born_probabilities_leave_the_tolerance(self, diagonal, message):
+        with pytest.raises(ValueError, match=message):
+            PhotonPairState(np.diag(diagonal).astype(complex))
+
+    @pytest.mark.parametrize("eps", [1e-13, 4e-13])
+    def test_accepted_near_edge_state_is_safe_for_every_born_call(self, eps):
+        state = PhotonPairState(np.diag([0.5 + eps, 0.5, 0.0, -eps]).astype(complex))
+        for a in (0.0, 30.0, 90.0):
+            for b in (0.0, 45.0, 90.0):
+                born_joint(state, a, b)
+                for wing in (Wing.A, Wing.B):
+                    born_marginal(state, wing, a)
+                    for label in (V, H):
+                        try:
+                            born_conditional(state, a, b, given=(wing, label))
+                        except UndefinedConditionalError:
+                            pass
+
     def test_matrix_is_immutable(self):
         state = bell_phi_plus()
         with pytest.raises(ValueError):
@@ -118,6 +148,15 @@ class TestProjectors:
         ph = analyzer_projector(degrees, H).matrix
         assert np.abs(pv + ph - np.eye(2)).max() < 1e-12
         assert np.abs(pv @ pv - pv).max() < 1e-12
+
+    @given(angle_floats)
+    @settings(max_examples=200)
+    def test_matches_outer_product_reference(self, degrees):
+        rad = math.radians(as_angle(degrees).degrees)
+        axis = np.array([math.sin(rad), math.cos(rad)])
+        orthogonal = np.array([math.cos(rad), -math.sin(rad)])
+        for label, ket in ((V, axis), (H, orthogonal)):
+            assert np.array_equal(analyzer_projector(degrees, label).matrix, np.outer(ket, ket))
 
     def test_diagonal_projector_entries_at_45(self):
         # direct trig: cos 45 = sin 45 = sqrt(2)/2, every entry magnitude 1/2
@@ -223,6 +262,32 @@ class TestBornConditional:
             assert cond.v * marg_b.for_label(label) == pytest.approx(
                 joint.prob(V, label), abs=1e-12
             )
+
+
+    @given(
+        st.integers(0, 10_000),
+        st.booleans(),
+        angle_floats,
+        angle_floats,
+        st.sampled_from(list(Wing)),
+        st.sampled_from([V, H]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_is_clamped_joint_over_marginal_bit_for_bit(self, seed, product, a, b, wing, label):
+        if product:
+            state = product_polarized(*np.random.default_rng(seed).uniform(0.0, 180.0, size=2))
+        else:
+            state = random_state(seed)
+        denom = born_marginal(state, wing, a if wing is Wing.A else b).for_label(label)
+        if denom <= ZERO_PROBABILITY:
+            with pytest.raises(UndefinedConditionalError):
+                born_conditional(state, a, b, given=(wing, label))
+            return
+        joint = born_joint(state, a, b)
+        pair = born_conditional(state, a, b, given=(wing, label))
+        for outcome in (V, H):
+            entry = joint.prob(label, outcome) if wing is Wing.A else joint.prob(outcome, label)
+            assert pair.for_label(outcome) == min(max(entry / denom, 0.0), 1.0)
 
 
 class TestCorrelation:

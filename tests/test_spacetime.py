@@ -93,7 +93,7 @@ class TestStandardScenario:
         assert is_spacelike(outcome_a.point, setting_b.point)
 
     def test_late_settings_outside_overlap(self):
-        s = standard_scenario(late_settings=True)
+        s = standard_scenario()
         for wing in (Wing.A, Wing.B):
             setting = s.setting_event(wing)
             remote_outcome = s.outcome_event(wing.other())
@@ -113,12 +113,6 @@ class TestStandardScenario:
         o = s.preparation_event()
         for wing in (Wing.A, Wing.B):
             assert in_causal_past(o.point, s.outcome_event(wing).point)
-
-    def test_layout_conflict_rejected(self):
-        with pytest.raises(ValueError, match="layout conflict"):
-            standard_scenario(settings_in_overlap=True, late_settings=True)
-        with pytest.raises(ValueError, match="layout conflict"):
-            standard_scenario(settings_in_overlap=False, late_settings=False)
 
     def test_unmeasured_wing_cannot_have_outcome(self):
         with pytest.raises(ValueError, match="no measurement"):
