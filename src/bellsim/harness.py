@@ -28,7 +28,7 @@ import numpy as np
 
 from .hidden_variables import builtin_vector_model
 from .locality import ProbabilityModel, quantum_model, signalling_fixture_model
-from .quantum import AngleLike, AnalyzerAngle, OutcomeLabel, Wing, as_angle
+from .quantum import AngleLike, AnalyzerAngle, Wing, as_angle
 from .spacetime import Scenario
 
 DEFAULT_SEED = 0
@@ -292,10 +292,6 @@ class PairStatistics:
     frequencies: tuple[float, float, float, float]
     correlation: float
     correlation_stderr: float
-
-    def frequency(self, a: OutcomeLabel, b: OutcomeLabel) -> float:
-        index = 2 * (0 if a is OutcomeLabel.V else 1) + (0 if b is OutcomeLabel.V else 1)
-        return self.frequencies[index]
 
     def wing_frequency(self, wing: Wing) -> float:
         """Empirical probability of V on one wing."""

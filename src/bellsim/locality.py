@@ -1,9 +1,21 @@
 """Locality condition checkers over abstract bipartite probability models.
 
 A model assigns, for every pair of analyzer angles and every value of a
-hidden variable lambda, a joint outcome distribution. The quantum model
-is the degenerate case with a single lambda. The checkers sweep an
-angle grid and report the worst-case deviation from each condition:
+hidden variable lambda, a joint outcome distribution; the quantum model
+is the degenerate case with a single lambda. Its kernel maps normalized
+angles ``a_degrees[na]`` and ``b_degrees[nb]`` to the table ``[na, nb,
+n_lambda, 2, 2]``, indexed [a, b, lambda, outcome_a, outcome_b] with
+V=0, H=1. Grid tables, correlations, single cells and the sampler's
+per-pair cells all come from that one call and one validation step,
+``quantum._validated``, the same check that every scalar Born result
+passes; the quantum kernel is ``quantum``'s projector stack and pair
+einsum, batched over the angles. A model keeps the table of the last
+grid it was asked for; kernels must be pure for that cache to be sound.
+
+Each checker builds a grid's table and both wings' per-lambda marginals
+once, views them from either wing in one layout so that every formula is
+written once for both wings, and reports the worst-case deviation from
+its condition, which holds within ``CONDITION_TOL``:
 
 * parameter independence: a wing's per-lambda marginal must not depend
   on the remote setting;
@@ -11,23 +23,12 @@ angle grid and report the worst-case deviation from each condition:
   on the remote outcome;
 * factorizability: the per-lambda joint must equal the product of the
   per-lambda marginals.
-
-A model's kernel is array-valued: it maps normalized angles
-``a_degrees[na]`` and ``b_degrees[nb]`` to the table
-``[na, nb, n_lambda, 2, 2]``, indexed [a, b, lambda, outcome_a,
-outcome_b] with V=0, H=1. Grid tables, correlations, single cells and
-the sampler's per-pair cells all come from that one call and one
-validation step, ``quantum._validated``, the same check that every
-scalar Born result passes. The quantum model's kernel is the Born rule
-itself: ``quantum``'s projector stack and pair einsum, batched over the
-angles. A model keeps the table of the last grid it was asked for;
-kernels must be pure for that cache to be sound.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,7 +52,7 @@ CONDITION_TOL = 1e-12
 #: Conditioning outcomes with probability at or below this are skipped.
 SKIP_PROBABILITY = 1e-12
 
-_LABELS = (OutcomeLabel.V, OutcomeLabel.H)
+_LABELS = (OutcomeLabel.V.value, OutcomeLabel.H.value)
 
 #: ``kernel(a_degrees[na], b_degrees[nb]) -> probabilities[na, nb, n_lambda, 2, 2]``.
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -192,130 +193,112 @@ def default_angle_grid(count: int = 8) -> tuple[AnalyzerAngle, ...]:
     return tuple(AnalyzerAngle(i * step) for i in range(count))
 
 
-def _grid_table(
-    model: ProbabilityModel, grid: Sequence[AngleLike]
-) -> tuple[tuple[AnalyzerAngle, ...], np.ndarray]:
+class _Wing(NamedTuple):
+    """A wing's view of a grid table, [own setting, remote setting, lambda, own
+    outcome, remote outcome]; ``order``, its own inverse, maps table axes to it."""
+
+    name: str
+    order: tuple[int, ...]
+    joint: np.ndarray
+    marginal: np.ndarray  # [own, remote, lambda, own outcome]
+    remote_marginal: np.ndarray  # [own, remote, lambda, remote outcome]
+
+    def argmax(self, values: np.ndarray) -> tuple[tuple, tuple]:
+        """(table index, wing-local index) of the first maximum of
+        ``values`` in the table's own [a, b, lambda, oa, ob] order."""
+        in_table_order = values.transpose(self.order)
+        index = np.unravel_index(in_table_order.argmax(), in_table_order.shape)
+        return index, tuple(index[k] for k in self.order)
+
+
+_ORDERS = {"A": (0, 1, 2, 3, 4), "B": (1, 0, 2, 4, 3)}
+
+
+def _sweep(model: ProbabilityModel, grid: Sequence[AngleLike]) -> tuple:
+    """The normalized grid and both wings' views of the model's table. Each
+    marginal sums the two remote-outcome slices: ``.sum`` over that axis, bit for bit."""
     angles = tuple(as_angle(g) for g in grid)
     if not angles:
         raise ValueError("angle grid must be nonempty")
-    return angles, model.table(angles)
+    table = model.table(angles)
+    joints = [table.transpose(order) for order in _ORDERS.values()]
+    marginals = [joint[..., 0] + joint[..., 1] for joint in joints]
+    remotes = [marginal.swapaxes(0, 1) for marginal in marginals[::-1]]
+    return angles, tuple(map(_Wing, _ORDERS, _ORDERS.values(), joints, marginals, remotes))
 
 
-def _label(index: int) -> str:
-    return _LABELS[index].value
-
-
-def _report(condition: str, deviation: float, witness: dict | None, tol: float) -> ConditionReport:
-    holds = deviation <= tol
-    return ConditionReport(condition, holds, deviation, tol, None if holds else witness)
+def _report(condition: str, deviation: float, witness: dict) -> ConditionReport:
+    holds = deviation <= CONDITION_TOL
+    return ConditionReport(condition, holds, deviation, CONDITION_TOL, None if holds else witness)
 
 
 def check_parameter_independence(
-    model: ProbabilityModel,
-    grid: Sequence[AngleLike],
-    tol: float = CONDITION_TOL,
+    model: ProbabilityModel, grid: Sequence[AngleLike]
 ) -> ConditionReport:
     """Worst per-lambda dependence of either wing's marginal on the
     remote setting, over all setting pairs drawn from the grid."""
-    angles, table = _grid_table(model, grid)
-    best = (-1.0, None)
-    for wing_name, marg, remote_axis in (
-        ("A", table.sum(axis=4), 1),
-        ("B", table.sum(axis=3), 0),
-    ):
-        # marg has axes [a, b, lambda, outcome]; the remote setting axis
-        # is b for wing A and a for wing B.
-        hi = marg.max(axis=remote_axis)
-        lo = marg.min(axis=remote_axis)
-        spread = hi - lo
-        deviation = float(spread.max())
-        if deviation > best[0]:
-            local_i, lam_i, out_i = np.unravel_index(spread.argmax(), spread.shape)
-            along = marg[local_i, :, lam_i, out_i] if wing_name == "A" else marg[:, local_i, lam_i, out_i]
-            witness = {
-                "wing": wing_name,
-                "local_angle_deg": angles[local_i].degrees,
-                "remote_angle_deg": angles[int(along.argmax())].degrees,
-                "remote_angle_alt_deg": angles[int(along.argmin())].degrees,
-                "lambda_index": int(lam_i),
-                "outcome": _label(out_i),
-                "probability_high": float(along.max()),
-                "probability_low": float(along.min()),
-            }
-            best = (deviation, witness)
-    return _report("parameter_independence", *best, tol)
+    angles, wings = _sweep(model, grid)
+    spreads = [wing.marginal.max(axis=1) - wing.marginal.min(axis=1) for wing in wings]
+    # the worst wing, wing A on ties; spread is [own setting, lambda, outcome]
+    wing, spread = max(zip(wings, spreads), key=lambda pair: pair[1].max())
+    local_i, lam_i, out_i = np.unravel_index(spread.argmax(), spread.shape)
+    along = wing.marginal[local_i, :, lam_i, out_i]
+    return _report("parameter_independence", float(spread.max()), {
+        "wing": wing.name,
+        "local_angle_deg": angles[local_i].degrees,
+        "remote_angle_deg": angles[int(along.argmax())].degrees,
+        "remote_angle_alt_deg": angles[int(along.argmin())].degrees,
+        "lambda_index": int(lam_i),
+        "outcome": _LABELS[out_i],
+        "probability_high": float(along.max()),
+        "probability_low": float(along.min()),
+    })
 
 
 def check_outcome_independence(
-    model: ProbabilityModel,
-    grid: Sequence[AngleLike],
-    tol: float = CONDITION_TOL,
+    model: ProbabilityModel, grid: Sequence[AngleLike]
 ) -> ConditionReport:
     """Worst per-lambda dependence of either wing's probability on the
     remote outcome. Conditioning outcomes of zero probability are
     skipped, since deterministic branches legitimately produce them."""
-    angles, table = _grid_table(model, grid)
-    marg_a = table.sum(axis=4)  # [a, b, lam, oa]
-    marg_b = table.sum(axis=3)  # [a, b, lam, ob]
-    best = (-1.0, None)
-    for wing_name, conditioner, unconditional in (("A", marg_b, marg_a), ("B", marg_a, marg_b)):
+    angles, wings = _sweep(model, grid)
+    sweeps = []
+    for wing in wings:
+        remote = wing.remote_marginal[:, :, :, None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            if wing_name == "A":
-                cond = table / conditioner[:, :, :, None, :]  # P(A|B,lam)
-                dev = np.abs(cond - unconditional[:, :, :, :, None])
-                mask = conditioner[:, :, :, None, :] > SKIP_PROBABILITY
-            else:
-                cond = table / conditioner[:, :, :, :, None]  # P(B|A,lam)
-                dev = np.abs(cond - unconditional[:, :, :, None, :])
-                mask = conditioner[:, :, :, :, None] > SKIP_PROBABILITY
-        dev = np.where(mask, dev, -np.inf)
-        deviation = float(dev.max())
-        if deviation > best[0]:
-            ia, ib, lam_i, oa, ob = np.unravel_index(dev.argmax(), dev.shape)
-            conditioned_on = _label(ob) if wing_name == "A" else _label(oa)
-            outcome = _label(oa) if wing_name == "A" else _label(ob)
-            witness = {
-                "wing": wing_name,
-                "a_deg": angles[ia].degrees,
-                "b_deg": angles[ib].degrees,
-                "lambda_index": int(lam_i),
-                "outcome": outcome,
-                "remote_outcome": conditioned_on,
-                "conditional": float(cond[ia, ib, lam_i, oa, ob]),
-                "unconditional": float(
-                    unconditional[ia, ib, lam_i, oa if wing_name == "A" else ob]
-                ),
-            }
-            best = (deviation, witness)
-    return _report("outcome_independence", *best, tol)
+            cond = wing.joint / remote  # P(own outcome | remote outcome, lambda)
+            dev = np.abs(cond - wing.marginal[..., None])
+        sweeps.append((wing, cond, np.where(remote > SKIP_PROBABILITY, dev, -np.inf)))
+    wing, cond, dev = max(sweeps, key=lambda sweep: sweep[2].max())  # wing A on ties
+    (ia, ib, lam_i, _, _), local = wing.argmax(dev)
+    return _report("outcome_independence", float(dev.max()), {
+        "wing": wing.name,
+        "a_deg": angles[ia].degrees,
+        "b_deg": angles[ib].degrees,
+        "lambda_index": int(lam_i),
+        "outcome": _LABELS[local[3]],
+        "remote_outcome": _LABELS[local[4]],
+        "conditional": float(cond[local]),
+        "unconditional": float(wing.marginal[local[:4]]),
+    })
 
 
-def check_factorizability(
-    model: ProbabilityModel,
-    grid: Sequence[AngleLike],
-    tol: float = CONDITION_TOL,
-) -> ConditionReport:
+def check_factorizability(model: ProbabilityModel, grid: Sequence[AngleLike]) -> ConditionReport:
     """Worst per-lambda gap between the joint and the product of the
     per-lambda marginals."""
-    angles, table = _grid_table(model, grid)
-    marg_a = table.sum(axis=4)
-    marg_b = table.sum(axis=3)
-    product = marg_a[:, :, :, :, None] * marg_b[:, :, :, None, :]
-    dev = np.abs(table - product)
-    deviation = float(dev.max())
-    witness = None
-    if deviation > tol:
-        ia, ib, lam_i, oa, ob = np.unravel_index(dev.argmax(), dev.shape)
-        witness = {
-            "a_deg": angles[ia].degrees,
-            "b_deg": angles[ib].degrees,
-            "lambda_index": int(lam_i),
-            "outcome_a": _label(oa),
-            "outcome_b": _label(ob),
-            "joint": float(table[ia, ib, lam_i, oa, ob]),
-            "product_of_marginals": float(product[ia, ib, lam_i, oa, ob]),
-        }
-    return _report("factorizability", deviation, witness, tol)
+    angles, (wing, _) = _sweep(model, grid)
+    product = wing.marginal[..., :, None] * wing.remote_marginal[..., None, :]
+    dev = np.abs(wing.joint - product)
+    (ia, ib, lam_i, oa, ob), local = wing.argmax(dev)
+    return _report("factorizability", float(dev.max()), {
+        "a_deg": angles[ia].degrees,
+        "b_deg": angles[ib].degrees,
+        "lambda_index": int(lam_i),
+        "outcome_a": _LABELS[oa],
+        "outcome_b": _LABELS[ob],
+        "joint": float(wing.joint[local]),
+        "product_of_marginals": float(product[local]),
+    })
 
 
 def chsh(
@@ -334,14 +317,9 @@ def chsh(
     )
 
 
-def no_signalling_deviation(
-    model: ProbabilityModel, grid: Sequence[AngleLike]
-) -> float:
+def no_signalling_deviation(model: ProbabilityModel, grid: Sequence[AngleLike]) -> float:
     """Dependence of the lambda-averaged marginals on the remote setting."""
-    _, table = _grid_table(model, grid)
-    weights = model.weights
-    avg_a = np.tensordot(table.sum(axis=4), weights, axes=([2], [0]))  # [a, b, oa]
-    avg_b = np.tensordot(table.sum(axis=3), weights, axes=([2], [0]))  # [a, b, ob]
-    dev_a = (avg_a.max(axis=1) - avg_a.min(axis=1)).max()
-    dev_b = (avg_b.max(axis=0) - avg_b.min(axis=0)).max()
-    return float(max(dev_a, dev_b))
+    _, wings = _sweep(model, grid)
+    # each average is [own setting, remote setting, outcome]
+    averages = [np.tensordot(wing.marginal, model.weights, axes=([2], [0])) for wing in wings]
+    return float(max((avg.max(axis=1) - avg.min(axis=1)).max() for avg in averages))

@@ -117,9 +117,9 @@ def test_criterion_4_chance_table():
 def test_criterion_5_condition_signature():
     grid = default_angle_grid(8)
     model = quantum_model()
-    pi = check_parameter_independence(model, grid, tol=1e-12)
-    oi = check_outcome_independence(model, grid, tol=1e-12)
-    fact = check_factorizability(model, grid, tol=1e-12)
+    pi = check_parameter_independence(model, grid)
+    oi = check_outcome_independence(model, grid)
+    fact = check_factorizability(model, grid)
     ns = no_signalling_deviation(model, grid)
     ok = (
         pi.holds
@@ -232,9 +232,9 @@ def test_criterion_8_cone_dependence_and_boosts():
 def test_criterion_9_lhv_sanity():
     model = builtin_vector_model()
     grid = default_angle_grid(8)
-    pi = check_parameter_independence(model, grid, tol=1e-12)
-    oi = check_outcome_independence(model, grid, tol=1e-12)
-    fact = check_factorizability(model, grid, tol=1e-12)
+    pi = check_parameter_independence(model, grid)
+    oi = check_outcome_independence(model, grid)
+    fact = check_factorizability(model, grid)
     value = chsh(model, *CHSH_OPTIMAL_QUADRUPLE)
     ok = pi.holds and oi.holds and fact.holds and abs(value) <= 1e-6
     report(9, "LHV sanity", ok, f"chsh={value!r}")

@@ -171,9 +171,9 @@ class TestVectorModel:
 
     def test_passes_locality_checkers_per_lambda(self, model):
         grid = default_angle_grid(8)
-        assert check_parameter_independence(model, grid, tol=1e-12).holds
-        assert check_outcome_independence(model, grid, tol=1e-12).holds
-        assert check_factorizability(model, grid, tol=1e-12).holds
+        assert check_parameter_independence(model, grid).holds
+        assert check_outcome_independence(model, grid).holds
+        assert check_factorizability(model, grid).holds
 
     def test_quantum_gap_at_optimal_angles(self, model):
         from bellsim.locality import quantum_model
