@@ -1,26 +1,26 @@
 """Spacetime-point-relativized chances and interventionist dependence tests.
 
-The chance of an outcome event at a point is the Born probability of
-that outcome conditional on every outcome already inside the point's
-backward light cone, computed from the scenario's state and the setting
-events the point can see. Chances are therefore perspectival: two
-points at the same lab time can assign different, equally correct
-values to the same event.
-
-Three rules shape the implementation and are worth stating up front:
+A chance belongs to a point. The point's reference class is what its
+closed backward light cone holds of the scenario's indexed events: the
+preparation, each wing's setting and each wing's outcome. One private
+step, ``_chance``, turns a reference class into a value, and both
+``chance_at`` and ``estimated_chance`` go through it:
 
 * If the preparation event is outside the past cone, no chance is
   defined at all (rather than defaulting to a uniform prior).
-* A wing's chance can only be evaluated through its analyzer angle, so
-  a target whose own setting is invisible or absent also has no defined
-  chance.
-* Single-wing targets with no conditioning information are evaluated
-  via the reduced state of that wing alone, so their value never
-  references anything on the remote side (and is reproducibly
-  bit-identical under remote perturbations).
+* Visible outcomes settle a target to exactly 0 or 1 when they can.
+* Otherwise the value is the Born probability of the target's open
+  wings given every other visible outcome, at visible analyzer angles
+  only, so a target whose own setting is invisible or absent has no
+  defined chance.
+* A single open wing with nothing to condition on is evaluated via its
+  reduced state alone, so its value never references the remote side
+  (and is bit-identical under remote perturbations).
 
-Interventions that force a measurement outcome are representable but
-always refused; the refusal is a first-class verdict, not an error.
+Chances are therefore perspectival: two points at the same lab time can
+assign different, equally correct values to the same event. Interventions
+that force a measurement outcome are representable but always refused;
+the refusal is a first-class verdict, not an error.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .spacetime import (
     Scenario,
     Setting,
     SpacetimePoint,
-    backward_cone_contents,
+    in_causal_past,
     is_spacelike,
 )
 
@@ -96,10 +96,10 @@ def joint_vertical() -> JointTarget:
     return JointTarget(label_a=OutcomeLabel.V, label_b=OutcomeLabel.V)
 
 
-def _target_components(target: Target) -> dict[Wing, OutcomeLabel]:
+def _target_components(target: Target) -> tuple[tuple[Wing, OutcomeLabel], ...]:
     if isinstance(target, OutcomeTarget):
-        return {target.wing: target.label}
-    return {Wing.A: target.label_a, Wing.B: target.label_b}
+        return ((target.wing, target.label),)
+    return ((Wing.A, target.label_a), (Wing.B, target.label_b))
 
 
 # -- reference classes ---------------------------------------------------------
@@ -128,18 +128,24 @@ class ReferenceClass:
 
 
 def reference_class_at(point: SpacetimePoint, scenario: Scenario) -> ReferenceClass:
-    """Derive the reference class purely from the backward cone contents."""
-    state_backed = False
+    """What ``point`` sees of the scenario's indexed events: the ones in its
+    closed causal past."""
+
+    def seen(ev: EventRecord | None) -> bool:
+        return ev is not None and in_causal_past(ev.point, point)
+
     settings: dict[Wing, AnalyzerAngle | None] = {}
     outcomes: dict[Wing, OutcomeLabel] = {}
-    for ev in backward_cone_contents(point, scenario):
-        if isinstance(ev.kind, Preparation):
-            state_backed = True
-        elif isinstance(ev.kind, Setting):
-            settings[ev.kind.wing] = ev.kind.angle
-        elif isinstance(ev.kind, Outcome):
-            outcomes[ev.kind.wing] = ev.kind.label
-    return ReferenceClass(state_backed=state_backed, settings=settings, outcomes=outcomes)
+    for wing in (Wing.A, Wing.B):
+        setting = scenario.setting_event(wing)
+        if seen(setting):
+            settings[wing] = setting.kind.angle
+        outcome = scenario.outcome_event(wing)
+        if seen(outcome):
+            outcomes[wing] = outcome.kind.label
+    return ReferenceClass(
+        state_backed=seen(scenario.preparation_event()), settings=settings, outcomes=outcomes
+    )
 
 
 # -- chances -------------------------------------------------------------------
@@ -158,9 +164,7 @@ class ChanceValue:
             raise ValueError(f"chance value {self.value!r} outside [0, 1]")
 
 
-def _visible_angle(
-    rc: ReferenceClass, wing: Wing, point: SpacetimePoint
-) -> AnalyzerAngle:
+def _visible_angle(rc: ReferenceClass, wing: Wing, point: SpacetimePoint) -> AnalyzerAngle:
     if wing not in rc.settings:
         raise NoChanceDefinedError(
             f"analyzer setting for wing {wing.value} is outside the past cone "
@@ -175,49 +179,35 @@ def _visible_angle(
     return angle
 
 
-def _born_probability(
-    state: PhotonPairState,
-    rc: ReferenceClass,
-    point: SpacetimePoint,
-    wanted: dict[Wing, OutcomeLabel],
-    given: dict[Wing, OutcomeLabel],
+def _chance(
+    state: PhotonPairState, rc: ReferenceClass, target: Target, point: SpacetimePoint, what: str
 ) -> float:
-    """P(wanted | given) from the Born rule, using only visible angles.
-
-    ``wanted`` and ``given`` are disjoint wing->label assignments. A
-    single unconditioned wing goes through its reduced state so the
-    remote side is never referenced.
-    """
-    if len(wanted) == 1 and not given:
-        (wing, label), = wanted.items()
-        return born_marginal(state, wing, _visible_angle(rc, wing, point)).for_label(label)
-    angle_a = _visible_angle(rc, Wing.A, point)
-    angle_b = _visible_angle(rc, Wing.B, point)
-    if len(wanted) == 2:
-        return born_joint(state, angle_a, angle_b).prob(wanted[Wing.A], wanted[Wing.B])
-    (wing, label), = wanted.items()
-    (cond_wing, cond_label), = given.items()
-    pair = born_conditional(state, angle_a, angle_b, given=(cond_wing, cond_label))
-    return pair.for_label(label)
-
-
-def _open_target(
-    point: SpacetimePoint, target: Target, scenario: Scenario, what: str
-) -> tuple[ReferenceClass, dict[Wing, OutcomeLabel], ChanceValue | None]:
-    """The reference class at ``point``, the target's wings it cannot see yet
-    and, when the outcomes it can see settle the target, its 0/1 chance."""
-    rc = reference_class_at(point, scenario)
+    """The chance of ``target`` given what ``point`` sees, by the rules in
+    the module docstring; ``what`` names the quantity in the error."""
     if not rc.state_backed:
         raise NoChanceDefinedError(
             f"the preparation event is outside the past cone of "
             f"({point.t}, {point.x}); no {what} is defined there"
         )
-    wanted = _target_components(target)
-    if any(rc.outcomes.get(wing, label) is not label for wing, label in wanted.items()):
-        return rc, {}, ChanceValue(value=0.0, at=point, target=target)
-    open_wings = {wing: label for wing, label in wanted.items() if wing not in rc.outcomes}
-    settled = None if open_wings else ChanceValue(value=1.0, at=point, target=target)
-    return rc, open_wings, settled
+    open_wings = []
+    for wing, label in _target_components(target):
+        seen = rc.outcomes.get(wing)
+        if seen is None:
+            open_wings.append((wing, label))
+        elif seen is not label:
+            return 0.0
+    if not open_wings:
+        return 1.0
+    if len(open_wings) == 1:
+        ((wing, label),) = open_wings
+        given = rc.outcomes.get(wing.other())
+        if given is None:
+            return born_marginal(state, wing, _visible_angle(rc, wing, point)).for_label(label)
+    angle_a, angle_b = _visible_angle(rc, Wing.A, point), _visible_angle(rc, Wing.B, point)
+    if len(open_wings) == 2:
+        return born_joint(state, angle_a, angle_b).prob(open_wings[0][1], open_wings[1][1])
+    pair = born_conditional(state, angle_a, angle_b, given=(wing.other(), given))
+    return pair.for_label(label)
 
 
 def chance_at(point: SpacetimePoint, target: Target, scenario: Scenario) -> ChanceValue:
@@ -227,12 +217,8 @@ def chance_at(point: SpacetimePoint, target: Target, scenario: Scenario) -> Chan
     exactly 0 or 1. Otherwise the value is the Born probability of the
     target conditional on every outcome visible at the point.
     """
-    rc, open_wings, settled = _open_target(point, target, scenario, "chance")
-    if settled is not None:
-        return settled
-    conditioning = {w: o for w, o in rc.outcomes.items() if w not in open_wings}
-    value = _born_probability(scenario.state, rc, point, open_wings, conditioning)
-    return ChanceValue(value=value, at=point, target=target)
+    rc = reference_class_at(point, scenario)
+    return ChanceValue(_chance(scenario.state, rc, target, point, "chance"), point, target)
 
 
 # -- interventions -------------------------------------------------------------
@@ -350,12 +336,13 @@ def estimated_chance(
 ) -> ChanceValue:
     """Best estimate of the target's downstream chance, formed at ``point``.
 
-    When conditioning outcomes are not yet visible at the point, the
-    estimate is the mixture of the chances the target would have once
-    they are, weighted by the Born distribution of those outcomes under
-    the contemplated setting choice. The mixture runs over every
-    measured wing outside the target whose outcome the point cannot yet
-    see.
+    The estimate mixes only for a one-wing target at a point that sees
+    the preparation and no outcome yet, with the remote wing measured in
+    the (possibly intervened) scenario: it is the sum over the remote
+    outcome's two labels of its Born marginal under the contemplated
+    setting times the target's Born probability conditional on that
+    label. Every other estimate is the chance at ``point`` in the
+    intervened scenario.
     """
     if contemplated is not None:
         applied = apply_intervention(scenario, contemplated)
@@ -365,44 +352,22 @@ def estimated_chance(
                 "no such scenario exists"
             )
         scenario = applied
-    rc, open_wings, settled = _open_target(point, target, scenario, "estimate")
-    if settled is not None:
-        return settled
+    state = scenario.state
+    rc = reference_class_at(point, scenario)
+    remote = target.wing.other() if isinstance(target, OutcomeTarget) else None
+    remote_angle = None if remote is None else scenario.angle(remote)
+    if remote_angle is None or rc.outcomes or not rc.state_backed:
+        return ChanceValue(_chance(state, rc, target, point, "estimate"), point, target)
 
-    # Wings whose outcome will condition the downstream chance but is
-    # not yet visible here. Their angles come from the (possibly
-    # intervened) scenario; their outcomes get mixed over.
-    mix_wings = [
-        wing
-        for wing in (Wing.A, Wing.B)
-        if wing not in open_wings
-        and wing not in rc.outcomes
-        and scenario.angle(wing) is not None
-    ]
-    if not mix_wings:
-        return chance_at(point, target, scenario)
-
-    # At most one wing remains to mix over in a bipartite scenario.
-    (mix_wing,) = mix_wings
-    mix_rc = ReferenceClass(
-        state_backed=True,
-        settings={**rc.settings, mix_wing: scenario.angle(mix_wing)},
-        outcomes=rc.outcomes,
-    )
+    own_angle = _visible_angle(rc, target.wing, point)
+    angles = (own_angle, remote_angle) if remote is Wing.B else (remote_angle, own_angle)
+    weights = born_marginal(state, remote, remote_angle)
     estimate = 0.0
-    for hypothesized in (OutcomeLabel.V, OutcomeLabel.H):
-        weight = _born_probability(
-            scenario.state, mix_rc, point, {mix_wing: hypothesized},
-            {w: o for w, o in rc.outcomes.items() if w is not mix_wing},
-        )
+    for hypothesized, weight in zip((OutcomeLabel.V, OutcomeLabel.H), weights):
         if weight <= ZERO_PROBABILITY:
             continue
-        downstream = _born_probability(
-            scenario.state, mix_rc, point, open_wings,
-            {**{w: o for w, o in rc.outcomes.items() if w not in open_wings},
-             mix_wing: hypothesized},
-        )
-        estimate += weight * downstream
+        downstream = born_conditional(state, *angles, given=(remote, hypothesized))
+        estimate += weight * downstream.for_label(target.label)
     return ChanceValue(value=min(max(estimate, 0.0), 1.0), at=point, target=target)
 
 

@@ -202,9 +202,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     config = RunConfig.from_json_dict(data)
-    scenario = None
-    if data.get("scenario"):
-        scenario = _load_or_build_scenario(data["scenario"])
+    spec = data.get("scenario")
+    if spec is not None and not isinstance(spec, str):
+        raise ValueError(f"scenario must be a string, got {spec!r}")
+    scenario = _load_or_build_scenario(spec) if spec else None
     model = resolve_model(config.model)
     log = run_trials(config, scenario=scenario, model=model)
     bundle = empirical_statistics(

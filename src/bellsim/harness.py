@@ -86,7 +86,7 @@ class RunConfig:
     report_format: str = "json"
 
     def __post_init__(self) -> None:
-        if self.model not in MODEL_BUILDERS:
+        if not isinstance(self.model, str) or self.model not in MODEL_BUILDERS:
             raise ValueError(
                 f"unknown model {self.model!r}; expected one of {sorted(MODEL_BUILDERS)}"
             )
@@ -94,13 +94,19 @@ class RunConfig:
         if not schedule:
             raise ValueError("angle schedule must be nonempty")
         object.__setattr__(self, "schedule", schedule)
-        if int(self.trials) < 1:
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        object.__setattr__(self, "trials", int(self.trials))
-        seed = int(self.seed)
-        if not (0 <= seed < 2**64):
-            raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
-        object.__setattr__(self, "seed", seed)
+        if not (0 <= self.seed < 2**64):
+            raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
+        for name in ("trial_log_path", "report_path"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string or None, got {value!r}")
         if self.report_format not in ("json", "csv"):
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
 
@@ -129,6 +135,8 @@ class RunConfig:
             pairs = chsh_schedule(*CHSH_OPTIMAL_QUADRUPLE)
         elif isinstance(schedule, list) and all(isinstance(p, list) and len(p) == 2 for p in schedule):
             pairs = tuple((p[0], p[1]) for p in schedule)
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for p in pairs for x in p):
+                raise ValueError(f"schedule angles must be numbers, got {schedule!r}")
         else:
             raise ValueError(f"schedule must be 'chsh-optimal' or [a, b] pairs, got {schedule!r}")
         return cls(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.chance import (
     CausalVerdictKind,
@@ -41,11 +43,15 @@ from bellsim.quantum import (
 )
 from bellsim.spacetime import (
     Outcome,
+    Preparation,
     Scenario,
+    Setting,
     SpacetimePoint,
+    backward_cone_contents,
     is_spacelike,
     standard_scenario,
 )
+from strategies import density_matrices
 
 V, H = OutcomeLabel.V, OutcomeLabel.H
 E_A = vertical_outcome(Wing.A)
@@ -88,6 +94,97 @@ class TestReferenceClass:
     def test_orphan_outcome_rejected(self):
         with pytest.raises(ValueError, match="setting"):
             ReferenceClass(state_backed=True, settings={}, outcomes={Wing.A: V})
+
+
+def cone_reference_class(point, scenario):
+    """The derivation ``reference_class_at`` replaced, kept as its reference:
+    scan the backward cone and dispatch on each event's kind."""
+    state_backed = False
+    settings_seen, outcomes = {}, {}
+    for ev in backward_cone_contents(point, scenario):
+        if isinstance(ev.kind, Preparation):
+            state_backed = True
+        elif isinstance(ev.kind, Setting):
+            settings_seen[ev.kind.wing] = ev.kind.angle
+        elif isinstance(ev.kind, Outcome):
+            outcomes[ev.kind.wing] = ev.kind.label
+    return ReferenceClass(state_backed=state_backed, settings=settings_seen, outcomes=outcomes)
+
+
+def moved_scenario(scenario, move, q=None):
+    """``scenario`` with every event and probe mapped through ``move``."""
+    return Scenario(
+        state=scenario.state,
+        events=tuple(dataclasses.replace(ev, point=move(ev.point)) for ev in scenario.events),
+        p=move(scenario.p),
+        p_prime=move(scenario.p_prime),
+        q=move(scenario.q if q is None else q),
+        r=move(scenario.r),
+    )
+
+
+class TestReferenceClassAgainstConeScan:
+    """``reference_class_at`` reads the scenario's event index; the cone
+    scan it replaced must give the same reference class everywhere."""
+
+    WINGS = [  # (angle_a, angle_b, outcome_a, outcome_b)
+        (0.0, 22.5, V, V),
+        (0.0, 22.5, None, H),
+        (15.0, 70.0, None, None),
+        (None, 30.0, None, V),
+        (45.0, None, H, None),
+        (None, None, None, None),
+    ]
+    MOVES = [(1.0, 0.0), (1.0, 0.4), (1.0, -1.3), (2.0**10, 5.0 / 32.0)]
+
+    @pytest.mark.parametrize("overlap_layout", [True, False])
+    @pytest.mark.parametrize("scale, zeta", MOVES)
+    def test_matches_cone_scan(self, overlap_layout, scale, zeta):
+        """Seeded random points, the probes, every event point and points
+        exactly on each event's light cone, on every wing variant."""
+        rng = np.random.default_rng(20161)
+
+        def move(point):
+            return SpacetimePoint(point.t * scale, point.x * scale).boosted(zeta)
+
+        reached = set()
+        for angle_a, angle_b, outcome_a, outcome_b in self.WINGS:
+            base = standard_scenario(
+                settings_in_overlap=overlap_layout, angle_a=angle_a, angle_b=angle_b,
+                outcome_a=outcome_a, outcome_b=outcome_b,
+            )
+            points = [
+                SpacetimePoint(t, x)
+                for t, x in zip(rng.uniform(-3.0, 14.0, 200), rng.uniform(-8.5, 8.5, 200))
+            ]
+            points += [base.probe(name) for name in ("p", "p'", "q", "r")]
+            for ev in base.events:  # dyadic offsets along both null directions
+                for k in range(-4, 9):
+                    points.append(SpacetimePoint(ev.point.t + k / 8, ev.point.x + k / 8))
+                    points.append(SpacetimePoint(ev.point.t + k / 8, ev.point.x - k / 8))
+            scenario = moved_scenario(base, move)
+            for point in map(move, points):
+                rc = reference_class_at(point, scenario)
+                assert rc == cone_reference_class(point, scenario)
+                reached.add((rc.state_backed, len(rc.settings), len(rc.outcomes)))
+        # the sweep sees nothing, everything and the partial views between
+        assert {(False, 0, 0), (True, 0, 0), (True, 2, 0), (True, 2, 1), (True, 2, 2)} <= reached
+
+    def test_on_cone_probe_matches_cone_scan(self):
+        """The overlap layout scaled by 2**10 with q moved exactly onto wing
+        B's outcome light cone, unboosted and boosted."""
+        base = standard_scenario(settings_in_overlap=True, angle_a=0.0, angle_b=22.5)
+        for zeta in (0.0, 5.0 / 32.0, -0.75):
+
+            def move(point):
+                return SpacetimePoint(point.t * 2.0**10, point.x * 2.0**10).boosted(zeta)
+
+            on_cone = moved_scenario(base, move, q=SpacetimePoint(7.0, 5.0))
+            rc = reference_class_at(on_cone.q, on_cone)
+            assert rc.outcomes == {Wing.B: V}
+            for point in (on_cone.p, on_cone.p_prime, on_cone.q, on_cone.r,
+                          *(ev.point for ev in on_cone.events)):
+                assert reference_class_at(point, on_cone) == cone_reference_class(point, on_cone)
 
 
 class TestChanceTable:
@@ -237,6 +334,24 @@ class TestEstimatedChance:
         iv = set_angle_intervention(overlap, Wing.B, beta)
         est = estimated_chance(overlap.p_prime, E_A, iv, overlap)
         assert est.value == pytest.approx(0.5, abs=1e-12)
+
+    @given(
+        density_matrices(),
+        st.floats(-360.0, 360.0),
+        st.floats(-360.0, 360.0),
+        st.one_of(st.none(), st.floats(-360.0, 360.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decision_invariance_any_state(self, matrix, angle_a, angle_b, beta):
+        """No contemplated remote setting, or none at all, moves the estimate
+        off the local chance, for any state (no-signalling)."""
+        s = standard_scenario(
+            settings_in_overlap=True, angle_a=angle_a, angle_b=angle_b,
+            state=PhotonPairState(matrix),
+        )
+        iv = set_angle_intervention(s, Wing.B, beta)
+        est = estimated_chance(s.p_prime, E_A, iv, s)
+        assert est.value == pytest.approx(chance_at(s.p_prime, E_A, s).value, abs=1e-12)
 
     def test_force_outcome_is_senseless_premise(self, overlap):
         target = overlap.outcome_event(Wing.B)

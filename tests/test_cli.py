@@ -149,5 +149,21 @@ class TestErrors:
         path = self.write_config(tmp_path, {"model": "qm", "trials": 10, "bogus_key": 1})
         assert "'bogus_key'" in self.run_error(capsys, "simulate", "--config", path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("trials", 1.9, "trials must be an integer"),
+        ("trials", True, "trials must be an integer"),
+        ("trials", "3", "trials must be an integer"),
+        ("seed", 2.5, "seed must be an integer"),
+        ("schedule", [[0.0, 22.5], [True, 45.0]], "schedule angles must be numbers"),
+        ("trial_log_path", 1, "trial_log_path must be a string"),
+        ("report_path", 7, "report_path must be a string"),
+        ("scenario", 5, "scenario must be a string"),
+        ("scenario", True, "scenario must be a string"),
+        ("model", ["qm"], "unknown model"),
+    ])
+    def test_wrongly_typed_config_value(self, capsys, tmp_path, key, value, message):
+        path = self.write_config(tmp_path, {"model": "qm", "trials": 10, key: value})
+        assert message in self.run_error(capsys, "simulate", "--config", path)
+
     def test_bad_grid_angle(self, capsys):
         assert "0,x,3" in self.run_error(capsys, "nosignal", "--grid", "0,x,3")

@@ -87,6 +87,34 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="schedule"):
             RunConfig.from_json_dict({"model": "qm", "schedule": [[0.0]]})
 
+    @pytest.mark.parametrize("key, value", [
+        ("trials", 1.9), ("trials", True), ("trials", "3"), ("trials", None),
+        ("seed", 2.5), ("seed", False), ("seed", "7"),
+    ])
+    def test_non_integer_counts_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            RunConfig.from_json_dict({"model": "qm", key: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = config(trials=np.int64(5), seed=np.uint64(2**63))
+        assert (cfg.trials, cfg.seed) == (5, 2**63)
+        assert type(cfg.trials) is int and type(cfg.seed) is int
+
+    @pytest.mark.parametrize("key", ["trial_log_path", "report_path"])
+    @pytest.mark.parametrize("value", [1, 7.0, True, ["out.json"]])
+    def test_non_string_paths_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a string"):
+            RunConfig.from_json_dict({"model": "qm", key: value})
+
+    @pytest.mark.parametrize("angle", [True, "0", None, [0.0]])
+    def test_non_number_schedule_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="schedule angles must be numbers"):
+            RunConfig.from_json_dict({"model": "qm", "schedule": [[0.0, 22.5], [45.0, angle]]})
+
+    def test_unhashable_model_rejected(self):
+        with pytest.raises(ValueError, match="unknown model"):
+            RunConfig.from_json_dict({"model": ["qm"]})
+
 
 class TestDeterminism:
     def test_identical_configs_bit_identical_logs(self):

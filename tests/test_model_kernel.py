@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.cli import main
@@ -28,24 +28,10 @@ from bellsim.quantum import (
     born_joint,
     product_polarized,
 )
+from strategies import density_matrices
 
 angles = st.floats(-360.0, 360.0, allow_nan=False, allow_infinity=False)
 grids = st.lists(angles, min_size=1, max_size=24)
-
-
-@st.composite
-def density_matrices(draw):
-    """A random pure state |v><v| or a random mixed state G G† / tr."""
-    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)))
-    if draw(st.booleans()):
-        v = x[:4] + 1j * x[4:8]
-        rho = np.outer(v, v.conj())
-    else:
-        g = (x[:16] + 1j * x[16:]).reshape(4, 4)
-        rho = g @ g.conj().T
-    trace = float(np.trace(rho).real)
-    assume(trace > 1e-3)
-    return rho / trace
 
 
 class TestQuantumKernel:
