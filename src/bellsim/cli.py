@@ -20,6 +20,7 @@ import sys
 from . import chance as chance_mod
 from .harness import (
     CHSH_OPTIMAL_QUADRUPLE,
+    MODEL_BUILDERS,
     RunConfig,
     chsh_schedule,
     emit_report,
@@ -42,10 +43,11 @@ from .quantum import Wing
 from .spacetime import SpacetimePoint, load_scenario, standard_scenario
 
 
-def _parse_angles(text: str, count: int) -> list[float]:
+def _parse_angles(text: str) -> list[float]:
+    """The four CHSH angles a,a',b,b' in degrees."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count:
-        raise argparse.ArgumentTypeError(f"expected {count} comma-separated angles, got {text!r}")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(f"expected 4 comma-separated angles, got {text!r}")
     try:
         return [float(p) for p in parts]
     except ValueError as exc:
@@ -84,7 +86,7 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_chsh(args: argparse.Namespace) -> int:
-    a, a_prime, b, b_prime = _parse_angles(args.angles, 4)
+    a, a_prime, b, b_prime = _parse_angles(args.angles)
     model = resolve_model(args.model)
     payload = {
         "model": args.model,
@@ -123,7 +125,12 @@ def _cmd_chances(args: argparse.Namespace) -> int:
     if args.point in ("p", "p'", "p_prime", "q", "r"):
         point = scenario.probe(args.point)
     else:
-        t, x = _parse_angles(args.point, 2)
+        try:
+            t, x = (float(part) for part in args.point.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a probe name (p, p', q, r) or 't,x', got {args.point!r}"
+            ) from None
         point = SpacetimePoint(t, x)
     target = _TARGETS[args.target]()
     payload: dict = {
@@ -150,15 +157,15 @@ def _cmd_nosignal(args: argparse.Namespace) -> int:
             "model": args.model,
             "grid_deg": grid,
             "deviation": deviation,
-            "holds": deviation <= args.tol,
-            "tolerance": args.tol,
+            "holds": deviation <= CONDITION_TOL,
+            "tolerance": CONDITION_TOL,
         }
     )
     return 0
 
 
 def _cmd_lhv_bound(args: argparse.Namespace) -> int:
-    a, a_prime, b, b_prime = _parse_angles(args.angles, 4)
+    a, a_prime, b, b_prime = _parse_angles(args.angles)
     maximum, strategy = deterministic_chsh_maximum(a, a_prime, b, b_prime)
     minimum = min(strategy_chsh(s) for s in all_strategies())
     _emit(
@@ -239,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_chsh = sub.add_parser("chsh", help="analytic and empirical CHSH combination")
-    p_chsh.add_argument("--model", choices=("qm", "lhv", "fixture"), default="qm")
+    p_chsh.add_argument("--model", choices=tuple(MODEL_BUILDERS), default="qm")
     p_chsh.add_argument(
         "--angles",
         default=",".join(str(x) for x in CHSH_OPTIMAL_QUADRUPLE),
@@ -260,9 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.set_defaults(func=_cmd_chances)
 
     p_ns = sub.add_parser("nosignal", help="no-signalling deviation over a grid")
-    p_ns.add_argument("--model", choices=("qm", "lhv", "fixture"), default="qm")
+    p_ns.add_argument("--model", choices=tuple(MODEL_BUILDERS), default="qm")
     p_ns.add_argument("--grid", default="0:180:8", help="'start:stop:count' or 'a,b,c' degrees")
-    p_ns.add_argument("--tol", type=float, default=CONDITION_TOL)
     p_ns.set_defaults(func=_cmd_nosignal)
 
     p_lb = sub.add_parser("lhv-bound", help="deterministic-strategy CHSH bound")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,26 +43,12 @@ MODEL_BUILDERS = {
     "fixture": signalling_fixture_model,
 }
 
-#: Column order of the CSV report; one trailing summary row carries the
-#: CHSH combination in the E / E_stderr columns with pair_index "CHSH".
-CSV_COLUMNS = (
-    "pair_index",
-    "a_deg",
-    "b_deg",
-    "n",
-    "f_VV",
-    "f_VH",
-    "f_HV",
-    "f_HH",
-    "E",
-    "E_stderr",
-)
+_FREQUENCY_COLUMNS = ("f_VV", "f_VH", "f_HV", "f_HH")
 
-
-#: Keys a JSON run config may carry. ``scenario`` is read by the CLI (it
-#: attaches outcome coordinates to the trial log), not by ``RunConfig``.
-CONFIG_KEYS = ("model", "schedule", "trials", "seed", "trial_log_path", "report_path",
-               "report_format", "scenario")
+#: Column order of the CSV report: ``PairStatistics`` fields with the
+#: frequencies spread over ``f_VV..f_HH``. One trailing summary row carries
+#: the CHSH combination in the E / E_stderr columns with pair_index "CHSH".
+CSV_COLUMNS = ("pair_index", "a_deg", "b_deg", "n", *_FREQUENCY_COLUMNS, "E", "E_stderr")
 
 
 def chsh_schedule(
@@ -75,11 +61,14 @@ def chsh_schedule(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a simulation run depends on."""
+    """Everything a simulation run depends on. The fields, with their
+    defaults, are the keys of a JSON run config."""
 
     model: str
-    schedule: tuple[tuple[AnalyzerAngle, AnalyzerAngle], ...]
-    trials: int
+    schedule: tuple[tuple[AnalyzerAngle, AnalyzerAngle], ...] = chsh_schedule(
+        *CHSH_OPTIMAL_QUADRUPLE
+    )
+    trials: int = 1000
     seed: int = DEFAULT_SEED
     trial_log_path: str | None = None
     report_path: str | None = None
@@ -111,43 +100,36 @@ class RunConfig:
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "schedule": [[a.degrees, b.degrees] for a, b in self.schedule],
-            "trials": self.trials,
-            "seed": self.seed,
-            "trial_log_path": self.trial_log_path,
-            "report_path": self.report_path,
-            "report_format": self.report_format,
-        }
+        """The fields, with the schedule as ``[a_deg, b_deg]`` pairs."""
+        data = dict(vars(self))
+        data["schedule"] = [[a.degrees, b.degrees] for a, b in self.schedule]
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
         """Parse a config object: ``model`` is required, other keys outside
-        ``CONFIG_KEYS`` are rejected."""
+        ``CONFIG_KEYS`` are rejected, ``scenario`` is left to the caller and
+        a missing key or the schedule ``"chsh-optimal"`` takes the default."""
         if not isinstance(data, dict) or "model" not in data:
             raise ValueError("config must be a JSON object with the required key 'model'")
         unknown = sorted(set(data) - set(CONFIG_KEYS))
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}; expected keys from {list(CONFIG_KEYS)}")
-        schedule = data.get("schedule", "chsh-optimal")
-        if schedule == "chsh-optimal":
-            pairs = chsh_schedule(*CHSH_OPTIMAL_QUADRUPLE)
-        elif isinstance(schedule, list) and all(isinstance(p, list) and len(p) == 2 for p in schedule):
-            pairs = tuple((p[0], p[1]) for p in schedule)
-            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for p in pairs for x in p):
+        values = {key: value for key, value in data.items() if key != "scenario"}
+        schedule = values.pop("schedule", "chsh-optimal")
+        if schedule != "chsh-optimal":
+            if not (isinstance(schedule, list) and all(isinstance(p, list) and len(p) == 2 for p in schedule)):
+                raise ValueError(f"schedule must be 'chsh-optimal' or [a, b] pairs, got {schedule!r}")
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for p in schedule for x in p):
                 raise ValueError(f"schedule angles must be numbers, got {schedule!r}")
-        else:
-            raise ValueError(f"schedule must be 'chsh-optimal' or [a, b] pairs, got {schedule!r}")
-        return cls(
-            model=data["model"],
-            schedule=pairs,
-            trials=data.get("trials", 1000),
-            seed=data.get("seed", DEFAULT_SEED),
-            trial_log_path=data.get("trial_log_path"),
-            report_path=data.get("report_path"),
-            report_format=data.get("report_format", "json"),
-        )
+            values["schedule"] = tuple(map(tuple, schedule))
+        return cls(**values)
+
+
+#: Keys a JSON run config may carry: the ``RunConfig`` fields and
+#: ``scenario``, which the CLI reads to attach outcome coordinates to the
+#: trial log.
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig)) + ("scenario",)
 
 
 #: +/-1 sign of each cell's outcome on wing A and on wing B (V = +1).
@@ -298,14 +280,8 @@ class PairStatistics:
     n: int
     counts: tuple[int, int, int, int]
     frequencies: tuple[float, float, float, float]
-    correlation: float
-    correlation_stderr: float
-
-    def wing_frequency(self, wing: Wing) -> float:
-        """Empirical probability of V on one wing."""
-        if wing is Wing.A:
-            return self.frequencies[0] + self.frequencies[1]
-        return self.frequencies[0] + self.frequencies[2]
+    E: float
+    E_stderr: float
 
 
 @dataclass(frozen=True)
@@ -333,71 +309,24 @@ class ReportBundle:
     condition_reports: tuple = ()
 
     def to_json_dict(self) -> dict:
+        """The fields, each pair and delta as a copy of its own fields."""
         return {
-            "model": self.model,
-            "seed": self.seed,
-            "pairs": [
-                {
-                    "pair_index": p.pair_index,
-                    "a_deg": p.a_deg,
-                    "b_deg": p.b_deg,
-                    "n": p.n,
-                    "counts": list(p.counts),
-                    "frequencies": list(p.frequencies),
-                    "E": p.correlation,
-                    "E_stderr": p.correlation_stderr,
-                }
-                for p in self.pairs
-            ],
-            "chsh": self.chsh,
-            "chsh_stderr": self.chsh_stderr,
-            "no_signal_deltas": [
-                {
-                    "wing": d.wing,
-                    "local_angle_deg": d.local_angle_deg,
-                    "remote_angle_deg": d.remote_angle_deg,
-                    "remote_angle_alt_deg": d.remote_angle_alt_deg,
-                    "delta": d.delta,
-                    "z_statistic": d.z_statistic,
-                }
-                for d in self.no_signal_deltas
-            ],
-            "condition_reports": list(self.condition_reports),
+            name: [dict(vars(v)) if is_dataclass(v) else v for v in value]
+            if isinstance(value, tuple) else value
+            for name, value in vars(self).items()
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReportBundle":
-        return cls(
-            model=data["model"],
-            seed=data["seed"],
-            pairs=tuple(
-                PairStatistics(
-                    pair_index=p["pair_index"],
-                    a_deg=p["a_deg"],
-                    b_deg=p["b_deg"],
-                    n=p["n"],
-                    counts=tuple(p["counts"]),
-                    frequencies=tuple(p["frequencies"]),
-                    correlation=p["E"],
-                    correlation_stderr=p["E_stderr"],
-                )
-                for p in data["pairs"]
-            ),
-            chsh=data["chsh"],
-            chsh_stderr=data["chsh_stderr"],
-            no_signal_deltas=tuple(
-                NoSignalDelta(
-                    wing=d["wing"],
-                    local_angle_deg=d["local_angle_deg"],
-                    remote_angle_deg=d["remote_angle_deg"],
-                    remote_angle_alt_deg=d["remote_angle_alt_deg"],
-                    delta=d["delta"],
-                    z_statistic=d["z_statistic"],
-                )
-                for d in data["no_signal_deltas"]
-            ),
-            condition_reports=tuple(data.get("condition_reports", ())),
-        )
+        values = _tupled(data)
+        values["pairs"] = tuple(PairStatistics(**_tupled(p)) for p in values["pairs"])
+        values["no_signal_deltas"] = tuple(NoSignalDelta(**d) for d in values["no_signal_deltas"])
+        return cls(**values)
+
+
+def _tupled(data: dict) -> dict:
+    """A copy of a JSON object with its lists as tuples."""
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in data.items()}
 
 
 def _pair_statistics(pair: PairSamples) -> PairStatistics:
@@ -405,17 +334,9 @@ def _pair_statistics(pair: PairSamples) -> PairStatistics:
     counts = tuple(int(c) for c in np.bincount(pair.cells, minlength=4))
     frequencies = tuple(c / n for c in counts)
     correlation = (counts[0] + counts[3] - counts[1] - counts[2]) / n
-    variance = max(1.0 - correlation * correlation, 0.0)
-    stderr = math.sqrt(variance / n)
+    stderr = math.sqrt(max(1.0 - correlation * correlation, 0.0) / n)
     return PairStatistics(
-        pair_index=pair.pair_index,
-        a_deg=pair.a.degrees,
-        b_deg=pair.b.degrees,
-        n=n,
-        counts=counts,
-        frequencies=frequencies,
-        correlation=correlation,
-        correlation_stderr=stderr,
+        pair.pair_index, pair.a.degrees, pair.b.degrees, n, counts, frequencies, correlation, stderr
     )
 
 
@@ -424,35 +345,26 @@ def _binomial_stderr(freq: float, n: int) -> float:
 
 
 def _no_signal_deltas(stats: Sequence[PairStatistics]) -> tuple[NoSignalDelta, ...]:
+    """Marginal differences between pairs that share one wing's setting.
+
+    Each wing sees a pair as (local angle, remote angle, frequency of V on
+    this wing, n); pairs with the same local and different remote angles
+    are compared.
+    """
+    wing_views = (
+        ("A", [(s.a_deg, s.b_deg, s.frequencies[0] + s.frequencies[1], s.n) for s in stats]),
+        ("B", [(s.b_deg, s.a_deg, s.frequencies[0] + s.frequencies[2], s.n) for s in stats]),
+    )
     deltas = []
-    for wing, local_of, remote_of in (
-        ("A", lambda s: s.a_deg, lambda s: s.b_deg),
-        ("B", lambda s: s.b_deg, lambda s: s.a_deg),
-    ):
-        for i, first in enumerate(stats):
-            for second in stats[i + 1 :]:
-                if local_of(first) != local_of(second):
+    for wing, views in wing_views:
+        for i, (local, remote, f1, n1) in enumerate(views):
+            for other_local, other_remote, f2, n2 in views[i + 1 :]:
+                if other_local != local or other_remote == remote:
                     continue
-                if remote_of(first) == remote_of(second):
-                    continue
-                wing_enum = Wing.A if wing == "A" else Wing.B
-                f1 = first.wing_frequency(wing_enum)
-                f2 = second.wing_frequency(wing_enum)
                 delta = abs(f1 - f2)
-                spread = math.hypot(
-                    _binomial_stderr(f1, first.n), _binomial_stderr(f2, second.n)
-                )
+                spread = math.hypot(_binomial_stderr(f1, n1), _binomial_stderr(f2, n2))
                 z = delta / spread if spread > 0.0 else (0.0 if delta == 0.0 else math.inf)
-                deltas.append(
-                    NoSignalDelta(
-                        wing=wing,
-                        local_angle_deg=local_of(first),
-                        remote_angle_deg=remote_of(first),
-                        remote_angle_alt_deg=remote_of(second),
-                        delta=delta,
-                        z_statistic=z,
-                    )
-                )
+                deltas.append(NoSignalDelta(wing, local, remote, other_remote, delta, z))
     return tuple(deltas)
 
 
@@ -469,13 +381,8 @@ def empirical_statistics(log: TrialLog, condition_reports: tuple = ()) -> Report
     chsh_value = None
     chsh_stderr = None
     if len(stats) == 4:
-        chsh_value = (
-            stats[0].correlation
-            + stats[1].correlation
-            + stats[2].correlation
-            - stats[3].correlation
-        )
-        chsh_stderr = math.sqrt(sum(s.correlation_stderr**2 for s in stats))
+        chsh_value = stats[0].E + stats[1].E + stats[2].E - stats[3].E
+        chsh_stderr = math.sqrt(sum(s.E_stderr**2 for s in stats))
     return ReportBundle(
         model=log.config.model,
         seed=log.config.seed,
@@ -498,23 +405,10 @@ def render_report(bundle: ReportBundle, format: str) -> str:
         raise ValueError(f"unknown report format {format!r}")
     lines = [",".join(CSV_COLUMNS)]
     for p in bundle.pairs:
-        lines.append(
-            ",".join(
-                [
-                    str(p.pair_index),
-                    repr(p.a_deg),
-                    repr(p.b_deg),
-                    str(p.n),
-                    *(repr(f) for f in p.frequencies),
-                    repr(p.correlation),
-                    repr(p.correlation_stderr),
-                ]
-            )
-        )
+        row = {**vars(p), **dict(zip(_FREQUENCY_COLUMNS, p.frequencies))}
+        lines.append(",".join(repr(row[c]) for c in CSV_COLUMNS))
     if bundle.chsh is not None:
-        lines.append(
-            ",".join(["CHSH", "", "", "", "", "", "", "", repr(bundle.chsh), repr(bundle.chsh_stderr)])
-        )
+        lines.append(",".join(["CHSH", *[""] * 7, repr(bundle.chsh), repr(bundle.chsh_stderr)]))
     return "\n".join(lines) + "\n"
 
 

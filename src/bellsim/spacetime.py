@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Union
@@ -302,48 +303,30 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
+        """Read the form ``to_json_dict`` writes; a malformed part raises
+        one ``ValueError`` that names it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"scenario must be a JSON object, got {data!r}")
         if data.get("format") != SCENARIO_FORMAT:
             raise ValueError(f"unsupported scenario format {data.get('format')!r}")
-        matrix = np.array(data["state"]["matrix_real"], dtype=float) + 1j * np.array(
-            data["state"]["matrix_imag"], dtype=float
-        )
-        events = []
-        for ev in data["events"]:
-            kind_data = ev["kind"]
-            kind: EventKind
-            if kind_data["type"] == "preparation":
-                kind = Preparation()
-            elif kind_data["type"] == "setting":
-                angle = kind_data["angle_deg"]
-                kind = Setting(
-                    wing=Wing(kind_data["wing"]),
-                    angle=None if angle is None else AnalyzerAngle(angle),
-                )
-            elif kind_data["type"] == "outcome":
-                kind = Outcome(wing=Wing(kind_data["wing"]), label=OutcomeLabel(kind_data["label"]))
-            else:
-                raise ValueError(f"unknown event kind {kind_data['type']!r}")
-            events.append(
-                EventRecord(
-                    id=ev["id"],
-                    point=SpacetimePoint(ev["t"], ev["x"]),
-                    region=RegionLabel(ev["region"]),
-                    kind=kind,
-                )
+        with _malformed("state"):
+            state = PhotonPairState(
+                np.array(data["state"]["matrix_real"], dtype=float)
+                + 1j * np.array(data["state"]["matrix_imag"], dtype=float)
             )
-        probes = data["probes"]
-
-        def point(name: str) -> SpacetimePoint:
-            return SpacetimePoint(probes[name]["t"], probes[name]["x"])
-
-        return cls(
-            state=PhotonPairState(matrix),
-            events=tuple(events),
-            p=point("p"),
-            p_prime=point("p_prime"),
-            q=point("q"),
-            r=point("r"),
-        )
+        entries = data.get("events")
+        if not isinstance(entries, list):
+            raise ValueError(f"malformed scenario events: expected a list, got {entries!r}")
+        events = []
+        for i, ev in enumerate(entries):
+            with _malformed(f"event {i}"):
+                events.append(_event_from_json(ev))
+        with _malformed("probes"):
+            probes = {
+                name: SpacetimePoint(data["probes"][name]["t"], data["probes"][name]["x"])
+                for name in ("p", "p_prime", "q", "r")
+            }
+        return cls(state=state, events=tuple(events), **probes)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -351,6 +334,39 @@ class Scenario:
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         return cls.from_json_dict(json.loads(text))
+
+
+@contextmanager
+def _malformed(part: str):
+    """Report a wrongly shaped scenario part as one ``ValueError`` naming it."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"malformed scenario {part}: {message}") from exc
+
+
+def _event_from_json(ev: dict) -> EventRecord:
+    kind_data = ev["kind"]
+    kind: EventKind
+    if kind_data["type"] == "preparation":
+        kind = Preparation()
+    elif kind_data["type"] == "setting":
+        angle = kind_data["angle_deg"]
+        kind = Setting(
+            wing=Wing(kind_data["wing"]),
+            angle=None if angle is None else AnalyzerAngle(angle),
+        )
+    elif kind_data["type"] == "outcome":
+        kind = Outcome(wing=Wing(kind_data["wing"]), label=OutcomeLabel(kind_data["label"]))
+    else:
+        raise ValueError(f"unknown event kind {kind_data['type']!r}")
+    return EventRecord(
+        id=ev["id"],
+        point=SpacetimePoint(ev["t"], ev["x"]),
+        region=RegionLabel(ev["region"]),
+        kind=kind,
+    )
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:

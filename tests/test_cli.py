@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import pytest
 
 from bellsim.cli import main
+from bellsim.locality import CONDITION_TOL
 from bellsim.spacetime import save_scenario, standard_scenario
 
 
@@ -68,6 +70,7 @@ class TestNosignalCommand:
         out = run_cli(capsys, "nosignal", "--model", "qm", "--grid", "0:180:8")
         assert out["holds"] is True
         assert out["deviation"] <= 1e-12
+        assert out["tolerance"] == CONDITION_TOL
 
     def test_fixture_fails(self, capsys):
         out = run_cli(capsys, "nosignal", "--model", "fixture", "--grid", "0,45,90,135")
@@ -167,3 +170,99 @@ class TestErrors:
 
     def test_bad_grid_angle(self, capsys):
         assert "0,x,3" in self.run_error(capsys, "nosignal", "--grid", "0,x,3")
+
+    @pytest.mark.parametrize("point", ["1,x", "zz", "1,2,3"])
+    def test_bad_point(self, capsys, point):
+        err = self.run_error(capsys, "chances", "--scenario", "overlap", f"--point={point}",
+                             "--target", "eA")
+        assert "a probe name (p, p', q, r) or 't,x'" in err
+        assert repr(point) in err and "angle" not in err
+
+    @staticmethod
+    def malformed_scenario(tmp_path, part: str) -> str:
+        data = standard_scenario().to_json_dict()
+        if part == "events":
+            data["events"] = 5
+        elif part == "event 0":
+            data["events"][0]["t"] = None
+        elif part == "probes":
+            data["probes"] = []
+        else:
+            data = [1]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("part, message", [
+        ("events", "malformed scenario events"),
+        ("event 0", "malformed scenario event 0"),
+        ("probes", "malformed scenario probes"),
+        ("top-level", "scenario must be a JSON object"),
+    ])
+    def test_malformed_scenario_file(self, capsys, tmp_path, part, message):
+        scenario = self.malformed_scenario(tmp_path, part)
+        assert message in self.run_error(capsys, "chances", "--scenario", scenario,
+                                         "--point", "q", "--target", "eA")
+        config = self.write_config(tmp_path, {"model": "qm", "trials": 10, "scenario": scenario})
+        assert message in self.run_error(capsys, "simulate", "--config", config)
+
+
+# -- emission golden bytes -------------------------------------------------------
+
+#: Run specs for the emitted bytes that ``GOLDEN`` in test_model_kernel.py
+#: does not reach: a four-pair CSV report file (with its CHSH summary
+#: row), report-only stdout in both formats, and ``bellsim chsh`` with an
+#: empirical estimate. Each spec is (argv, simulate config or None, the
+#: file whose bytes are digested or None for stdout).
+EMISSION_CASES = {
+    "simulate/qm/csv-file": (
+        {"model": "qm", "trials": 300, "seed": 3, "report_format": "csv",
+         "report_path": "report.csv"}, "report.csv"),
+    "simulate/fixture/csv-file": (
+        {"model": "fixture", "trials": 300, "seed": 1099511627793, "report_format": "csv",
+         "report_path": "report.csv"}, "report.csv"),
+    "simulate/qm/json-stdout": ({"model": "qm", "trials": 300, "seed": 5}, None),
+    "simulate/fixture/json-stdout": ({"model": "fixture", "trials": 300, "seed": 7}, None),
+    "simulate/lhv/csv-stdout": (
+        {"model": "lhv", "trials": 300, "seed": 3, "report_format": "csv"}, None),
+    "simulate/qm/custom/csv-stdout": (
+        {"model": "qm", "trials": 300, "seed": 5, "report_format": "csv",
+         "schedule": [[10.0, 37.3], [10.0, 101.9], [123.4, 37.3]]}, None),
+    "simulate/lhv/custom/json-stdout": (
+        {"model": "lhv", "trials": 300, "seed": 3,
+         "schedule": [[10.0, 37.3], [10.0, 101.9], [123.4, 37.3]]}, None),
+    "chsh/qm": (["chsh", "--trials", "400", "--seed", "9"], None),
+    "chsh/lhv": (["chsh", "--model", "lhv", "--trials", "400", "--seed", "1099511627793"], None),
+    "chsh/fixture": (["chsh", "--model", "fixture", "--angles", "10,101.9,37.3,-5",
+                      "--trials", "400", "--seed", "3"], None),
+}
+
+#: SHA-256 digests of the bytes each ``EMISSION_CASES`` run emits, captured
+#: before the report records took their serializers from their own fields.
+EMISSION_GOLDEN = {
+    "chsh/fixture": "19f2443015691cc73fe8c7d955c52a4afa4b9c3f6b8eacf0f2cb8c2bd75beb58",
+    "chsh/lhv": "2e6641804f35fcdb028b1854b4433a2a5b3394e93a62c33b022650b680c94ba6",
+    "chsh/qm": "1350625e5f6cbbb6ab7700778de1b01ffb11aba389cacd39db936de82d08e075",
+    "simulate/fixture/csv-file": "3094469f086a62a7c7945051f2ffb5b5cfa16e79bfeec14fcde1c066e1be4b22",
+    "simulate/fixture/json-stdout": "cebd18ddf06aad603583fdb99700bf14f1eaea2eb3822bff44703f3848f1f785",
+    "simulate/lhv/csv-stdout": "820b6b9f01078e7ce54279ec6797b89e4555e08c975bfa7c4f6553d00c2f9e42",
+    "simulate/lhv/custom/json-stdout": "3dc7f6f8075f9e35ef557bd0d7f1f2e15461c0284c7a87786b5c9b036e2e1176",
+    "simulate/qm/csv-file": "8f156c2a87136b6cca80e553e2a83f5e1da371c67564ab382945cd8a1931217e",
+    "simulate/qm/custom/csv-stdout": "b0f2606a01090de373b38a55d259d84b4f87f1eb8090817d86fe9d6b78ba7227",
+    "simulate/qm/json-stdout": "019113bdbb2fa1b86d674296caf05b3d569c887e5a246339dfca3b3865a58667",
+}
+
+
+@pytest.mark.parametrize("key", sorted(EMISSION_CASES))
+def test_emitted_bytes_are_pinned(key, tmp_path, monkeypatch, capsys):
+    spec, path = EMISSION_CASES[key]
+    monkeypatch.chdir(tmp_path)
+    if isinstance(spec, dict):
+        (tmp_path / "config.json").write_text(json.dumps(spec))
+        argv = ["simulate", "--config", "config.json"]
+    else:
+        argv = spec
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    data = out if path is None else (tmp_path / path).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == EMISSION_GOLDEN[key]

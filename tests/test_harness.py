@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bellsim.harness import (
     CHSH_OPTIMAL_QUADRUPLE,
+    CONFIG_KEYS,
     CSV_COLUMNS,
     PairSamples,
     ReportBundle,
@@ -111,6 +112,23 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="schedule angles must be numbers"):
             RunConfig.from_json_dict({"model": "qm", "schedule": [[0.0, 22.5], [45.0, angle]]})
 
+    def test_defaults_live_on_the_dataclass(self):
+        assert RunConfig("qm") == RunConfig.from_json_dict({"model": "qm"})
+        assert RunConfig("qm").schedule == OPTIMAL_SCHEDULE
+        assert RunConfig("qm").trials == 1000
+
+    def test_config_keys_are_the_fields_and_scenario(self):
+        assert CONFIG_KEYS == (*RunConfig("qm").to_json_dict(), "scenario")
+
+    def test_to_json_dict_returns_a_copy(self):
+        cfg = config(trials=50, seed=99)
+        data = cfg.to_json_dict()
+        data["trials"] = 7
+        data["schedule"].append([1.0, 2.0])
+        data["bogus"] = 1
+        assert cfg == config(trials=50, seed=99)
+        assert cfg.to_json_dict() == config(trials=50, seed=99).to_json_dict()
+
     def test_unhashable_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             RunConfig.from_json_dict({"model": ["qm"]})
@@ -170,7 +188,7 @@ class TestSampling:
         cfg = config(model="lhv", schedule=((0.0, 45.0),), trials=50_000, seed=8)
         stats = empirical_statistics(run_trials(cfg)).pairs[0]
         # responses flip deterministically 45 degrees apart
-        assert stats.correlation == -1.0
+        assert stats.E == -1.0
 
     def test_scenario_coordinates_attached(self, tmp_path):
         log = run_trials(config(trials=5), scenario=standard_scenario())
@@ -261,8 +279,8 @@ class TestStatistics:
     def test_degenerate_log(self):
         cfg = config(schedule=((10.0, 10.0),), trials=200, seed=1)
         stats = empirical_statistics(run_trials(cfg)).pairs[0]
-        assert stats.correlation == 1.0
-        assert stats.correlation_stderr == 0.0
+        assert stats.E == 1.0
+        assert stats.E_stderr == 0.0
         assert sum(stats.frequencies) == pytest.approx(1.0, abs=1e-12)
 
     def test_empirical_chsh_close_to_exact(self):
@@ -345,6 +363,20 @@ class TestEmission:
         emit_report(bundle, "json", str(path))
         restored = ReportBundle.from_json_dict(json.loads(path.read_text()))
         assert restored == bundle
+
+    def test_to_json_dict_returns_copies(self):
+        bundle = empirical_statistics(run_trials(config(trials=10)))
+        before = render_report(bundle, "json")
+        data = bundle.to_json_dict()
+        data["chsh"] = 0.0
+        data["pairs"][0]["E"] = 9.0
+        data["pairs"][1]["n"] = 0
+        data["pairs"].pop()
+        data["no_signal_deltas"][0]["delta"] = 9.0
+        data["no_signal_deltas"].clear()
+        assert render_report(bundle, "json") == before
+        assert bundle.pairs[0].E != 9.0 and len(bundle.pairs) == 4
+        assert bundle.no_signal_deltas and bundle.no_signal_deltas[0].delta != 9.0
 
     def test_condition_report_attachments_round_trip(self, tmp_path):
         from bellsim.locality import check_parameter_independence, default_angle_grid, quantum_model
