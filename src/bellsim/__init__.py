@@ -72,6 +72,7 @@ from .locality import (
     ConditionReport,
     ProbabilityModel,
     check_factorizability,
+    check_no_signalling,
     check_outcome_independence,
     check_parameter_independence,
     chsh,

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``chsh``       analytic (and optionally empirical) CHSH combination
 * ``chances``    point-relativized chance queries against a scenario
-* ``nosignal``   no-signalling deviation of a model over an angle grid
+* ``nosignal``   no-signalling report of a model over an angle grid
 * ``lhv-bound``  exact deterministic-strategy bound with a witness
 * ``simulate``   full Monte Carlo run from a JSON config file
 
@@ -33,11 +33,10 @@ from .harness import (
 from .hidden_variables import deterministic_chsh_maximum, strategy_chsh, all_strategies
 from .locality import chsh as analytic_chsh
 from .locality import (
-    CONDITION_TOL,
     check_factorizability,
+    check_no_signalling,
     check_outcome_independence,
     check_parameter_independence,
-    no_signalling_deviation,
 )
 from .quantum import Wing
 from .spacetime import SpacetimePoint, load_scenario, standard_scenario
@@ -122,9 +121,9 @@ _TARGETS = {
 
 def _cmd_chances(args: argparse.Namespace) -> int:
     scenario = _load_or_build_scenario(args.scenario)
-    if args.point in ("p", "p'", "p_prime", "q", "r"):
+    try:
         point = scenario.probe(args.point)
-    else:
+    except KeyError:
         try:
             t, x = (float(part) for part in args.point.split(","))
         except ValueError:
@@ -149,18 +148,9 @@ def _cmd_chances(args: argparse.Namespace) -> int:
 
 
 def _cmd_nosignal(args: argparse.Namespace) -> int:
-    model = resolve_model(args.model)
     grid = _parse_grid(args.grid)
-    deviation = no_signalling_deviation(model, grid)
-    _emit(
-        {
-            "model": args.model,
-            "grid_deg": grid,
-            "deviation": deviation,
-            "holds": deviation <= CONDITION_TOL,
-            "tolerance": CONDITION_TOL,
-        }
-    )
+    report = check_no_signalling(resolve_model(args.model), grid)
+    _emit({"model": args.model, "grid_deg": grid, **report.to_json_dict()})
     return 0
 
 
@@ -187,22 +177,9 @@ def _cmd_lhv_bound(args: argparse.Namespace) -> int:
 def _condition_attachments(model, schedule) -> tuple:
     """Analytic checker reports over the schedule's angles."""
     grid = sorted({angle.degrees for pair in schedule for angle in pair})
-    reports = [
-        check_parameter_independence(model, grid).to_json_dict(),
-        check_outcome_independence(model, grid).to_json_dict(),
-        check_factorizability(model, grid).to_json_dict(),
-    ]
-    deviation = no_signalling_deviation(model, grid)
-    reports.append(
-        {
-            "condition": "no_signalling",
-            "holds": deviation <= CONDITION_TOL,
-            "max_deviation": deviation,
-            "tolerance": CONDITION_TOL,
-            "witness": None,
-        }
-    )
-    return tuple(reports)
+    checks = (check_parameter_independence, check_outcome_independence,
+              check_factorizability, check_no_signalling)
+    return tuple(check(model, grid).to_json_dict() for check in checks)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -266,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("--target", choices=tuple(_TARGETS), required=True)
     p_ch.set_defaults(func=_cmd_chances)
 
-    p_ns = sub.add_parser("nosignal", help="no-signalling deviation over a grid")
+    p_ns = sub.add_parser("nosignal", help="no-signalling condition over a grid")
     p_ns.add_argument("--model", choices=tuple(MODEL_BUILDERS), default="qm")
     p_ns.add_argument("--grid", default="0:180:8", help="'start:stop:count' or 'a,b,c' degrees")
     p_ns.set_defaults(func=_cmd_nosignal)

@@ -12,13 +12,18 @@ passes; the quantum kernel is ``quantum``'s projector stack and pair
 einsum, batched over the angles. A model keeps the table of the last
 grid it was asked for; kernels must be pure for that cache to be sound.
 
-Each checker builds a grid's table and both wings' per-lambda marginals
-once, views them from either wing in one layout so that every formula is
-written once for both wings, and reports the worst-case deviation from
-its condition, which holds within ``CONDITION_TOL``:
+Each of the four checkers builds a grid's table and both wings'
+per-lambda marginals once, views them from either wing in one layout so
+that every formula is written once for both wings, and returns one
+record type, a ``ConditionReport``: the worst-case deviation from its
+condition, which holds within ``CONDITION_TOL``, and a witness when it
+fails.
 
 * parameter independence: a wing's per-lambda marginal must not depend
   on the remote setting;
+* no-signalling: the same test on the lambda-averaged marginals, through
+  the same remote-setting spread step; it is implied by parameter
+  independence but does not imply it;
 * outcome independence: a wing's per-lambda probability must not depend
   on the remote outcome;
 * factorizability: the per-lambda joint must equal the product of the
@@ -232,19 +237,16 @@ def _report(condition: str, deviation: float, witness: dict) -> ConditionReport:
     return ConditionReport(condition, holds, deviation, CONDITION_TOL, None if holds else witness)
 
 
-def check_parameter_independence(
-    model: ProbabilityModel, grid: Sequence[AngleLike]
-) -> ConditionReport:
-    """Worst per-lambda dependence of either wing's marginal on the
-    remote setting, over all setting pairs drawn from the grid."""
-    angles, wings = _sweep(model, grid)
-    spreads = [wing.marginal.max(axis=1) - wing.marginal.min(axis=1) for wing in wings]
-    # the worst wing, wing A on ties; spread is [own setting, lambda, outcome]
-    wing, spread = max(zip(wings, spreads), key=lambda pair: pair[1].max())
+def _remote_spread(condition: str, angles: tuple, marginals: dict) -> ConditionReport:
+    """Worst dependence on the remote setting of either wing's marginal
+    ``[own, remote, lambda, own outcome]``, keyed by wing; wing A on ties."""
+    spreads = {wing: m.max(axis=1) - m.min(axis=1) for wing, m in marginals.items()}
+    wing = max(spreads, key=lambda w: spreads[w].max())
+    spread = spreads[wing]  # [own setting, lambda, outcome]
     local_i, lam_i, out_i = np.unravel_index(spread.argmax(), spread.shape)
-    along = wing.marginal[local_i, :, lam_i, out_i]
-    return _report("parameter_independence", float(spread.max()), {
-        "wing": wing.name,
+    along = marginals[wing][local_i, :, lam_i, out_i]
+    return _report(condition, float(spread.max()), {
+        "wing": wing,
         "local_angle_deg": angles[local_i].degrees,
         "remote_angle_deg": angles[int(along.argmax())].degrees,
         "remote_angle_alt_deg": angles[int(along.argmin())].degrees,
@@ -252,6 +254,25 @@ def check_parameter_independence(
         "outcome": _LABELS[out_i],
         "probability_high": float(along.max()),
         "probability_low": float(along.min()),
+    })
+
+
+def check_parameter_independence(
+    model: ProbabilityModel, grid: Sequence[AngleLike]
+) -> ConditionReport:
+    """Worst per-lambda dependence of either wing's marginal on the
+    remote setting, over all setting pairs drawn from the grid."""
+    angles, wings = _sweep(model, grid)
+    return _remote_spread("parameter_independence", angles, {w.name: w.marginal for w in wings})
+
+
+def check_no_signalling(model: ProbabilityModel, grid: Sequence[AngleLike]) -> ConditionReport:
+    """Parameter independence of the lambda-averaged marginals: the worst
+    dependence of either wing's observable statistics on the remote
+    setting. The witness's ``lambda_index`` is always 0."""
+    angles, wings = _sweep(model, grid)
+    return _remote_spread("no_signalling", angles, {
+        w.name: np.tensordot(w.marginal, model.weights, axes=([2], [0]))[:, :, None] for w in wings
     })
 
 
@@ -318,8 +339,5 @@ def chsh(
 
 
 def no_signalling_deviation(model: ProbabilityModel, grid: Sequence[AngleLike]) -> float:
-    """Dependence of the lambda-averaged marginals on the remote setting."""
-    _, wings = _sweep(model, grid)
-    # each average is [own setting, remote setting, outcome]
-    averages = [np.tensordot(wing.marginal, model.weights, axes=([2], [0])) for wing in wings]
-    return float(max((avg.max(axis=1) - avg.min(axis=1)).max() for avg in averages))
+    """``check_no_signalling(model, grid).max_deviation``."""
+    return check_no_signalling(model, grid).max_deviation

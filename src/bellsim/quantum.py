@@ -49,6 +49,10 @@ ATOL = 1e-12
 #: Probabilities at or below this threshold count as impossible outcomes.
 ZERO_PROBABILITY = 1e-14
 
+#: Absolute rounding bound of one Born einsum, a joint cell or a marginal
+#: (derived in ``born_conditional``).
+_BORN_ROUNDING = 16 * float(np.finfo(float).eps)
+
 
 class UndefinedConditionalError(ValueError):
     """Raised when conditioning on an outcome of zero probability."""
@@ -402,6 +406,19 @@ def born_conditional(
         )
     index = _outcome_index(cond_label)
     ratios = (joint[index] if cond_wing is Wing.A else joint[:, index]) / denom
+    # The exact ratios lie in [0, 1]; rounding r_joint in the numerator and
+    # r_marginal in the denominator moves them by at most (r_joint +
+    # r_marginal) / denom. Each einsum sums at most 16 products of a rho
+    # entry and two projector entries, and for a positive semidefinite rho
+    # their magnitudes total at most 1 (|rho_IJ| <= sqrt(rho_II rho_JJ),
+    # then Cauchy-Schwarz against the projectors' unit product vector). The
+    # sum costs 15u, two complex products ~6u and the rounded projector
+    # entries ~6u (u = eps / 2), so r <= 27u < _BORN_ROUNDING. Measured
+    # joint rows and marginals differ by at most 1.7e-16. Only a slack
+    # above ATOL reaches past what _clamp_probabilities accepts.
+    slack = 2.0 * _BORN_ROUNDING / denom
+    if slack > ATOL and -slack <= ratios.min() and ratios.max() <= 1.0 + slack:
+        ratios = ratios.clip(0.0, 1.0)
     _clamp_probabilities(ratios, "conditional")
     return ProbabilityPair(*ratios.tolist())
 

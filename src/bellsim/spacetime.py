@@ -310,10 +310,11 @@ class Scenario:
         if data.get("format") != SCENARIO_FORMAT:
             raise ValueError(f"unsupported scenario format {data.get('format')!r}")
         with _malformed("state"):
-            state = PhotonPairState(
-                np.array(data["state"]["matrix_real"], dtype=float)
-                + 1j * np.array(data["state"]["matrix_imag"], dtype=float)
+            real, imag = (
+                np.array([[_number(v) for v in row] for row in data["state"][key]], dtype=float)
+                for key in ("matrix_real", "matrix_imag")
             )
+            state = PhotonPairState(real + 1j * imag)
         entries = data.get("events")
         if not isinstance(entries, list):
             raise ValueError(f"malformed scenario events: expected a list, got {entries!r}")
@@ -322,10 +323,7 @@ class Scenario:
             with _malformed(f"event {i}"):
                 events.append(_event_from_json(ev))
         with _malformed("probes"):
-            probes = {
-                name: SpacetimePoint(data["probes"][name]["t"], data["probes"][name]["x"])
-                for name in ("p", "p_prime", "q", "r")
-            }
+            probes = {name: _point(data["probes"][name]) for name in ("p", "p_prime", "q", "r")}
         return cls(state=state, events=tuple(events), **probes)
 
     def to_json(self) -> str:
@@ -346,6 +344,17 @@ def _malformed(part: str):
         raise ValueError(f"malformed scenario {part}: {message}") from exc
 
 
+def _number(value) -> float:
+    """A JSON number; strings and booleans are not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
+
+
+def _point(data: dict) -> SpacetimePoint:
+    return SpacetimePoint(_number(data["t"]), _number(data["x"]))
+
+
 def _event_from_json(ev: dict) -> EventRecord:
     kind_data = ev["kind"]
     kind: EventKind
@@ -355,7 +364,7 @@ def _event_from_json(ev: dict) -> EventRecord:
         angle = kind_data["angle_deg"]
         kind = Setting(
             wing=Wing(kind_data["wing"]),
-            angle=None if angle is None else AnalyzerAngle(angle),
+            angle=None if angle is None else AnalyzerAngle(_number(angle)),
         )
     elif kind_data["type"] == "outcome":
         kind = Outcome(wing=Wing(kind_data["wing"]), label=OutcomeLabel(kind_data["label"]))
@@ -363,7 +372,7 @@ def _event_from_json(ev: dict) -> EventRecord:
         raise ValueError(f"unknown event kind {kind_data['type']!r}")
     return EventRecord(
         id=ev["id"],
-        point=SpacetimePoint(ev["t"], ev["x"]),
+        point=_point(ev),
         region=RegionLabel(ev["region"]),
         kind=kind,
     )

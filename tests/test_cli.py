@@ -5,7 +5,7 @@ import math
 import pytest
 
 from bellsim.cli import main
-from bellsim.locality import CONDITION_TOL
+from bellsim.locality import CONDITION_TOL, check_no_signalling, signalling_fixture_model
 from bellsim.spacetime import save_scenario, standard_scenario
 
 
@@ -69,13 +69,21 @@ class TestNosignalCommand:
     def test_quantum_holds(self, capsys):
         out = run_cli(capsys, "nosignal", "--model", "qm", "--grid", "0:180:8")
         assert out["holds"] is True
-        assert out["deviation"] <= 1e-12
+        assert out["max_deviation"] <= 1e-12
         assert out["tolerance"] == CONDITION_TOL
+        assert out["witness"] is None
 
     def test_fixture_fails(self, capsys):
         out = run_cli(capsys, "nosignal", "--model", "fixture", "--grid", "0,45,90,135")
         assert out["holds"] is False
-        assert out["deviation"] == pytest.approx(0.25, abs=1e-12)
+        assert out["max_deviation"] == pytest.approx(0.25, abs=1e-12)
+        assert out["witness"]["wing"] == "A"
+
+    def test_record_is_the_condition_report(self, capsys):
+        out = run_cli(capsys, "nosignal", "--model", "fixture", "--grid", "0,45,90,135")
+        report = check_no_signalling(signalling_fixture_model(), [0.0, 45.0, 90.0, 135.0])
+        assert out == {"model": "fixture", "grid_deg": [0.0, 45.0, 90.0, 135.0],
+                       **report.to_json_dict()}
 
 
 class TestLhvBoundCommand:
@@ -185,8 +193,12 @@ class TestErrors:
             data["events"] = 5
         elif part == "event 0":
             data["events"][0]["t"] = None
+        elif part == "event 1":
+            data["events"][1]["kind"]["angle_deg"] = True
         elif part == "probes":
             data["probes"] = []
+        elif part == "state":
+            data["state"]["matrix_real"][0][0] = "0.5"
         else:
             data = [1]
         path = tmp_path / "scenario.json"
@@ -196,6 +208,8 @@ class TestErrors:
     @pytest.mark.parametrize("part, message", [
         ("events", "malformed scenario events"),
         ("event 0", "malformed scenario event 0"),
+        ("event 1", "malformed scenario event 1: expected a number, got True"),
+        ("state", "malformed scenario state: expected a number, got '0.5'"),
         ("probes", "malformed scenario probes"),
         ("top-level", "scenario must be a JSON object"),
     ])
@@ -239,12 +253,14 @@ EMISSION_CASES = {
 
 #: SHA-256 digests of the bytes each ``EMISSION_CASES`` run emits, captured
 #: before the report records took their serializers from their own fields.
+#: simulate/fixture/json-stdout was re-captured when the no-signalling
+#: attachment gained its witness, the only change to those bytes.
 EMISSION_GOLDEN = {
     "chsh/fixture": "19f2443015691cc73fe8c7d955c52a4afa4b9c3f6b8eacf0f2cb8c2bd75beb58",
     "chsh/lhv": "2e6641804f35fcdb028b1854b4433a2a5b3394e93a62c33b022650b680c94ba6",
     "chsh/qm": "1350625e5f6cbbb6ab7700778de1b01ffb11aba389cacd39db936de82d08e075",
     "simulate/fixture/csv-file": "3094469f086a62a7c7945051f2ffb5b5cfa16e79bfeec14fcde1c066e1be4b22",
-    "simulate/fixture/json-stdout": "cebd18ddf06aad603583fdb99700bf14f1eaea2eb3822bff44703f3848f1f785",
+    "simulate/fixture/json-stdout": "78b3f240994e63e7842849ea0d0dcd1a330c676a956a93cb7c07f55e0a2495f8",
     "simulate/lhv/csv-stdout": "820b6b9f01078e7ce54279ec6797b89e4555e08c975bfa7c4f6553d00c2f9e42",
     "simulate/lhv/custom/json-stdout": "3dc7f6f8075f9e35ef557bd0d7f1f2e15461c0284c7a87786b5c9b036e2e1176",
     "simulate/qm/csv-file": "8f156c2a87136b6cca80e553e2a83f5e1da371c67564ab382945cd8a1931217e",

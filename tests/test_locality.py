@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from bellsim.hidden_variables import LhvModel, builtin_vector_model, strategy_model
 from bellsim.locality import (
     ProbabilityModel,
+    CONDITION_TOL,
     check_factorizability,
+    check_no_signalling,
     check_outcome_independence,
     check_parameter_independence,
     chsh,
@@ -27,6 +29,8 @@ from bellsim.quantum import (
     maximally_mixed_pair,
     product_polarized,
 )
+
+from strategies import density_matrices
 
 GRID = default_angle_grid(8)  # multiples of 22.5 degrees, includes aligned pairs
 
@@ -206,6 +210,53 @@ class TestJarrett:
         pi = check_parameter_independence(model, GRID).holds
         oi = check_outcome_independence(model, GRID).holds
         assert (pi and oi) == check_factorizability(model, GRID).holds
+
+
+def _opposite_signalling_model():
+    """Two equally weighted lambdas whose wing-A P(V) moves by +0.25 and
+    -0.25 when the remote analyzer sits at or beyond 90 degrees."""
+
+    def kernel(a_deg, b_deg):
+        shift = np.where(b_deg >= 90.0, 0.25, 0.0)[:, None] * np.array([1.0, -1.0])
+        p_va = 0.5 + shift  # [b, lambda]
+        rows = np.stack([p_va * 0.5, (1.0 - p_va) * 0.5], axis=-1)  # [b, lambda, outcome_a]
+        return np.broadcast_to(rows[None, :, :, :, None], (a_deg.size, b_deg.size, 2, 2, 2))
+
+    return ProbabilityModel(name="opposite", lambdas=(0, 1), weights=np.array([0.5, 0.5]),
+                            kernel=kernel)
+
+
+class TestNoSignalling:
+    """No-signalling is parameter independence of the lambda-averaged
+    marginals: implied by PI, equal to it for one lambda, and weaker."""
+
+    @staticmethod
+    def assert_bounded_by_pi(model, grid):
+        pi = check_parameter_independence(model, grid)
+        ns = check_no_signalling(model, grid)
+        assert ns.max_deviation <= pi.max_deviation + CONDITION_TOL
+        if len(model.lambdas) == 1:
+            assert ns.to_json_dict() == {**pi.to_json_dict(), "condition": "no_signalling"}
+
+    @given(density_matrices(), st.lists(st.floats(0.0, 180.0), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_quantum_models(self, matrix, grid):
+        self.assert_bounded_by_pi(quantum_model(PhotonPairState(matrix)), grid)
+
+    @given(factorizable_models())
+    @settings(max_examples=100, deadline=None)
+    def test_factorizable_models(self, case):
+        self.assert_bounded_by_pi(*case)
+
+    def test_single_lambda_fixture_equals_pi(self):
+        self.assert_bounded_by_pi(signalling_fixture_model(), GRID)
+
+    def test_strictly_weaker_than_pi(self):
+        model = _opposite_signalling_model()
+        pi = check_parameter_independence(model, GRID)
+        ns = check_no_signalling(model, GRID)
+        assert (pi.holds, pi.max_deviation, pi.witness["wing"]) == (False, 0.25, "A")
+        assert (ns.holds, ns.max_deviation, ns.witness) == (True, 0.0, None)
 
 
 PRODUCT_CASE = (product_polarized(134.27070843173806, 22.826654704320234),

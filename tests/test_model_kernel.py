@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 
 from bellsim.cli import main
 from bellsim.hidden_variables import DEFAULT_LAMBDA_NODES, builtin_vector_model
-from bellsim.locality import ProbabilityModel, chsh, no_signalling_deviation, quantum_model
+from bellsim.locality import (
+    ProbabilityModel,
+    check_no_signalling,
+    chsh,
+    default_angle_grid,
+    no_signalling_deviation,
+    quantum_model,
+    signalling_fixture_model,
+)
 from bellsim.quantum import (
     PhotonPairState,
     as_angle,
@@ -139,6 +147,9 @@ SCHEDULES = {
 
 #: (report, trial log, stdout) SHA-256 digests of ``bellsim simulate``,
 #: captured with the per-cell kernel before the array kernel replaced it.
+#: The report digests of the two fixture/*/chsh-optimal entries were
+#: re-captured when the no-signalling attachment gained its witness (the
+#: only change to those reports; see ``test_fixture_no_signalling_report``).
 GOLDEN = {
     "qm/3/chsh-optimal": (
         "79bb18054fbc4d991e898e935b18bf57848bb5746b11693f0ad409837fb9e845",
@@ -181,7 +192,7 @@ GOLDEN = {
         "a404fd85315fc018581edb9853fcc358ca8d7d2da45029eb3f429d47eeda42bb",
     ),
     "fixture/3/chsh-optimal": (
-        "ce366b1c66ba9283e7f8b0716d01e9219f67b741b1b1f5edfc3d75cd119ed32c",
+        "920622bfb849d230e773efed2b1a6a11b5682dbe89160c46c7e3cd312178378b",
         "afae9e15594ac2803db2d851707b474834d70256e73f72e0de65752828b80a3f",
         "55de9f75d41361efbac7541f66ccf50c2bddeafa19f10ec9976de5edab9b368d",
     ),
@@ -191,7 +202,7 @@ GOLDEN = {
         "43acb7dfd3090585dc81753a5abd1586425383778802e4a068215ebbb2f78f15",
     ),
     "fixture/1099511627793/chsh-optimal": (
-        "a8f534c7ce47577856fcf37aa452ddd3a88a24fa5869b65e22c4837d43a2f03d",
+        "42df4aec7b747b5ce0a67fb1fc438d45924b77c89f9ec6c1c39d64a5238bd363",
         "b72a0dbab7cafd19b34c3643d038a16f676ca4a57977d3724f9841fabd383f70",
         "d25e596ac9ccc6d03019666f880feb7e55b326627cb5d2aa0c2faf075c3a8608",
     ),
@@ -232,3 +243,24 @@ def test_simulate_output_is_byte_identical(key, tmp_path, monkeypatch):
         digest((tmp_path / "trials.jsonl").read_bytes()),
         digest(stdout.getvalue().encode()),
     ) == GOLDEN[key]
+
+
+def test_fixture_no_signalling_report():
+    """The fixture's no-signalling verdict, against its definition: wing A's
+    lambda-averaged P(V) is 0.75 when the remote analyzer sits at or beyond
+    90 degrees and 0.5 below, and wing B's is 0.5 at every setting."""
+    model = signalling_fixture_model()
+    grid = default_angle_grid()
+    table = model.table(grid)
+    p_va = np.tensordot(table[..., 0, :].sum(axis=-1), model.weights, axes=([2], [0]))  # [a, b]
+    p_vb = np.tensordot(table[..., 0].sum(axis=-1), model.weights, axes=([2], [0]))
+    remote_far = np.array([g.degrees >= 90.0 for g in grid])
+    assert np.array_equal(p_va, np.where(remote_far, 0.75, 0.5)[None, :].repeat(len(grid), 0))
+    assert np.all(p_vb == 0.5)
+
+    report = check_no_signalling(model, grid)
+    witness = report.witness
+    assert (report.condition, report.holds, report.max_deviation) == ("no_signalling", False, 0.25)
+    assert (witness["wing"], witness["outcome"], witness["lambda_index"]) == ("A", "V", 0)
+    assert witness["remote_angle_deg"] >= 90.0 and witness["probability_high"] == 0.75
+    assert witness["remote_angle_alt_deg"] < 90.0 and witness["probability_low"] == 0.5

@@ -290,6 +290,28 @@ class TestBornConditional:
             assert pair.for_label(outcome) == min(max(entry / denom, 0.0), 1.0)
 
 
+    def test_near_orthogonal_product_states_do_not_raise(self):
+        """Conditioning a product state on wing A's V at t + 90 + delta
+        degrees, where the marginal is sin^2(delta) ~ 1e-14..1e-9, divides
+        the einsums' ~1e-16 rounding by it: raw ratios overshoot 1 by up to
+        ~1e-2, which must be clamped rather than raised."""
+        rng = np.random.default_rng(20261018)
+        overshoots = 0
+        for t, u, b, delta in zip(*rng.uniform(0.0, 180.0, size=(3, 2000)),
+                                  rng.uniform(-1e-4, 1e-4, size=2000)):
+            state, a = product_polarized(t, u), t + 90.0 + delta
+            denom = born_marginal(state, Wing.A, a).v
+            if denom <= ZERO_PROBABILITY:
+                continue
+            joint = born_joint(state, a, b)
+            pair = born_conditional(state, a, b, given=(Wing.A, V))
+            for outcome in (V, H):
+                ratio = joint.prob(V, outcome) / denom
+                overshoots += ratio > 1.0 + 1e-12
+                assert pair.for_label(outcome) == min(max(ratio, 0.0), 1.0)
+        assert overshoots > 0  # the sweep reaches the rounding-overshoot branch
+
+
 class TestCorrelation:
     def test_aligned(self):
         assert correlation_E(bell_phi_plus(), 18.0, 18.0) == pytest.approx(1.0, abs=1e-12)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,27 @@ class TestSerialization:
         data = json.loads(s.to_json())
         data["format"] = "something-else"
         with pytest.raises(ValueError, match="format"):
+            Scenario.from_json_dict(data)
+
+    @pytest.mark.parametrize("path, value, part", [
+        (("events", 0, "t"), "0.0", "event 0"),
+        (("events", 0, "x"), True, "event 0"),
+        (("events", 1, "kind", "angle_deg"), "22.5", "event 1"),
+        (("events", 3, "kind", "angle_deg"), True, "event 3"),
+        (("probes", "q", "t"), "7", "probes"),
+        (("probes", "r", "x"), False, "probes"),
+        (("state", "matrix_real", 0, 0), "0.5", "state"),
+        (("state", "matrix_imag", 1, 2), True, "state"),
+    ])
+    def test_rejects_non_numbers(self, path, value, part):
+        data = standard_scenario().to_json_dict()
+        *parents, key = path
+        target = data
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        message = f"malformed scenario {part}: expected a number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             Scenario.from_json_dict(data)
 
     def test_events_preserved(self):
