@@ -39,7 +39,7 @@ from .locality import (
     check_parameter_independence,
 )
 from .quantum import Wing
-from .spacetime import SpacetimePoint, load_scenario, standard_scenario
+from .spacetime import SpacetimePoint, load_scenario
 
 
 def _parse_angles(text: str) -> list[float]:
@@ -71,14 +71,6 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: {exc}") from exc
 
 
-def _load_or_build_scenario(spec: str):
-    if spec == "overlap":
-        return standard_scenario(settings_in_overlap=True)
-    if spec == "late":
-        return standard_scenario()
-    return load_scenario(spec)
-
-
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -99,7 +91,7 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
             trials=args.trials,
             seed=args.seed,
         )
-        bundle = empirical_statistics(run_trials(config, model=model))
+        bundle = empirical_statistics(run_trials(config))
         payload.update(
             {
                 "empirical_chsh": bundle.chsh,
@@ -120,7 +112,7 @@ _TARGETS = {
 
 
 def _cmd_chances(args: argparse.Namespace) -> int:
-    scenario = _load_or_build_scenario(args.scenario)
+    scenario = load_scenario(args.scenario)
     try:
         point = scenario.probe(args.point)
     except KeyError:
@@ -184,16 +176,10 @@ def _condition_attachments(model, schedule) -> tuple:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    config = RunConfig.from_json_dict(data)
-    spec = data.get("scenario")
-    if spec is not None and not isinstance(spec, str):
-        raise ValueError(f"scenario must be a string, got {spec!r}")
-    scenario = _load_or_build_scenario(spec) if spec else None
-    model = resolve_model(config.model)
-    log = run_trials(config, scenario=scenario, model=model)
+        config = RunConfig.from_json_dict(json.load(handle))
+    log = run_trials(config)
     bundle = empirical_statistics(
-        log, condition_reports=_condition_attachments(model, config.schedule)
+        log, condition_reports=_condition_attachments(resolve_model(config.model), config.schedule)
     )
     if config.trial_log_path:
         write_trial_log(log, config.trial_log_path)

@@ -1,5 +1,9 @@
 """Monte Carlo trial runner, empirical statistics and report emission.
 
+A ``RunConfig`` is the whole description of a run: ``run_trials(config)``
+builds the model ``config.model`` names and reads ``config.scenario``
+through ``spacetime.load_scenario``.
+
 Sampling is reproducible to the bit under any execution plan. Each
 (seed, pair) gets its own Philox counter-based stream, and trial i
 consumes exactly the two uniforms at stream positions 2i and 2i + 1:
@@ -29,7 +33,7 @@ import numpy as np
 from .hidden_variables import builtin_vector_model
 from .locality import ProbabilityModel, quantum_model, signalling_fixture_model
 from .quantum import AngleLike, AnalyzerAngle, Wing, as_angle
-from .spacetime import Scenario
+from .spacetime import load_scenario
 
 DEFAULT_SEED = 0
 
@@ -62,7 +66,9 @@ def chsh_schedule(
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a simulation run depends on. The fields, with their
-    defaults, are the keys of a JSON run config."""
+    defaults, are the keys of a JSON run config. ``scenario`` is a
+    ``load_scenario`` spec whose outcome events give the trial log its
+    coordinates."""
 
     model: str
     schedule: tuple[tuple[AnalyzerAngle, AnalyzerAngle], ...] = chsh_schedule(
@@ -73,6 +79,7 @@ class RunConfig:
     trial_log_path: str | None = None
     report_path: str | None = None
     report_format: str = "json"
+    scenario: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.model, str) or self.model not in MODEL_BUILDERS:
@@ -92,7 +99,7 @@ class RunConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
-        for name in ("trial_log_path", "report_path"):
+        for name in ("trial_log_path", "report_path", "scenario"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"{name} must be a string or None, got {value!r}")
@@ -107,15 +114,16 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
-        """Parse a config object: ``model`` is required, other keys outside
-        ``CONFIG_KEYS`` are rejected, ``scenario`` is left to the caller and
-        a missing key or the schedule ``"chsh-optimal"`` takes the default."""
+        """Parse a config object: ``model`` is required, keys that are not
+        fields are rejected, and a missing key or the schedule
+        ``"chsh-optimal"`` takes the default."""
         if not isinstance(data, dict) or "model" not in data:
             raise ValueError("config must be a JSON object with the required key 'model'")
-        unknown = sorted(set(data) - set(CONFIG_KEYS))
+        keys = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(keys))
         if unknown:
-            raise ValueError(f"unknown config key {unknown[0]!r}; expected keys from {list(CONFIG_KEYS)}")
-        values = {key: value for key, value in data.items() if key != "scenario"}
+            raise ValueError(f"unknown config key {unknown[0]!r}; expected keys from {keys}")
+        values = dict(data)
         schedule = values.pop("schedule", "chsh-optimal")
         if schedule != "chsh-optimal":
             if not (isinstance(schedule, list) and all(isinstance(p, list) and len(p) == 2 for p in schedule)):
@@ -124,12 +132,6 @@ class RunConfig:
                 raise ValueError(f"schedule angles must be numbers, got {schedule!r}")
             values["schedule"] = tuple(map(tuple, schedule))
         return cls(**values)
-
-
-#: Keys a JSON run config may carry: the ``RunConfig`` fields and
-#: ``scenario``, which the CLI reads to attach outcome coordinates to the
-#: trial log.
-CONFIG_KEYS = tuple(f.name for f in fields(RunConfig)) + ("scenario",)
 
 
 #: +/-1 sign of each cell's outcome on wing A and on wing B (V = +1).
@@ -224,26 +226,21 @@ def _sample_chunk(
     return (u_cell[:, None] >= cell_cum[lam, :3]).sum(axis=1, dtype=np.uint8)
 
 
-def run_trials(
-    config: RunConfig,
-    scenario: Scenario | None = None,
-    model: ProbabilityModel | None = None,
-    *,
-    workers: int = 1,
-    chunk_size: int = 65536,
-) -> TrialLog:
-    """Sample the configured schedule.
+def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) -> TrialLog:
+    """Sample the configured schedule from the configured model.
 
     ``workers`` and ``chunk_size`` only choose an execution plan; the
-    returned log is bit-identical for every choice. When a scenario is
-    supplied, its outcome event coordinates are attached to the log.
+    returned log is bit-identical for every choice. When the config names
+    a scenario, it is read before any trial is sampled and its outcome
+    event coordinates are attached to the log.
     """
-    active = model if model is not None else resolve_model(config.model)
+    scenario = None if config.scenario is None else load_scenario(config.scenario)
+    model = resolve_model(config.model)
     chunk = max(2, int(chunk_size))
     chunk += chunk % 2  # chunks must start on even trial indices
     pairs = []
     for pair_index, (a, b) in enumerate(config.schedule):
-        prior_cum, cell_cum = _pair_tables(active, a, b)
+        prior_cum, cell_cum = _pair_tables(model, a, b)
         n = config.trials
         bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
         cells = np.empty(n, dtype=np.uint8)

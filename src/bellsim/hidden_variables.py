@@ -162,10 +162,8 @@ def builtin_vector_model() -> LhvModel:
     ``DEFAULT_LAMBDA_NODES`` degrees are exact.
     """
     nodes = DEFAULT_LAMBDA_NODES
-    step = 180.0 / nodes
-    lambdas = tuple((i + 0.5) * step for i in range(nodes))
+    lambda_array = (np.arange(nodes) + 0.5) * (180.0 / nodes)
     weights = np.full(nodes, 1.0 / nodes)
-    lambda_array = np.asarray(lambdas)
 
     def response(degrees: np.ndarray) -> np.ndarray:
         agrees = np.cos(4.0 * np.radians(lambda_array[None, :] - degrees[:, None])) >= 0.0
@@ -173,7 +171,7 @@ def builtin_vector_model() -> LhvModel:
 
     return LhvModel.from_responses(
         name="vector-lhv",
-        lambdas=lambdas,
+        lambdas=lambda_array.tolist(),
         weights=weights,
         response_a=response,
         response_b=response,

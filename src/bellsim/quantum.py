@@ -393,6 +393,12 @@ def born_conditional(
     Defined as the ratio of the joint probability to the conditioning
     wing's marginal. Conditioning on an outcome of zero probability
     raises :class:`UndefinedConditionalError`.
+
+    Each returned probability is accurate to about 2 * ``_BORN_ROUNDING``
+    / marginal, the two einsums' rounding over the conditioning marginal
+    (derived below). That bound is coarser than ``ATOL`` below a marginal
+    of about 7e-3; the measured error, about 1.7e-16 / marginal, is
+    coarser than ``ATOL`` below a marginal of about 1e-4.
     """
     cond_wing, cond_label = given
     rho = _as_pair_state(state)

@@ -9,8 +9,9 @@ e^zeta and w by e^-zeta and derives t and x from them. Rounded scaling
 by one positive factor never reverses an order, so a boost keeps every
 class, except that a spacelike pair whose null gap rounds to 0 becomes
 lightlike. Inputs are classified by their float values: (0.1, 0.2) and
-(0.4, 0.5), lightlike in decimal, are not in float. A boosted scenario
-saved to JSON re-derives u and w from its rounded t and x.
+(0.4, 0.5), lightlike in decimal, are not in float. Scenario JSON
+writes u and w beside t and x, so a point, boosted or not, loads with
+the null coordinates it was saved with.
 
 Regions are represented by labeled events rather than extended point
 sets, since only membership and causal relations are ever queried.
@@ -28,6 +29,9 @@ chance analysis and its tests):
   (9.75, 0), the earliest on-axis region where both setting events are
   inside the past cone while both outcomes are still outside it; note
   that this places r later in lab time than the outcomes themselves.
+
+``load_scenario`` reads a scenario spec: ``"overlap"`` or ``"late"`` for
+the two layouts, or the path of a scenario JSON file.
 """
 
 from __future__ import annotations
@@ -67,9 +71,10 @@ class SpacetimePoint:
         self._store(t, x, t - x, t + x)
 
     @classmethod
-    def _from_null(cls, u: float, w: float) -> "SpacetimePoint":
+    def _exact(cls, t: float, x: float, u: float, w: float) -> "SpacetimePoint":
+        """The point holding these four coordinates; the caller makes them agree."""
         point = object.__new__(cls)
-        point._store(u / 2.0 + w / 2.0, w / 2.0 - u / 2.0, u, w)
+        point._store(t, x, u, w)
         return point
 
     def _store(self, t: float, x: float, u: float, w: float) -> None:
@@ -81,7 +86,8 @@ class SpacetimePoint:
     def boosted(self, rapidity: float) -> "SpacetimePoint":
         """Active Lorentz boost with the given rapidity."""
         k = math.exp(rapidity)
-        return SpacetimePoint._from_null(self.u * k, self.w / k)
+        u, w = self.u * k, self.w / k
+        return SpacetimePoint._exact(u / 2.0 + w / 2.0, w / 2.0 - u / 2.0, u, w)
 
 
 class CausalRelation(Enum):
@@ -268,6 +274,9 @@ class Scenario:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        def point_dict(point: SpacetimePoint) -> dict:
+            return {"t": point.t, "x": point.x, "u": point.u, "w": point.w}
+
         def kind_dict(kind: EventKind) -> dict:
             if isinstance(kind, Preparation):
                 return {"type": "preparation"}
@@ -286,18 +295,17 @@ class Scenario:
             "events": [
                 {
                     "id": ev.id,
-                    "t": ev.point.t,
-                    "x": ev.point.x,
+                    **point_dict(ev.point),
                     "region": ev.region.value,
                     "kind": kind_dict(ev.kind),
                 }
                 for ev in self.events
             ],
             "probes": {
-                "p": {"t": self.p.t, "x": self.p.x},
-                "p_prime": {"t": self.p_prime.t, "x": self.p_prime.x},
-                "q": {"t": self.q.t, "x": self.q.x},
-                "r": {"t": self.r.t, "x": self.r.x},
+                "p": point_dict(self.p),
+                "p_prime": point_dict(self.p_prime),
+                "q": point_dict(self.q),
+                "r": point_dict(self.r),
             },
         }
 
@@ -352,7 +360,17 @@ def _number(value) -> float:
 
 
 def _point(data: dict) -> SpacetimePoint:
-    return SpacetimePoint(_number(data["t"]), _number(data["x"]))
+    """The point at ``t``, ``x``, or, when ``u`` and ``w`` are written too,
+    the point holding all four, which must agree the way the constructor
+    (u = t - x, w = t + x) or a boost (t = u/2 + w/2, x = w/2 - u/2) makes
+    them. Files without ``u`` and ``w`` derive them from ``t`` and ``x``."""
+    t, x = _number(data["t"]), _number(data["x"])
+    if "u" not in data and "w" not in data:
+        return SpacetimePoint(t, x)
+    u, w = _number(data["u"]), _number(data["w"])
+    if not ((u == t - x and w == t + x) or (t == u / 2.0 + w / 2.0 and x == w / 2.0 - u / 2.0)):
+        raise ValueError(f"null coordinates u={u!r}, w={w!r} do not match t={t!r}, x={x!r}")
+    return SpacetimePoint._exact(t, x, u, w)
 
 
 def _event_from_json(ev: dict) -> EventRecord:
@@ -384,8 +402,13 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         handle.write("\n")
 
 
-def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
+def load_scenario(spec: str) -> Scenario:
+    """The built-in layout ``"overlap"`` or ``"late"`` (``standard_scenario``
+    with or without ``settings_in_overlap``), or the scenario file at the
+    path ``spec``."""
+    if spec in ("overlap", "late"):
+        return standard_scenario(settings_in_overlap=spec == "overlap")
+    with open(spec, "r", encoding="utf-8") as handle:
         return Scenario.from_json(handle.read())
 
 

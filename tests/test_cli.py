@@ -176,6 +176,17 @@ class TestErrors:
         path = self.write_config(tmp_path, {"model": "qm", "trials": 10, key: value})
         assert message in self.run_error(capsys, "simulate", "--config", path)
 
+    @pytest.mark.parametrize("scenario", [5, True, "", "absent.json", "malformed"])
+    @pytest.mark.parametrize("with_log", [False, True])
+    def test_bad_scenario_is_read_before_any_output(self, capsys, tmp_path, scenario, with_log):
+        if scenario == "malformed":
+            scenario = self.malformed_scenario(tmp_path, "event 0")
+        config = {"model": "qm", "trials": 10, "scenario": scenario}
+        if with_log:
+            config["trial_log_path"] = str(tmp_path / "trials.jsonl")
+        self.run_error(capsys, "simulate", "--config", self.write_config(tmp_path, config))
+        assert not (tmp_path / "trials.jsonl").exists()
+
     def test_bad_grid_angle(self, capsys):
         assert "0,x,3" in self.run_error(capsys, "nosignal", "--grid", "0,x,3")
 

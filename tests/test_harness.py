@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from bellsim.harness import (
     CHSH_OPTIMAL_QUADRUPLE,
-    CONFIG_KEYS,
     CSV_COLUMNS,
     PairSamples,
     ReportBundle,
@@ -24,7 +24,6 @@ from bellsim.harness import (
     write_trial_log,
 )
 from bellsim.quantum import as_angle, bell_phi_plus, born_joint
-from bellsim.spacetime import standard_scenario
 
 OPTIMAL_SCHEDULE = chsh_schedule(*CHSH_OPTIMAL_QUADRUPLE)
 
@@ -118,7 +117,11 @@ class TestRunConfig:
         assert RunConfig("qm").trials == 1000
 
     def test_config_keys_are_the_fields_and_scenario(self):
-        assert CONFIG_KEYS == (*RunConfig("qm").to_json_dict(), "scenario")
+        cfg = RunConfig("qm", scenario="overlap")
+        assert list(cfg.to_json_dict()) == [f.name for f in dataclasses.fields(RunConfig)]
+        assert RunConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        with pytest.raises(ValueError, match="expected keys from .*'scenario'"):
+            RunConfig.from_json_dict({"model": "qm", "bogus": 1})
 
     def test_to_json_dict_returns_a_copy(self):
         cfg = config(trials=50, seed=99)
@@ -191,7 +194,7 @@ class TestSampling:
         assert stats.E == -1.0
 
     def test_scenario_coordinates_attached(self, tmp_path):
-        log = run_trials(config(trials=5), scenario=standard_scenario())
+        log = run_trials(config(trials=5, scenario="late"))
         assert log.outcome_coordinates["A"] == {"t": 6.0, "x": -4.0}
         path = tmp_path / "trials.jsonl"
         write_trial_log(log, str(path))
@@ -261,10 +264,9 @@ class TestExecutionPlanProperty:
     ):
         trials = data.draw(st.integers(1, 5000), label="trials")
         chunk = data.draw(st.integers(1, trials + 3), label="chunk_size")
-        cfg = config(model=model, trials=trials, seed=seed)
-        scenario = standard_scenario() if with_scenario else None
-        single = run_trials(cfg, scenario, workers=1, chunk_size=trials + trials % 2)
-        planned = run_trials(cfg, scenario, workers=workers, chunk_size=chunk)
+        cfg = config(model=model, trials=trials, seed=seed, scenario="late" if with_scenario else None)
+        single = run_trials(cfg, workers=1, chunk_size=trials + trials % 2)
+        planned = run_trials(cfg, workers=workers, chunk_size=chunk)
         for p1, p2 in zip(single.pairs, planned.pairs, strict=True):
             assert np.array_equal(p1.cells, p2.cells)
         out = tmp_path_factory.mktemp("log")

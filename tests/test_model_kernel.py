@@ -106,6 +106,13 @@ def boundary_settings() -> list[float]:
 
 
 class TestVectorModelKernel:
+    def test_nodes_are_the_midpoint_formula_bit_for_bit(self):
+        step = 180.0 / DEFAULT_LAMBDA_NODES
+        expected = [((i + 0.5) * step).hex() for i in range(DEFAULT_LAMBDA_NODES)]
+        lambdas = builtin_vector_model().lambdas
+        assert all(type(lam) is float for lam in lambdas)
+        assert [lam.hex() for lam in lambdas] == expected
+
     def test_response_matrix_equals_scalar_rule(self):
         model = builtin_vector_model()
         settings_deg = boundary_settings()

@@ -5,10 +5,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellsim.chance import chance_at, vertical_outcome
+from bellsim.chance import NoChanceDefinedError, chance_at, joint_vertical, vertical_outcome
 from bellsim.cli import main
 from bellsim.quantum import OutcomeLabel, Wing, product_polarized
 from bellsim.spacetime import (
@@ -32,6 +32,21 @@ SPACELIKE = CausalRelation.SPACELIKE
 coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 points = st.builds(SpacetimePoint, t=coords, x=coords)
 rapidities = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+def transformed(scenario: Scenario, scale: float, zeta: float, q=None) -> Scenario:
+    """``scenario`` scaled by ``scale`` and boosted by ``zeta``; ``q``, if
+    given, replaces the probe q before scaling."""
+
+    def move(point):
+        return SpacetimePoint(point.t * scale, point.x * scale).boosted(zeta)
+
+    return Scenario(
+        state=scenario.state,
+        events=tuple(dataclasses.replace(ev, point=move(ev.point)) for ev in scenario.events),
+        p=move(scenario.p), p_prime=move(scenario.p_prime),
+        q=move(scenario.q if q is None else SpacetimePoint(*q)), r=move(scenario.r),
+    )
 
 
 def far_apart(p: SpacetimePoint, q: SpacetimePoint) -> bool:
@@ -218,6 +233,7 @@ class TestSerialization:
     @pytest.mark.parametrize("path, value, part", [
         (("events", 0, "t"), "0.0", "event 0"),
         (("events", 0, "x"), True, "event 0"),
+        (("events", 2, "u"), "6.0", "event 2"),
         (("events", 1, "kind", "angle_deg"), "22.5", "event 1"),
         (("events", 3, "kind", "angle_deg"), True, "event 3"),
         (("probes", "q", "t"), "7", "probes"),
@@ -234,6 +250,69 @@ class TestSerialization:
         target[key] = value
         message = f"malformed scenario {part}: expected a number, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
+            Scenario.from_json_dict(data)
+
+    @staticmethod
+    def points(scenario: Scenario) -> list[SpacetimePoint]:
+        return [ev.point for ev in scenario.events] + [scenario.probe(n) for n in ("p", "p'", "q", "r")]
+
+    @staticmethod
+    def chances(scenario: Scenario) -> dict:
+        """Every probe's chance of each target, as exact hex or None."""
+        targets = (vertical_outcome(Wing.A), vertical_outcome(Wing.B), joint_vertical())
+        values = {}
+        for name in ("p", "p'", "q", "r"):
+            for i, target in enumerate(targets):
+                try:
+                    values[name, i] = chance_at(scenario.probe(name), target, scenario).value.hex()
+                except NoChanceDefinedError:
+                    values[name, i] = None
+        return values
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.sampled_from(["overlap", "late", "on-cone"]),
+        k=st.integers(-20, 20),
+        zeta=rapidities,
+        angles=st.tuples(st.floats(0.0, 180.0), st.floats(0.0, 180.0)),
+    )
+    @example(layout="on-cone", k=0, zeta=0.5, angles=(0.0, 22.5))
+    def test_round_trip_keeps_relations_and_chances(self, layout, k, zeta, angles):
+        """Scaled by 2**k and boosted, or the overlap layout scaled by 2**10
+        with q exactly on wing B's outcome cone, then boosted: the reloaded
+        scenario has the same causal relations and the same chances."""
+        base = standard_scenario(
+            settings_in_overlap=layout != "late", angle_a=angles[0], angle_b=angles[1]
+        )
+        if layout == "on-cone":
+            s = transformed(base, 2.0**10, zeta, q=(7.0, 5.0))
+        else:
+            s = transformed(base, 2.0**k, zeta)
+        restored = Scenario.from_json(s.to_json())
+        before, after = self.points(s), self.points(restored)
+        for p, rp in zip(before, after, strict=True):
+            for q, rq in zip(before, after):
+                assert causal_relation(rp, rq) is causal_relation(p, q)
+        assert self.chances(restored) == self.chances(s)
+
+    def test_old_files_without_null_coordinates_load_as_before(self):
+        s = transformed(standard_scenario(settings_in_overlap=True), 1.0, 0.7)
+        data = s.to_json_dict()
+        for entry in [*data["events"], *data["probes"].values()]:
+            del entry["u"], entry["w"]
+        restored = Scenario.from_json_dict(data)
+        for p, rp in zip(self.points(s), self.points(restored), strict=True):
+            assert (rp.t, rp.x, rp.u, rp.w) == (p.t, p.x, p.t - p.x, p.t + p.x)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda q: q.update(u=math.nextafter(q["u"], math.inf)), "null coordinates u="),
+        (lambda q: q.pop("w"), "missing key 'w'"),
+        (lambda q: q.pop("u"), "missing key 'u'"),
+    ], ids=["inconsistent-u", "lone-u", "lone-w"])
+    def test_rejects_inconsistent_null_coordinates(self, edit, message):
+        data = transformed(standard_scenario(), 1.0, 0.7).to_json_dict()
+        edit(data["probes"]["q"])
+        with pytest.raises(ValueError, match=re.escape(f"malformed scenario probes: {message}")):
             Scenario.from_json_dict(data)
 
     def test_events_preserved(self):
@@ -317,18 +396,8 @@ class TestExactBoosts:
         """The overlap layout scaled by 2**10, with q moved exactly onto wing
         B's outcome light cone and everything boosted by 5/32, still builds,
         and q conditions on the B outcome it sees."""
-        scale, zeta = 2.0**10, 5.0 / 32.0
-
-        def move(point):
-            return SpacetimePoint(point.t * scale, point.x * scale).boosted(zeta)
-
         base = standard_scenario(settings_in_overlap=True, angle_a=0.0, angle_b=22.5)
-        on_cone = Scenario(
-            state=base.state,
-            events=tuple(dataclasses.replace(ev, point=move(ev.point)) for ev in base.events),
-            p=move(base.p), p_prime=move(base.p_prime),
-            q=move(SpacetimePoint(7.0, 5.0)), r=move(base.r),
-        )
+        on_cone = transformed(base, 2.0**10, 5.0 / 32.0, q=(7.0, 5.0))
         assert causal_relation(on_cone.q, on_cone.outcome_event(Wing.B).point) is PAST
         value = chance_at(on_cone.q, vertical_outcome(Wing.A), on_cone).value
         assert value == pytest.approx(math.cos(math.radians(22.5)) ** 2, abs=1e-12)
