@@ -233,13 +233,13 @@ class TestSerialization:
     @pytest.mark.parametrize("path, value, part", [
         (("events", 0, "t"), "0.0", "event 0"),
         (("events", 0, "x"), True, "event 0"),
-        (("events", 2, "u"), "6.0", "event 2"),
         (("events", 1, "kind", "angle_deg"), "22.5", "event 1"),
         (("events", 3, "kind", "angle_deg"), True, "event 3"),
         (("probes", "q", "t"), "7", "probes"),
         (("probes", "r", "x"), False, "probes"),
         (("state", "matrix_real", 0, 0), "0.5", "state"),
         (("state", "matrix_imag", 1, 2), True, "state"),
+        (("events", 2, "u"), "6.0", "event 2"),
     ])
     def test_rejects_non_numbers(self, path, value, part):
         data = standard_scenario().to_json_dict()
