@@ -179,7 +179,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = RunConfig.from_json_dict(json.load(handle))
     log = run_trials(config)
     bundle = empirical_statistics(
-        log, condition_reports=_condition_attachments(resolve_model(config.model), config.schedule)
+        log, condition_reports=_condition_attachments(log.model, config.schedule)
     )
     if config.trial_log_path:
         write_trial_log(log, config.trial_log_path)

@@ -13,6 +13,20 @@ the joint outcome cell. Chunks therefore start on even trial indices
 preassigned slots, so the log is identical whether trials run in one
 block, in chunks, or on several threads.
 
+The sampler compares integers. ``Generator.random()`` on Philox returns
+exactly ``(raw >> 11) * 2**-53`` for a raw 64-bit word, so each uniform is
+a 53-bit integer k, and u >= c holds exactly when k >= ceil(c * 2**53).
+The cumulative prior becomes such ``uint64`` thresholds once per run, and
+each pair's per-lambda cumulative cells once per pair; a trial's cell is
+the number of its lambda's three cumulative-cell thresholds that k
+reaches. The lambda index is the
+cumulative prior's inverse, ``searchsorted(prior, u, "right")`` clipped
+to the last node, found through a guide table over the top bits of k
+(Chen & Asau 1974; Devroye 1986, section III.2.4) and a binary search of
+a few vectorised steps over the widest bucket. Every comparison is the float one's, so
+the cells are those of ``random()``, ``searchsorted`` and
+``cells >= cumulative`` to the bit.
+
 A pair's trials are stored as one ``uint8`` array of joint outcome
 cells, cell = 2 * index_A + index_B with V = 0 and H = 1, so 0..3 are
 VV, VH, HV and HH: the order of a model table's last two axes and of the
@@ -26,7 +40,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,7 +196,10 @@ class PairSamples:
 
 @dataclass(frozen=True, eq=False)
 class TrialLog:
+    """A run's samples, with the model ``run_trials`` built for them."""
+
     config: RunConfig
+    model: ProbabilityModel
     pairs: tuple[PairSamples, ...]
     outcome_coordinates: dict | None = None
 
@@ -191,23 +208,71 @@ def resolve_model(name: str) -> ProbabilityModel:
     return MODEL_BUILDERS[name]()
 
 
-def _pair_tables(model: ProbabilityModel, a: AnalyzerAngle, b: AnalyzerAngle):
-    """Cumulative prior and per-lambda cumulative joint cells for sampling."""
-    prior_cum = np.cumsum(model.weights)
+#: A uniform is ``k * 2**-53`` for the 53-bit integer ``k = raw >> 11``.
+_UNIFORM_BITS = 53
+_LOW_BITS = np.uint64(64 - _UNIFORM_BITS)
+_NEVER = np.uint64(2**64 - 1)
+
+
+def _thresholds(cumulative: np.ndarray) -> np.ndarray:
+    """``uint64`` thresholds T with ``k >= T`` exactly when ``k * 2**-53 >=
+    cumulative`` for every 53-bit k. Scaling by 2**53 is exact; a value
+    that rounds above 1 gives 2**53, which no k reaches."""
+    scaled = np.ceil(np.ldexp(cumulative, _UNIFORM_BITS))
+    return np.clip(scaled, 0, 2**_UNIFORM_BITS).astype(np.uint64)
+
+
+class _LambdaGuide(NamedTuple):
+    """Guide table over the top bits of k, ``k >> shift``, for a cumulative
+    prior's thresholds. ``start[b]`` is the first lambda that a k in bucket
+    b can map to; ``steps`` are the binary-search strides that cover the
+    widest bucket; ``prior`` is padded with unreachable thresholds past
+    them."""
+
+    shift: np.uint64
+    start: np.ndarray
+    steps: tuple[int, ...]
+    prior: np.ndarray
+
+
+def _lambda_guide(weights: np.ndarray) -> _LambdaGuide:
+    prior = _thresholds(np.cumsum(weights))
+    prior[-1] = _NEVER  # the index is clipped to the last node
+    bits = len(prior).bit_length()  # at least two buckets per node
+    shift = np.uint64(_UNIFORM_BITS - bits)
+    edges = np.arange(2**bits + 1, dtype=np.uint64) << shift
+    start = np.searchsorted(prior, edges[:-1], side="right")
+    end = np.searchsorted(prior, edges[1:] - np.uint64(1), side="right")
+    widest = int((end - start).max())
+    steps = tuple(1 << j for j in reversed(range(widest.bit_length())))
+    padding = np.full(max(steps, default=0), _NEVER)
+    return _LambdaGuide(shift, start, steps, np.concatenate([prior, padding]))
+
+
+def _lambda_index(guide: _LambdaGuide, k: np.ndarray) -> np.ndarray:
+    """``min(searchsorted(T, k, "right"), n - 1)`` for the prior's
+    thresholds T: the guide table's bucket start, then a binary search
+    over the widest bucket's span."""
+    lam = guide.start[k >> guide.shift]
+    for step in guide.steps:
+        # prior[step - 1:][lam] is prior[lam + step - 1] without a temporary
+        lam += (guide.prior[step - 1 :][lam] <= k) * step
+    return lam
+
+
+def _cell_thresholds(model: ProbabilityModel, a: AnalyzerAngle, b: AnalyzerAngle) -> np.ndarray:
+    """Thresholds of one pair's cumulative VV, VH and HV cells: one
+    ``uint64`` row each, one column per lambda."""
     cells = model.cells([a], [b])[0, 0].reshape(-1, 4)  # (VV, VH, HV, HH) per lambda
-    cell_cum = np.cumsum(cells, axis=1)
-    return prior_cum, cell_cum
+    return _thresholds(np.cumsum(cells[:, :3], axis=1).T.copy())
 
 
 def _sample_chunk(
-    seed: int,
-    pair_index: int,
-    lo: int,
-    hi: int,
-    prior_cum: np.ndarray,
-    cell_cum: np.ndarray,
+    seed: int, pair_index: int, lo: int, hi: int, guide: _LambdaGuide | None, thresholds: np.ndarray
 ) -> np.ndarray:
-    """Joint outcome cells of trials [lo, hi) as a ``uint8`` array."""
+    """Joint outcome cells of trials [lo, hi) as a ``uint8`` array, from
+    the prior's guide and the pair's ``_cell_thresholds``. ``guide`` is
+    None for a one-lambda model, which consumes its lambda word unread."""
     if lo % 2:
         raise ValueError(
             f"chunk start must be an even trial index, got {lo}: trial i reads "
@@ -216,14 +281,15 @@ def _sample_chunk(
     bitgen = np.random.Philox(key=np.array([seed, pair_index], dtype=np.uint64))
     if lo:
         bitgen.advance(lo // 2)  # one Philox block covers two trials
-    uniforms = np.random.Generator(bitgen).random(2 * (hi - lo))
-    u_cell = uniforms[1::2]
-    if len(prior_cum) == 1:
-        # single-lambda model: the lambda draw is consumed but unused
-        return (u_cell[:, None] >= cell_cum[0, :3]).sum(axis=1, dtype=np.uint8)
-    lam = np.searchsorted(prior_cum, uniforms[0::2], side="right")
-    np.clip(lam, 0, len(prior_cum) - 1, out=lam)
-    return (u_cell[:, None] >= cell_cum[lam, :3]).sum(axis=1, dtype=np.uint8)
+    k = bitgen.random_raw(2 * (hi - lo))
+    k >>= _LOW_BITS
+    lam = 0 if guide is None else _lambda_index(guide, k[0::2])
+    vv, vh, hv = thresholds.take(lam, axis=1)
+    k_cell = k[1::2]
+    out = (k_cell >= vv).view(np.uint8)
+    out += k_cell >= vh
+    out += k_cell >= hv
+    return out
 
 
 def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) -> TrialLog:
@@ -236,18 +302,19 @@ def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) 
     """
     scenario = None if config.scenario is None else load_scenario(config.scenario)
     model = resolve_model(config.model)
+    guide = _lambda_guide(model.weights) if len(model.weights) > 1 else None
     chunk = max(2, int(chunk_size))
     chunk += chunk % 2  # chunks must start on even trial indices
     pairs = []
     for pair_index, (a, b) in enumerate(config.schedule):
-        prior_cum, cell_cum = _pair_tables(model, a, b)
+        thresholds = _cell_thresholds(model, a, b)
         n = config.trials
         bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
         cells = np.empty(n, dtype=np.uint8)
 
-        def fill(span, *, _pair=pair_index, _pc=prior_cum, _cc=cell_cum, _cells=cells):
+        def fill(span, *, _pair=pair_index, _ct=thresholds, _cells=cells):
             lo, hi = span
-            _cells[lo:hi] = _sample_chunk(config.seed, _pair, lo, hi, _pc, _cc)
+            _cells[lo:hi] = _sample_chunk(config.seed, _pair, lo, hi, guide, _ct)
 
         if workers > 1 and len(bounds) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -263,7 +330,7 @@ def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) 
             outcome = scenario.outcome_event(wing)
             if outcome is not None:
                 coordinates[wing.value] = {"t": outcome.point.t, "x": outcome.point.x}
-    return TrialLog(config=config, pairs=tuple(pairs), outcome_coordinates=coordinates)
+    return TrialLog(config, model, tuple(pairs), coordinates)
 
 
 # -- statistics ----------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from bellsim import harness
 from bellsim.cli import main
 from bellsim.locality import CONDITION_TOL, check_no_signalling, signalling_fixture_model
 from bellsim.spacetime import save_scenario, standard_scenario
@@ -125,6 +126,15 @@ class TestSimulateCommand:
         payload = json.loads(captured.out)
         assert payload["model"] == "lhv"
         assert payload["seed"] == 1
+
+    def test_model_built_once(self, capsys, tmp_path, monkeypatch):
+        built = []
+        builder = harness.MODEL_BUILDERS["lhv"]
+        monkeypatch.setitem(harness.MODEL_BUILDERS, "lhv", lambda: built.append(1) or builder())
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"model": "lhv", "trials": 10}))
+        run_cli(capsys, "simulate", "--config", str(cfg_path))
+        assert len(built) == 1
 
 
 class TestErrors:

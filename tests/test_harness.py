@@ -13,8 +13,11 @@ from bellsim.harness import (
     PairSamples,
     ReportBundle,
     RunConfig,
-    _pair_tables,
+    _cell_thresholds,
+    _lambda_guide,
+    _lambda_index,
     _sample_chunk,
+    _thresholds,
     chsh_schedule,
     emit_report,
     empirical_statistics,
@@ -204,10 +207,10 @@ class TestSampling:
         assert (first["pair"], first["trial"]) == (0, 0)
 
     def test_chunk_must_start_on_even_trial(self):
-        prior_cum, cell_cum = _pair_tables(resolve_model("qm"), as_angle(0.0), as_angle(22.5))
+        thresholds = _cell_thresholds(resolve_model("qm"), as_angle(0.0), as_angle(22.5))
         with pytest.raises(ValueError, match="even"):
-            _sample_chunk(0, 0, 3, 10, prior_cum, cell_cum)
-        assert _sample_chunk(0, 0, 4, 10, prior_cum, cell_cum).dtype == np.uint8
+            _sample_chunk(0, 0, 3, 10, None, thresholds)
+        assert _sample_chunk(0, 0, 4, 10, None, thresholds).dtype == np.uint8
 
 
 class TestPairSamples:
@@ -275,6 +278,93 @@ class TestExecutionPlanProperty:
         single_bytes = (out / "single.jsonl").read_bytes()
         assert (out / "planned.jsonl").read_bytes() == single_bytes
         assert single_bytes == per_trial_log(single)
+
+
+UNIFORM_GRID = 2**53
+
+
+def uniform_verdict(k: int, c: float) -> bool:
+    """``random()``'s verdict u >= c for the uniform u = k * 2**-53."""
+    return float(k) * 2.0**-53 >= c
+
+
+class TestIntegerSampler:
+    """The integer thresholds, the guide table and ``_sample_chunk``
+    against the float sampler they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.one_of(st.integers(0, UNIFORM_GRID), st.sampled_from([0, 1, UNIFORM_GRID - 1, UNIFORM_GRID])),
+        ulp=st.sampled_from([-1, 0, 1]),
+        dk=st.sampled_from([-1, 0, 1]),
+        k_any=st.integers(0, UNIFORM_GRID - 1),
+    )
+    def test_threshold_verdict_is_the_uniform_verdict(self, m, ulp, dk, k_any):
+        c = float(m) * 2.0**-53  # on the grid, then one ulp either side
+        if ulp:
+            c = float(np.nextafter(c, math.copysign(math.inf, ulp)))
+        (t,) = _thresholds(np.array([c])).tolist()
+        for k in (m + dk, k_any):
+            if 0 <= k < UNIFORM_GRID:
+                assert (k >= t) == uniform_verdict(k, c), (k, c, t)
+
+    @pytest.mark.parametrize(
+        "cumulative",
+        [0.0, -0.0, float(np.cumsum([0.33, 0.56, 0.11])[-1]), float(np.nextafter(1.0, 2.0)), 1.0],
+        ids=["zero", "negative-zero", "cumsum-above-1", "next-after-1", "one"],
+    )
+    def test_threshold_edges(self, cumulative):
+        (t,) = _thresholds(np.array([cumulative])).tolist()
+        for k in (0, 1, t - 1, t, UNIFORM_GRID - 1):
+            if 0 <= k < UNIFORM_GRID:
+                assert (k >= t) == uniform_verdict(k, cumulative)
+        if cumulative > 1.0:
+            assert t == UNIFORM_GRID  # no 53-bit k reaches it
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        alpha=st.sampled_from([0.01, 0.2, 1.0, 50.0]),
+        zero_runs=st.integers(0, 4),
+        rng_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_guide_table_is_searchsorted(self, n, alpha, zero_runs, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        weights = rng.dirichlet(np.full(n, alpha))  # small alpha: a few heavy nodes
+        for _ in range(zero_runs):
+            start = int(rng.integers(0, n))
+            weights[start : start + int(rng.integers(1, n + 1))] = 0.0
+        if weights.sum() == 0.0:
+            weights[int(rng.integers(0, n))] = 1.0
+        weights /= weights.sum()
+        thresholds = _thresholds(np.cumsum(weights))
+        exact = np.concatenate([thresholds, thresholds - 1, thresholds + 1]).astype(np.int64)
+        k = np.concatenate([
+            rng.integers(0, UNIFORM_GRID, size=2000),
+            exact[(exact >= 0) & (exact < UNIFORM_GRID)],
+            [0, UNIFORM_GRID - 1],
+        ]).astype(np.uint64)
+        expected = np.minimum(np.searchsorted(thresholds, k, side="right"), n - 1)
+        assert np.array_equal(_lambda_index(_lambda_guide(weights), k), expected)
+
+    @pytest.mark.parametrize("model", ["qm", "lhv", "fixture"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_sample_chunk_is_the_float_sampler(self, model, seed):
+        built = resolve_model(model)
+        a, b = as_angle(30.0), as_angle(112.5)
+        guide = _lambda_guide(built.weights) if len(built.weights) > 1 else None
+        thresholds = _cell_thresholds(built, a, b)
+        prior_cum = np.cumsum(built.weights)
+        cell_cum = np.cumsum(built.cells([a], [b])[0, 0].reshape(-1, 4), axis=1)
+        lo = 0
+        for size in (1, 3, 777, 4097, 9):
+            bitgen = np.random.Philox(key=np.array([seed, 2], dtype=np.uint64))
+            bitgen.advance(lo // 2)
+            u = np.random.Generator(bitgen).random(2 * size)
+            lam = np.minimum(np.searchsorted(prior_cum, u[0::2], side="right"), len(prior_cum) - 1)
+            expected = (u[1::2, None] >= cell_cum[lam, :3]).sum(axis=1)
+            assert np.array_equal(_sample_chunk(seed, 2, lo, lo + size, guide, thresholds), expected)
+            lo += size + size % 2  # the next chunk starts on an even trial
 
 
 class TestStatistics:
