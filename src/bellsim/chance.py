@@ -18,9 +18,14 @@ step, ``_chance``, turns a reference class into a value, and both
   (and is bit-identical under remote perturbations).
 
 Chances are therefore perspectival: two points at the same lab time can
-assign different, equally correct values to the same event. Interventions
-that force a measurement outcome are representable but always refused;
-the refusal is a first-class verdict, not an error.
+assign different, equally correct values to the same event.
+
+An intervention names the event it acts on by its own fields: the
+preparation (``ReplacePreparation``) or one wing's setting (``SetAngle``),
+and it acts on that event of whichever scenario it is applied to.
+Interventions that force a measurement outcome (``ForceOutcome``) are
+representable but always refused; the refusal is a first-class verdict,
+not an error.
 """
 
 from __future__ import annotations
@@ -226,14 +231,14 @@ def chance_at(point: SpacetimePoint, target: Target, scenario: Scenario) -> Chan
 
 @dataclass(frozen=True)
 class ReplacePreparation:
-    """Substitute a different prepared state at the backing event."""
+    """Substitute a different prepared state at the preparation event."""
 
     state: PhotonPairState
 
 
 @dataclass(frozen=True)
 class SetAngle:
-    """Choose a different analyzer axis (or None: measure nothing)."""
+    """Choose a different axis at ``wing``'s setting (or None: measure nothing)."""
 
     wing: Wing
     angle: AnalyzerAngle | None
@@ -247,78 +252,75 @@ class ForceOutcome:
     label: OutcomeLabel
 
 
-InterventionMode = Union[ReplacePreparation, SetAngle, ForceOutcome]
-
-
-@dataclass(frozen=True)
-class Intervention:
-    target: EventRecord
-    mode: InterventionMode
+Intervention = Union[ReplacePreparation, SetAngle, ForceOutcome]
 
 
 @dataclass(frozen=True)
 class SenselessIntervention:
     """Refusal verdict: this intervention has no scenario at all."""
 
-    intervention: Intervention | None
+    intervention: ForceOutcome
     reason: str
 
 
-def set_angle_intervention(
-    scenario: Scenario, wing: Wing, angle: AngleLike | None
-) -> Intervention:
-    setting = scenario.setting_event(wing)
-    if setting is None:
-        raise ValueError(f"scenario has no setting event on wing {wing.value}")
-    return Intervention(
-        target=setting,
-        mode=SetAngle(wing=wing, angle=None if angle is None else as_angle(angle)),
-    )
+def _acted_on(scenario: Scenario, intervention: ReplacePreparation | SetAngle) -> EventRecord:
+    """The event of ``scenario`` that ``intervention`` acts on."""
+    if isinstance(intervention, ReplacePreparation):
+        event = scenario.preparation_event()
+        if event is None:
+            raise ValueError("scenario has no preparation event")
+        return event
+    event = scenario.setting_event(intervention.wing)
+    if event is None:
+        raise ValueError(f"scenario has no setting event on wing {intervention.wing.value}")
+    return event
+
+
+def set_angle_intervention(scenario: Scenario, wing: Wing, angle: AngleLike | None) -> SetAngle:
+    intervention = SetAngle(wing=wing, angle=None if angle is None else as_angle(angle))
+    _acted_on(scenario, intervention)
+    return intervention
 
 
 def replace_preparation_intervention(
     scenario: Scenario, state: PhotonPairState
-) -> Intervention:
-    prep = scenario.preparation_event()
-    if prep is None:
-        raise ValueError("scenario has no preparation event")
-    return Intervention(target=prep, mode=ReplacePreparation(state=state))
+) -> ReplacePreparation:
+    intervention = ReplacePreparation(state=state)
+    _acted_on(scenario, intervention)
+    return intervention
 
 
 def apply_intervention(
     scenario: Scenario, intervention: Intervention
 ) -> Scenario | SenselessIntervention:
-    """Apply an intervention, or refuse it.
+    """Apply an intervention to the event it names in ``scenario``, or refuse it.
 
     Preparation replacement and setting changes yield a modified
-    scenario. Forcing an outcome is refused with a
-    :class:`SenselessIntervention` verdict; it never yields a scenario.
-    Changing a setting to None removes that wing's outcome event, since
-    an unperformed measurement registers nothing.
+    scenario, and raise ``ValueError`` when ``scenario`` lacks the event.
+    Forcing an outcome is refused with a :class:`SenselessIntervention`
+    verdict; it never yields a scenario. Changing a setting to None
+    removes that wing's outcome event, since an unperformed measurement
+    registers nothing.
     """
-    mode = intervention.mode
-    if isinstance(mode, ForceOutcome):
+    if isinstance(intervention, ForceOutcome):
         return SenselessIntervention(
             intervention=intervention,
             reason=(
-                f"forcing outcome {mode.label.value} on wing {mode.wing.value} is not "
-                "an admissible intervention: the outcome's own chance is fixed by the "
-                "prepared state, and nothing one could do alters it"
+                f"forcing outcome {intervention.label.value} on wing "
+                f"{intervention.wing.value} is not an admissible intervention: the "
+                "outcome's own chance is fixed by the prepared state, and nothing one "
+                "could do alters it"
             ),
         )
-    if isinstance(mode, ReplacePreparation):
-        if not isinstance(intervention.target.kind, Preparation):
-            raise ValueError("ReplacePreparation must target the preparation event")
-        return scenario.with_state(mode.state)
-    if not isinstance(intervention.target.kind, Setting) or (
-        intervention.target.kind.wing is not mode.wing
-    ):
-        raise ValueError(f"SetAngle must target the wing-{mode.wing.value} setting event")
+    event = _acted_on(scenario, intervention)
+    if isinstance(intervention, ReplacePreparation):
+        return scenario.with_state(intervention.state)
+    wing, angle = intervention.wing, intervention.angle
     events = []
     for ev in scenario.events:
-        if ev.id == intervention.target.id:
-            events.append(replace(ev, kind=Setting(wing=mode.wing, angle=mode.angle)))
-        elif mode.angle is None and isinstance(ev.kind, Outcome) and ev.kind.wing is mode.wing:
+        if ev is event:
+            events.append(replace(ev, kind=Setting(wing=wing, angle=angle)))
+        elif angle is None and isinstance(ev.kind, Outcome) and ev.kind.wing is wing:
             continue
         else:
             events.append(ev)
@@ -409,22 +411,17 @@ _PREPARATION_BATTERY = tuple(
 _SETTING_OFFSETS = (30.0, 45.0, 60.0)
 
 
-def _admissible_interventions(scenario: Scenario, cause: EventRecord) -> list[Intervention]:
+def _admissible_interventions(cause: EventRecord) -> list[Intervention]:
     if isinstance(cause.kind, Preparation):
-        return [
-            Intervention(target=cause, mode=ReplacePreparation(state))
-            for state in _PREPARATION_BATTERY
-        ]
+        return [ReplacePreparation(state) for state in _PREPARATION_BATTERY]
     if isinstance(cause.kind, Setting):
         wing = cause.kind.wing
         current = cause.kind.angle
-        modes: list[InterventionMode] = []
         if current is None:
-            modes.extend(SetAngle(wing, AnalyzerAngle(deg)) for deg in (0.0, 45.0, 90.0))
-        else:
-            modes.extend(SetAngle(wing, current.rotated(off)) for off in _SETTING_OFFSETS)
-            modes.append(SetAngle(wing, None))
-        return [Intervention(target=cause, mode=mode) for mode in modes]
+            return [SetAngle(wing, AnalyzerAngle(deg)) for deg in (0.0, 45.0, 90.0)]
+        return [SetAngle(wing, current.rotated(off)) for off in _SETTING_OFFSETS] + [
+            SetAngle(wing, None)
+        ]
     return []
 
 
@@ -442,22 +439,17 @@ def causally_depends(effect: Target, cause: EventRecord, scenario: Scenario) -> 
     if isinstance(cause.kind, Outcome) and isinstance(effect, OutcomeTarget):
         if cause.kind.wing is effect.wing:
             raise ValueError("effect and cause must be distinct events")
-    interventions = _admissible_interventions(scenario, cause)
+    interventions = _admissible_interventions(cause)
     if not interventions:
         return CausalVerdict(
             kind=CausalVerdictKind.SENSELESS_INTERVENTION,
-            intervention=Intervention(
-                target=cause,
-                mode=ForceOutcome(cause.kind.wing, cause.kind.label),
-            )
+            intervention=ForceOutcome(cause.kind.wing, cause.kind.label)
             if isinstance(cause.kind, Outcome)
             else None,
         )
     baseline = chance_at(scenario.r, effect, scenario)
     for intervention in interventions:
         altered_scenario = apply_intervention(scenario, intervention)
-        if isinstance(altered_scenario, SenselessIntervention):
-            raise SenselessInterventionError(altered_scenario.reason)
         try:
             altered = chance_at(scenario.r, effect, altered_scenario)
         except NoChanceDefinedError:

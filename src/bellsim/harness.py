@@ -395,7 +395,7 @@ def _tupled(data: dict) -> dict:
 
 def _pair_statistics(pair: PairSamples) -> PairStatistics:
     n = pair.n
-    counts = tuple(int(c) for c in np.bincount(pair.cells, minlength=4))
+    counts = tuple(int(np.count_nonzero(pair.cells == c)) for c in range(4))
     frequencies = tuple(c / n for c in counts)
     correlation = (counts[0] + counts[3] - counts[1] - counts[2]) / n
     stderr = math.sqrt(max(1.0 - correlation * correlation, 0.0) / n)

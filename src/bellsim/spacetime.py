@@ -6,12 +6,14 @@ point is built. Light cones are closed, and classification only compares
 stored floats: q is in p's past when q.u <= p.u and q.w <= p.w, in its
 future when both are >=, and spacelike otherwise. A boost scales u by
 e^zeta and w by e^-zeta and derives t and x from them. Rounded scaling
-by one positive factor never reverses an order, so a boost keeps every
-class, except that a spacelike pair whose null gap rounds to 0 becomes
-lightlike. Inputs are classified by their float values: (0.1, 0.2) and
-(0.4, 0.5), lightlike in decimal, are not in float. Scenario JSON
-writes u and w beside t and x, so a point, boosted or not, loads with
-the null coordinates it was saved with.
+by one positive factor never reverses an order but can round a gap to
+0, so a boost keeps every class with two exceptions: a spacelike pair
+whose null gap rounds to 0 becomes lightlike, and a future pair whose
+two null gaps both round to 0 becomes one point, which counts as its
+own causal past. Inputs are classified by their float values:
+(0.1, 0.2) and (0.4, 0.5), lightlike in decimal, are not in float.
+Scenario JSON writes u and w beside t and x, so a point, boosted or
+not, loads with the null coordinates it was saved with.
 
 Regions are represented by labeled events rather than extended point
 sets, since only membership and causal relations are ever queried.

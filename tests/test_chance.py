@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bellsim.chance import (
     CausalVerdictKind,
     ForceOutcome,
-    Intervention,
     NoChanceDefinedError,
     OutcomeTarget,
     ReferenceClass,
@@ -18,6 +17,7 @@ from bellsim.chance import (
     SenselessIntervention,
     SenselessInterventionError,
     SetAngle,
+    _admissible_interventions,
     apply_intervention,
     causally_depends,
     chance_at,
@@ -30,6 +30,7 @@ from bellsim.chance import (
     vertical_outcome,
 )
 from bellsim.quantum import (
+    AnalyzerAngle,
     OutcomeLabel,
     PhotonPairState,
     Wing,
@@ -354,8 +355,7 @@ class TestEstimatedChance:
         assert est.value == pytest.approx(chance_at(s.p_prime, E_A, s).value, abs=1e-12)
 
     def test_force_outcome_is_senseless_premise(self, overlap):
-        target = overlap.outcome_event(Wing.B)
-        iv = Intervention(target=target, mode=ForceOutcome(Wing.B, H))
+        iv = ForceOutcome(Wing.B, H)
         with pytest.raises(SenselessInterventionError):
             estimated_chance(overlap.p_prime, E_A, iv, overlap)
 
@@ -384,25 +384,73 @@ class TestApplyIntervention:
         assert altered.outcome_event(Wing.B) is None
 
     def test_force_outcome_refused(self, overlap):
-        target = overlap.outcome_event(Wing.B)
-        refusal = apply_intervention(
-            overlap, Intervention(target=target, mode=ForceOutcome(Wing.B, H))
-        )
+        refusal = apply_intervention(overlap, ForceOutcome(Wing.B, H))
         assert isinstance(refusal, SenselessIntervention)
         assert "forcing outcome" in refusal.reason
 
-    def test_wrong_target_rejected(self, overlap):
-        prep = overlap.preparation_event()
-        with pytest.raises(ValueError, match="target"):
-            apply_intervention(
-                overlap, Intervention(target=prep, mode=SetAngle(Wing.B, None))
-            )
-        setting = overlap.setting_event(Wing.A)
-        with pytest.raises(ValueError, match="preparation"):
-            apply_intervention(
-                overlap,
-                Intervention(target=setting, mode=ReplacePreparation(bell_phi_plus())),
-            )
+
+def renamed_setting_b(scenario):
+    """``scenario`` with its wing-B setting event under another id."""
+    return scenario.with_events(
+        dataclasses.replace(ev, id="analyzer-b") if ev.id == "setting-b" else ev
+        for ev in scenario.events
+    )
+
+
+class TestInterventionActsOnTheScenarioGiven:
+    """An intervention acts on the event it names in the scenario it is
+    applied to, whatever that event's id and wherever the intervention
+    was built."""
+
+    def test_set_angle_turns_the_given_setting(self):
+        original = standard_scenario(settings_in_overlap=True)
+        copy = renamed_setting_b(original)
+        iv = set_angle_intervention(original, Wing.B, 77.0)
+        assert apply_intervention(copy, iv).angle(Wing.B).degrees == 77.0
+        expected = estimated_chance(original.q, E_A, iv, original).value
+        assert expected == pytest.approx(cos2(77.0), abs=1e-12)
+        assert estimated_chance(copy.q, E_A, iv, copy).value == expected
+
+    def test_dependence_found_whatever_the_event_id(self):
+        original = standard_scenario(settings_in_overlap=True, state=product_polarized(0.0, 0.0))
+        cause = original.setting_event(Wing.B)
+        for scenario in (original, renamed_setting_b(original)):
+            verdict = causally_depends(E_B, cause, scenario)
+            assert verdict.kind is CausalVerdictKind.DEPENDENT
+            assert isinstance(verdict.intervention, SetAngle)
+
+    def test_missing_preparation_rejected(self, overlap):
+        bare = overlap.with_events(
+            ev for ev in overlap.events if not isinstance(ev.kind, Preparation)
+        )
+        state = product_polarized(90.0, 0.0)
+        for call in (
+            lambda: replace_preparation_intervention(bare, state),
+            lambda: apply_intervention(bare, ReplacePreparation(state)),
+            lambda: apply_intervention(bare, replace_preparation_intervention(overlap, state)),
+        ):
+            with pytest.raises(ValueError, match="scenario has no preparation event"):
+                call()
+
+    def test_missing_setting_rejected(self, overlap):
+        one_wing = overlap.with_events(
+            ev for ev in overlap.events if ev.id not in ("setting-b", "outcome-b")
+        )
+        for call in (
+            lambda: set_angle_intervention(one_wing, Wing.B, 10.0),
+            lambda: apply_intervention(one_wing, SetAngle(Wing.B, None)),
+            lambda: apply_intervention(one_wing, set_angle_intervention(overlap, Wing.B, 10.0)),
+        ):
+            with pytest.raises(ValueError, match="scenario has no setting event on wing B"):
+                call()
+
+    def test_unmeasured_setting_offers_three_axes(self):
+        s = standard_scenario(settings_in_overlap=True, angle_b=None, outcome_b=None)
+        assert _admissible_interventions(s.setting_event(Wing.B)) == [
+            SetAngle(Wing.B, AnalyzerAngle(deg)) for deg in (0.0, 45.0, 90.0)
+        ]
+        verdict = causally_depends(E_A, s.setting_event(Wing.B), s)
+        assert verdict.kind is CausalVerdictKind.INDEPENDENT
 
 
 class TestCausalDependence:
@@ -561,8 +609,7 @@ def _chance_layer_lines():
                                 if verdict.witness is None
                                 else tuple(c.value for c in verdict.witness)
                             )
-                            intervention = verdict.intervention
-                            mode = None if intervention is None else intervention.mode
+                            mode = verdict.intervention
                             lines["dependence"].append(
                                 repr((verdict.kind.value, witness, type(mode).__name__,
                                       getattr(mode, "angle", None)))

@@ -241,6 +241,46 @@ class TestErrors:
         config = self.write_config(tmp_path, {"model": "qm", "trials": 10, "scenario": scenario})
         assert message in self.run_error(capsys, "simulate", "--config", config)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["events"][1].update(id="o"), "event ids are not unique"),
+        (lambda d: d["events"].append({**d["events"][1], "id": "setting-a2"}),
+         "duplicate setting event for wing A"),
+        (lambda d: d["events"].append({**d["events"][0], "id": "o2"}),
+         "at most one preparation event"),
+        (lambda d: d["events"][2].update(region="two"),
+         "outcome for wing A must carry region one"),
+        (lambda d: moved(d["events"][1], 7.0, -4.0),
+         "setting for wing A must causally precede its outcome"),
+        (lambda d: moved(d["events"][4], 16.0, 4.0),
+         "the two outcome events must be spacelike separated"),
+        (lambda d: moved(d["probes"]["p"], 20.0, 0.0),
+         "probe p must be spacelike to the wing-B outcome"),
+        (lambda d: moved(d["probes"]["p_prime"], 20.0, 0.0),
+         "probe p' must be spacelike to the wing-A outcome"),
+        (lambda d: moved(d["probes"]["q"], 5.0, 4.0),
+         "probe q must have the wing-B outcome in its past"),
+        (lambda d: moved(d["probes"]["q"], 20.0, 0.0),
+         "probe q must not have the wing-A outcome in its past"),
+        (lambda d: moved(d["probes"]["r"], -1.0, 0.0),
+         "probe r must lie in the preparation's causal future"),
+        (lambda d: moved(d["probes"]["r"], 20.0, 0.0), "probe r must not see the wing-A outcome"),
+    ], ids=["duplicate-id", "second-setting", "second-preparation", "outcome-region",
+            "late-setting", "timelike-outcomes", "p", "p-prime", "q-blind", "q-sees-a",
+            "r-before-preparation", "r-sees-outcome"])
+    def test_invalid_scenario_file(self, capsys, tmp_path, edit, message):
+        data = standard_scenario(settings_in_overlap=True).to_json_dict()
+        edit(data)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert message in self.run_error(capsys, "chances", "--scenario", str(path),
+                                         "--point", "q", "--target", "eA")
+
+
+def moved(entry: dict, t: float, x: float) -> None:
+    """Move a scenario-file point to (t, x); it loads its null coordinates from them."""
+    entry.update(t=t, x=x)
+    del entry["u"], entry["w"]
+
 
 # -- emission golden bytes -------------------------------------------------------
 
