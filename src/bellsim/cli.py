@@ -14,6 +14,7 @@ All output is JSON on stdout; seeds are always echoed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -200,7 +201,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``bellsim`` parser, built once per process: parsing leaves it as
+    it was, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Two-photon coincidence experiments: exact probabilities, "

@@ -31,16 +31,20 @@ A pair's trials are stored as one ``uint8`` array of joint outcome
 cells, cell = 2 * index_A + index_B with V = 0 and H = 1, so 0..3 are
 VV, VH, HV and HH: the order of a model table's last two axes and of the
 report's ``f_VV..f_HH`` columns. Statistics count these cells and the
-trial log is written from them.
+trial log is written from them without a Python loop over trials: a
+line is its cell's pre-encoded head and its trial index, so lines of
+equal index width form a fixed-width ``uint8`` table whose bytes go to
+the file in blocks of bounded size.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,7 +86,7 @@ class RunConfig:
     """Everything a simulation run depends on. The fields, with their
     defaults, are the keys of a JSON run config. ``scenario`` is a
     ``load_scenario`` spec whose outcome events give the trial log its
-    coordinates."""
+    coordinates. The trial log and the report must go to different files."""
 
     model: str
     schedule: tuple[tuple[AnalyzerAngle, AnalyzerAngle], ...] = chsh_schedule(
@@ -119,6 +123,11 @@ class RunConfig:
                 raise ValueError(f"{name} must be a string or None, got {value!r}")
         if self.report_format not in ("json", "csv"):
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
+        log_path, report_path = self.trial_log_path, self.report_path
+        if log_path and report_path and os.path.abspath(log_path) == os.path.abspath(report_path):
+            raise ValueError(
+                f"trial_log_path and report_path name the same file {report_path!r}"
+            )
 
     def to_json_dict(self) -> dict:
         """The fields, with the schedule as ``[a_deg, b_deg]`` pairs."""
@@ -485,33 +494,86 @@ def emit_report(bundle: ReportBundle, format: str, path: str) -> None:
         raise OSError(f"failed to write report to {path!r}: {exc}") from exc
 
 
+#: Trial log lines the writer fills and writes at a time, about 1.2 MB with
+#: scenario coordinates, so its memory does not grow with the trial count.
+_LOG_BLOCK_LINES = 8192
+
+
 def write_trial_log(log: TrialLog, path: str) -> None:
-    """Stream the log as JSON lines, one object per trial, keys sorted.
+    """Write the log as JSON lines, one object per trial, keys sorted.
 
     Within a pair a line depends only on its cell and its trial index,
-    and ``trial`` sorts last, so each (pair, cell) line is encoded once
-    up to the trial value and only the index is written per trial.
+    and ``trial`` sorts last, so a line is its cell's head, then its
+    tail: the index's decimal digits and ``}\\n``. The four heads of a
+    pair are encoded once and have one width, so trials whose indices
+    have the same number of digits have lines of one width. Such a run
+    of trials goes to the file in blocks of at most ``_LOG_BLOCK_LINES``
+    lines, each one ``uint8`` table of heads gathered by cell beside the
+    tails, written in one call. Every pair numbers its trials from 0, so
+    the tails of the blocks that start within the first
+    ``_LOG_BLOCK_LINES`` trials are built once and shared by the pairs;
+    later blocks build theirs again, which keeps memory bounded.
     """
+    tails: dict[tuple[int, int], np.ndarray] = {}
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with open(path, "wb") as handle:
             for pair in log.pairs:
-                heads = [_trial_line_head(log, pair, cell) for cell in range(4)]
-                for trial, cell in enumerate(pair.cells.tolist()):
-                    handle.write(f"{heads[cell]}{trial}}}\n")
+                heads = _trial_line_heads(log, pair)
+                width = heads.shape[1]
+                for start, stop, digits in _log_blocks(pair.n):
+                    tail = tails.get((start, stop))
+                    if tail is None:
+                        tail = _line_tails(start, stop, digits)
+                        if start < _LOG_BLOCK_LINES:
+                            tails[start, stop] = tail
+                    table = np.empty((stop - start, width + tail.shape[1]), dtype=np.uint8)
+                    table[:, :width] = heads[pair.cells[start:stop]]
+                    table[:, width:] = tail
+                    handle.write(table)
     except OSError as exc:
         raise OSError(f"failed to write trial log to {path!r}: {exc}") from exc
 
 
-def _trial_line_head(log: TrialLog, pair: PairSamples, cell: int) -> str:
-    """A trial line of this pair and cell, up to the trial index."""
+def _log_blocks(trials: int) -> Iterator[tuple[int, int, int]]:
+    """(start, stop, digits) spans covering trial indices 0..trials-1:
+    within a span every index has ``digits`` decimal digits, and no span
+    holds more than ``_LOG_BLOCK_LINES`` trials."""
+    digits, low = 1, 0
+    while low < trials:
+        high = min(10**digits, trials)
+        for start in range(low, high, _LOG_BLOCK_LINES):
+            yield start, min(start + _LOG_BLOCK_LINES, high), digits
+        digits, low = digits + 1, high
+
+
+def _line_tails(start: int, stop: int, digits: int) -> np.ndarray:
+    """The ASCII ends ``<index>}\\n`` of trial lines start..stop-1, whose
+    indices all have ``digits`` digits, as a ``[lines, digits + 2]`` array."""
+    tails = np.empty((stop - start, digits + 2), dtype=np.uint8)
+    index = np.arange(start, stop)
+    for column in range(digits - 1, -1, -1):
+        tails[:, column] = index % 10 + ord("0")
+        index //= 10
+    tails[:, digits:] = np.frombuffer(b"}\n", dtype=np.uint8)
+    return tails
+
+
+def _trial_line_heads(log: TrialLog, pair: PairSamples) -> np.ndarray:
+    """The lines of this pair's four cells up to the trial index, as the
+    rows of a ``[4, width]`` ASCII ``uint8`` array."""
     fields = {
         "pair": pair.pair_index,
         "trial": 0,
         "a_deg": pair.a.degrees,
         "b_deg": pair.b.degrees,
-        "A": "VH"[cell >> 1],
-        "B": "VH"[cell & 1],
     }
     if log.outcome_coordinates is not None:
         fields["coordinates"] = log.outcome_coordinates
-    return json.dumps(fields, sort_keys=True)[: -len("0}")]  # "trial" sorts last
+    heads = []
+    for cell in range(4):
+        fields.update(A="VH"[cell >> 1], B="VH"[cell & 1])
+        line = json.dumps(fields, sort_keys=True)
+        heads.append(line[: -len("0}")].encode("ascii"))  # "trial" sorts last
+    # "A" and "B" take one character each, so the four heads have one width.
+    assert len({len(head) for head in heads}) == 1, heads
+    return np.frombuffer(b"".join(heads), dtype=np.uint8).reshape(4, -1)

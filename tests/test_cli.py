@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bellsim
 from bellsim import harness
 from bellsim.cli import main
 from bellsim.locality import CONDITION_TOL, check_no_signalling, signalling_fixture_model
@@ -137,6 +141,38 @@ class TestSimulateCommand:
         assert len(built) == 1
 
 
+#: Runs ``main`` on the command line's arguments in a fresh interpreter.
+FRESH_MAIN = "import sys; from bellsim.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+class TestRepeatedCalls:
+    """``main`` builds its parser once per process; a call leaves nothing
+    behind in it for the next."""
+
+    def test_each_call_matches_a_fresh_process(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps({"model": "qm", "trials": 50, "seed": 2}))
+        (tmp_path / "bad.json").write_text(json.dumps({"trials": 5}))
+        calls = [
+            (["simulate", "--config", "run.json"], 0),
+            (["chsh", "--trials", "200", "--seed", "4"], 0),
+            (["simulate", "--config", "bad.json"], 2),
+            (["simulate", "--config", "run.json"], 0),
+        ]
+        package_root = os.path.dirname(os.path.dirname(bellsim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        for argv, expected_code in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-c", FRESH_MAIN, *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=False,
+            )
+            assert code == expected_code
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 class TestErrors:
     """Bad inputs end in one ``error:`` line on stderr and exit code 2."""
 
@@ -185,6 +221,14 @@ class TestErrors:
     def test_wrongly_typed_config_value(self, capsys, tmp_path, key, value, message):
         path = self.write_config(tmp_path, {"model": "qm", "trials": 10, key: value})
         assert message in self.run_error(capsys, "simulate", "--config", path)
+
+    def test_log_and_report_on_one_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = self.write_config(tmp_path, {
+            "model": "qm", "trials": 5, "trial_log_path": "out.txt",
+            "report_path": "./out.txt", "report_format": "csv"})
+        assert "same file" in self.run_error(capsys, "simulate", "--config", path)
+        assert not (tmp_path / "out.txt").exists()
 
     @pytest.mark.parametrize("scenario", [5, True, "", "absent.json", "malformed"])
     @pytest.mark.parametrize("with_log", [False, True])

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bellsim.harness import (
     PairSamples,
     ReportBundle,
     RunConfig,
+    _LOG_BLOCK_LINES,
     _cell_thresholds,
     _lambda_guide,
     _lambda_index,
@@ -134,6 +137,15 @@ class TestRunConfig:
         data["bogus"] = 1
         assert cfg == config(trials=50, seed=99)
         assert cfg.to_json_dict() == config(trials=50, seed=99).to_json_dict()
+
+    @pytest.mark.parametrize("report_path", ["out.txt", "./out.txt", "sub/../out.txt"])
+    def test_log_and_report_on_one_file_rejected(self, report_path):
+        with pytest.raises(ValueError, match="same file"):
+            config(trial_log_path="out.txt", report_path=report_path)
+
+    def test_log_and_report_on_two_files_accepted(self):
+        cfg = config(trial_log_path="out.txt", report_path="sub/out.txt")
+        assert (cfg.trial_log_path, cfg.report_path) == ("out.txt", "sub/out.txt")
 
     def test_unhashable_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -278,6 +290,34 @@ class TestExecutionPlanProperty:
         single_bytes = (out / "single.jsonl").read_bytes()
         assert (out / "planned.jsonl").read_bytes() == single_bytes
         assert single_bytes == per_trial_log(single)
+
+
+#: Trial counts on each side of the index's digit boundaries, and one whose
+#: last writer block holds three lines of the 4-digit group the blocks split.
+WRITER_EDGE_TRIALS = (1, 9, 10, 11, 99, 100, 101, 9_999, 10_000, 10_001, 1000 + _LOG_BLOCK_LINES + 3)
+
+
+class TestTrialLogWriter:
+    @pytest.mark.parametrize("trials", WRITER_EDGE_TRIALS)
+    @pytest.mark.parametrize("scenario", [None, "late"])
+    @pytest.mark.parametrize("model", ["qm", "lhv"])
+    def test_bytes_are_the_per_trial_reference(self, model, scenario, trials, tmp_path):
+        log = run_trials(config(model=model, trials=trials, seed=trials, scenario=scenario))
+        path = tmp_path / "trials.jsonl"
+        write_trial_log(log, str(path))
+        assert path.read_bytes() == per_trial_log(log)
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        def peak(trials: int) -> int:
+            log = run_trials(config(trials=trials, scenario="late"))
+            tracemalloc.start()
+            try:
+                write_trial_log(log, os.devnull)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400_000) <= 1.5 * peak(100_000)
 
 
 UNIFORM_GRID = 2**53
