@@ -22,7 +22,9 @@ assign different, equally correct values to the same event.
 
 An intervention names the event it acts on by its own fields: the
 preparation (``ReplacePreparation``) or one wing's setting (``SetAngle``),
-and it acts on that event of whichever scenario it is applied to.
+and it acts on that event of whichever scenario it is applied to, as a
+payload edit (``Scenario.with_state`` or ``Scenario.with_setting``) that
+keeps the scenario's event index.
 Interventions that force a measurement outcome (``ForceOutcome``) are
 representable but always refused; the refusal is a first-class verdict,
 not an error.
@@ -30,7 +32,7 @@ not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
@@ -42,6 +44,8 @@ from .quantum import (
     PhotonPairState,
     Wing,
     ZERO_PROBABILITY,
+    _conditional,
+    _joint_cells,
     as_angle,
     born_conditional,
     born_joint,
@@ -312,19 +316,10 @@ def apply_intervention(
                 "could do alters it"
             ),
         )
-    event = _acted_on(scenario, intervention)
+    _acted_on(scenario, intervention)
     if isinstance(intervention, ReplacePreparation):
         return scenario.with_state(intervention.state)
-    wing, angle = intervention.wing, intervention.angle
-    events = []
-    for ev in scenario.events:
-        if ev is event:
-            events.append(replace(ev, kind=Setting(wing=wing, angle=angle)))
-        elif angle is None and isinstance(ev.kind, Outcome) and ev.kind.wing is wing:
-            continue
-        else:
-            events.append(ev)
-    return scenario.with_events(events)
+    return scenario.with_setting(intervention.wing, intervention.angle)
 
 
 # -- estimated chances ---------------------------------------------------------
@@ -363,12 +358,15 @@ def estimated_chance(
 
     own_angle = _visible_angle(rc, target.wing, point)
     angles = (own_angle, remote_angle) if remote is Wing.B else (remote_angle, own_angle)
+    # Each weight is bit for bit the denominator born_conditional would
+    # compute, so one joint serves both hypothesized labels.
     weights = born_marginal(state, remote, remote_angle)
+    joint = _joint_cells(state, *angles)
     estimate = 0.0
     for hypothesized, weight in zip((OutcomeLabel.V, OutcomeLabel.H), weights):
         if weight <= ZERO_PROBABILITY:
             continue
-        downstream = born_conditional(state, *angles, given=(remote, hypothesized))
+        downstream = _conditional(joint, weight, (remote, hypothesized))
         estimate += weight * downstream.for_label(target.label)
     return ChanceValue(value=min(max(estimate, 0.0), 1.0), at=point, target=target)
 
@@ -506,10 +504,7 @@ def local_causality_readings(scenario: Scenario) -> LocalCausalityReadings:
     flipped_label = (
         OutcomeLabel.H if outcome_b.kind.label is OutcomeLabel.V else OutcomeLabel.V
     )
-    flipped = scenario.with_events(
-        ev if ev.id != outcome_b.id else replace(ev, kind=Outcome(Wing.B, flipped_label))
-        for ev in scenario.events
-    )
+    flipped = scenario.with_outcome(Wing.B, flipped_label)
     for name, point in (("p", scenario.p), ("p_prime", scenario.p_prime)):
         if not is_spacelike(point, outcome_b.point):
             continue

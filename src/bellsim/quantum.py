@@ -402,9 +402,25 @@ def born_conditional(
     """
     cond_wing, cond_label = given
     rho = _as_pair_state(state)
-    joint = _validated(_born_pairs(rho.matrix, _projectors([a]), _projectors([b]))[0, 0], (2, 2))
+    joint = _joint_cells(rho, a, b)
     cond_angle = a if cond_wing is Wing.A else b
     denom = born_marginal(rho, cond_wing, cond_angle).for_label(cond_label)
+    return _conditional(joint, denom, given)
+
+
+def _joint_cells(state: PhotonPairState, a: AngleLike, b: AngleLike) -> np.ndarray:
+    """The validated 2x2 joint of ``state`` at ``a``, ``b``, indexed [outcome
+    A, outcome B]; equal, cell for cell, to ``born_joint``'s."""
+    return _validated(_born_pairs(state.matrix, _projectors([a]), _projectors([b]))[0, 0], (2, 2))
+
+
+def _conditional(
+    joint: np.ndarray, denom: float, given: tuple[Wing, OutcomeLabel]
+) -> ProbabilityPair:
+    """The ratio-and-clamp step of :func:`born_conditional`: the row (or
+    column) of the validated ``joint`` that ``given`` selects, over the
+    conditioning marginal ``denom``."""
+    cond_wing, cond_label = given
     if denom <= ZERO_PROBABILITY:
         raise UndefinedConditionalError(
             f"conditioning outcome {cond_label.value} on wing {cond_wing.value} "

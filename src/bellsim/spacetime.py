@@ -18,6 +18,12 @@ not, loads with the null coordinates it was saved with.
 Regions are represented by labeled events rather than extended point
 sets, since only membership and causal relations are ever queried.
 
+A scenario validates its events and indexes them by kind once, when it
+is built, and ``with_events`` validates and indexes again. The payload
+edits ``with_state``, ``with_setting`` and ``with_outcome`` move no
+point, so they keep every rule and carry the parent's index over,
+copying only the index entries they change.
+
 Canonical layout coordinates (a documented contract, relied on by the
 chance analysis and its tests):
 
@@ -98,23 +104,23 @@ class CausalRelation(Enum):
     SPACELIKE = "spacelike"
 
 
+def in_causal_past(q: SpacetimePoint, p: SpacetimePoint) -> bool:
+    """True when q lies in the closed causal past of p: the one cone test,
+    on the stored null coordinates."""
+    return q.u <= p.u and q.w <= p.w
+
+
 def causal_relation(p: SpacetimePoint, q: SpacetimePoint) -> CausalRelation:
     """Classify q relative to p's closed light cones.
 
-    Compares the stored null coordinates of the two points. The
-    degenerate case q == p is reported as CAUSAL_PAST (a point belongs
-    to its own closed cone).
+    The degenerate case q == p is reported as CAUSAL_PAST (a point
+    belongs to its own closed cone).
     """
-    if q.u <= p.u and q.w <= p.w:
+    if in_causal_past(q, p):
         return CausalRelation.CAUSAL_PAST
-    if q.u >= p.u and q.w >= p.w:
+    if in_causal_past(p, q):
         return CausalRelation.CAUSAL_FUTURE
     return CausalRelation.SPACELIKE
-
-
-def in_causal_past(q: SpacetimePoint, p: SpacetimePoint) -> bool:
-    """True when q lies in the closed causal past of p."""
-    return causal_relation(p, q) is CausalRelation.CAUSAL_PAST
 
 
 def is_spacelike(p: SpacetimePoint, q: SpacetimePoint) -> bool:
@@ -268,10 +274,55 @@ class Scenario:
             raise KeyError(f"unknown probe point {name!r}; expected p, p', q or r") from None
 
     def with_state(self, state: PhotonPairState) -> "Scenario":
-        return replace(self, state=state)
+        """This scenario with another prepared state; the index carries over."""
+        return self._edited(state=state)
+
+    def with_setting(self, wing: Wing, angle: AngleLike | None) -> "Scenario":
+        """This scenario with ``wing``'s setting turned to ``angle``; None
+        (measure nothing) also drops that wing's outcome event, since an
+        unperformed measurement registers nothing. The index carries over."""
+        preparations, settings, outcomes = self._by_kind
+        old = settings.get(wing)
+        if old is None:
+            raise ValueError(f"scenario has no setting event on wing {wing.value}")
+        angle = None if angle is None else as_angle(angle)
+        new = replace(old, kind=Setting(wing=wing, angle=angle))
+        dropped = outcomes.get(wing) if angle is None else None
+        if dropped is not None:
+            outcomes = {w: ev for w, ev in outcomes.items() if w is not wing}
+        return self._edited(
+            events=tuple(new if ev is old else ev for ev in self.events if ev is not dropped),
+            _by_kind=(preparations, {**settings, wing: new}, outcomes),
+        )
+
+    def with_outcome(self, wing: Wing, label: OutcomeLabel) -> "Scenario":
+        """This scenario with ``wing``'s outcome event registering ``label``;
+        the index carries over."""
+        preparations, settings, outcomes = self._by_kind
+        old = outcomes.get(wing)
+        if old is None:
+            raise ValueError(f"scenario has no outcome event on wing {wing.value}")
+        new = replace(old, kind=Outcome(wing=wing, label=label))
+        return self._edited(
+            events=tuple(new if ev is old else ev for ev in self.events),
+            _by_kind=(preparations, settings, {**outcomes, wing: new}),
+        )
 
     def with_events(self, events: Iterable[EventRecord]) -> "Scenario":
+        """This scenario with ``events``, validated and indexed afresh."""
         return replace(self, events=tuple(events))
+
+    def _edited(self, **fields) -> "Scenario":
+        """A copy with ``fields`` replaced, built without ``__post_init__``.
+
+        Only for payload edits (a state, an angle, a label, or a dropped
+        outcome whose setting has no axis left), which move no point and
+        so keep every rule ``__post_init__`` checks; ``fields`` carries
+        the edited index. The parent's index is shared, never mutated.
+        """
+        edited = object.__new__(type(self))
+        vars(edited).update(vars(self), **fields)
+        return edited
 
     # -- serialization -----------------------------------------------------
 

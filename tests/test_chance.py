@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.chance import (
@@ -30,6 +30,7 @@ from bellsim.chance import (
     vertical_outcome,
 )
 from bellsim.quantum import (
+    ZERO_PROBABILITY,
     AnalyzerAngle,
     OutcomeLabel,
     PhotonPairState,
@@ -309,6 +310,25 @@ class TestConeDependence:
         assert total == pytest.approx(early, abs=1e-12)
 
 
+#: Angles on a 22.5-degree grid, where product states give exact zeros.
+grid_angles = st.sampled_from([k * 22.5 for k in range(8)])
+grid_or_any_angle = st.one_of(grid_angles, st.floats(-360.0, 360.0))
+product_states = st.builds(product_polarized, grid_angles, grid_angles)
+
+
+def public_mixture(state, wing, label, own_angle, remote_angle):
+    """The mixture estimate through the public Born functions: the sum over
+    the remote labels of ``born_marginal`` times ``born_conditional``."""
+    remote = wing.other()
+    angles = (own_angle, remote_angle) if wing is Wing.A else (remote_angle, own_angle)
+    estimate = 0.0
+    for hypothesized, weight in zip((V, H), born_marginal(state, remote, remote_angle)):
+        if weight > ZERO_PROBABILITY:
+            conditional = born_conditional(state, *angles, given=(remote, hypothesized))
+            estimate += weight * conditional.for_label(label)
+    return min(max(estimate, 0.0), 1.0)
+
+
 class TestEstimatedChance:
     def test_same_axis_mixture(self, aligned):
         iv = set_angle_intervention(aligned, Wing.B, 15.0)
@@ -365,6 +385,43 @@ class TestEstimatedChance:
         # wing A polarized orthogonal to its analyzer: V never registers
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
+    @given(
+        st.one_of(density_matrices().map(PhotonPairState), product_states),
+        grid_or_any_angle,
+        grid_or_any_angle,
+        grid_or_any_angle,
+        st.sampled_from([V, H]),
+    )
+    @example(product_polarized(0.0, 0.0), 0.0, 0.0, 0.0, V)
+    @example(product_polarized(22.5, 90.0), 22.5, 45.0, 90.0, H)
+    @settings(max_examples=200, deadline=None)
+    def test_mixture_is_the_public_route(self, state, angle_a, angle_b, beta, label):
+        """The mixture, on one shared joint, equals the sum over the remote
+        labels of the Born marginal times ``born_conditional``, bit for
+        bit, for a target on either wing."""
+        s = standard_scenario(settings_in_overlap=True, angle_a=angle_a, angle_b=angle_b,
+                              state=state)
+        for wing in (Wing.A, Wing.B):
+            remote = wing.other()
+            iv = set_angle_intervention(s, remote, beta)
+            assert reference_class_at(s.p_prime, apply_intervention(s, iv)).outcomes == {}
+            est = estimated_chance(s.p_prime, OutcomeTarget(wing, label), iv, s).value
+            assert est.hex() == public_mixture(state, wing, label, s.angle(wing), iv.angle).hex()
+
+    @pytest.mark.parametrize("polarization", [0.0, 45.0, 90.0, 22.5])
+    def test_mixture_skips_an_impossible_remote_label(self, polarization):
+        """A product state polarized along the contemplated remote axis: one
+        weight is at most ``ZERO_PROBABILITY``, and only the other label's
+        conditional enters the estimate."""
+        state = product_polarized(polarization, polarization)
+        s = standard_scenario(settings_in_overlap=True, angle_a=10.0, state=state)
+        weights = born_marginal(state, Wing.B, polarization)
+        assert min(weights) <= ZERO_PROBABILITY
+        iv = set_angle_intervention(s, Wing.B, polarization)
+        est = estimated_chance(s.p_prime, E_A, iv, s).value
+        assert est.hex() == public_mixture(state, Wing.A, V, s.angle(Wing.A), iv.angle).hex()
+        assert est == pytest.approx(cos2(polarization - 10.0), abs=1e-12)
+
 
 class TestApplyIntervention:
     def test_replace_preparation_changes_chances(self, overlap):
@@ -387,6 +444,131 @@ class TestApplyIntervention:
         refusal = apply_intervention(overlap, ForceOutcome(Wing.B, H))
         assert isinstance(refusal, SenselessIntervention)
         assert "forcing outcome" in refusal.reason
+
+
+def fresh_build(scenario):
+    """A scenario built, validated and indexed from ``scenario``'s fields."""
+    return Scenario(state=scenario.state, events=scenario.events, p=scenario.p,
+                    p_prime=scenario.p_prime, q=scenario.q, r=scenario.r)
+
+
+def index_records(scenario):
+    """The scenario's event index, with each record named by its identity."""
+    preparations, settings, outcomes = scenario._by_kind
+    return ([id(ev) for ev in preparations], {w: id(ev) for w, ev in settings.items()},
+            {w: id(ev) for w, ev in outcomes.items()})
+
+
+def answer(query):
+    """A chance query's value as hex, or the reason it is undefined."""
+    try:
+        return query().value.hex()
+    except NoChanceDefinedError as exc:
+        return str(exc)
+
+
+def assert_edit_equals_build(edited):
+    """``edited`` equals a fresh build of its fields: the same index, and
+    bit-identical chances and estimates on every probe and target."""
+    fresh = fresh_build(edited)
+    assert edited == fresh
+    assert edited._by_kind == fresh._by_kind
+    assert index_records(edited) == index_records(fresh)
+    for name in ("p", "p'", "q", "r"):
+        point = edited.probe(name)
+        for target in (E_A, E_B, joint_vertical()):
+            assert answer(lambda: chance_at(point, target, edited)) == answer(
+                lambda: chance_at(point, target, fresh))
+            assert answer(lambda: estimated_chance(point, target, None, edited)) == answer(
+                lambda: estimated_chance(point, target, None, fresh))
+
+
+optional_labels = st.sampled_from([V, H, None])
+
+
+class TestEditsEqualBuilds:
+    """Interventions and the readings' flipped outcome edit a scenario and
+    carry its index over; the result is the scenario a fresh build gives."""
+
+    @given(
+        st.booleans(),
+        st.one_of(st.none(), st.floats(-360.0, 360.0)),
+        st.one_of(st.none(), st.floats(-360.0, 360.0)),
+        optional_labels,
+        optional_labels,
+        density_matrices(),
+        density_matrices(),
+        st.one_of(st.none(), st.floats(-2.0, 2.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_edit_equals_a_fresh_build(
+        self, overlap_layout, angle_a, angle_b, label_a, label_b, matrix, replacement, zeta
+    ):
+        s = standard_scenario(
+            settings_in_overlap=overlap_layout, angle_a=angle_a, angle_b=angle_b,
+            outcome_a=None if angle_a is None else label_a,
+            outcome_b=None if angle_b is None else label_b,
+            state=PhotonPairState(matrix),
+        )
+        if zeta is not None:
+            s = moved_scenario(s, lambda point: point.boosted(zeta))
+        parent_index = index_records(s)
+        interventions = [ReplacePreparation(PhotonPairState(replacement))]
+        for cause in (s.preparation_event(), s.setting_event(Wing.A), s.setting_event(Wing.B)):
+            interventions += _admissible_interventions(cause)
+        for iv in interventions:
+            assert_edit_equals_build(apply_intervention(s, iv))
+        for wing in (Wing.A, Wing.B):
+            outcome = s.outcome_event(wing)
+            if outcome is not None:
+                flipped = H if outcome.kind.label is V else V
+                edited = s.with_outcome(wing, flipped)
+                assert edited.outcome_event(wing).kind == Outcome(wing, flipped)
+                assert_edit_equals_build(edited)
+        assert index_records(s) == parent_index
+        assert s == fresh_build(s)
+
+    def test_set_angle_none_drops_the_outcome_from_events_and_index(self, overlap):
+        edited = overlap.with_setting(Wing.B, None)
+        assert [ev.id for ev in edited.events] == ["o", "setting-a", "outcome-a", "setting-b"]
+        assert edited.outcome_event(Wing.B) is None
+        assert overlap.outcome_event(Wing.B) is not None
+        assert_edit_equals_build(edited)
+
+    def test_missing_outcome_rejected(self):
+        s = standard_scenario(angle_b=None, outcome_b=None)
+        with pytest.raises(ValueError, match="scenario has no outcome event on wing B"):
+            s.with_outcome(Wing.B, V)
+
+
+class TestNoRebuilds:
+    """Interventions and the readings edit a scenario; none of them runs
+    ``Scenario.__post_init__``, the validation every build runs."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = []
+        real = Scenario.__post_init__
+        monkeypatch.setattr(Scenario, "__post_init__",
+                            lambda self: count.append(1) or real(self))
+        return count
+
+    def test_the_counter_sees_a_build(self, overlap, builds):
+        overlap.with_events(overlap.events)
+        assert builds == [1]
+
+    @pytest.mark.parametrize("intervention", [
+        SetAngle(Wing.B, AnalyzerAngle(33.0)),
+        SetAngle(Wing.A, None),
+        ReplacePreparation(product_polarized(90.0, 0.0)),
+    ], ids=["set-angle", "set-angle-none", "replace-preparation"])
+    def test_apply_intervention_builds_nothing(self, overlap, builds, intervention):
+        assert isinstance(apply_intervention(overlap, intervention), Scenario)
+        assert builds == []
+
+    def test_readings_build_nothing(self, overlap, builds):
+        local_causality_readings(overlap)
+        assert builds == []
 
 
 def renamed_setting_b(scenario):

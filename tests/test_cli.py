@@ -354,13 +354,31 @@ EMISSION_CASES = {
     "chsh/lhv": (["chsh", "--model", "lhv", "--trials", "400", "--seed", "1099511627793"], None),
     "chsh/fixture": (["chsh", "--model", "fixture", "--angles", "10,101.9,37.3,-5",
                       "--trials", "400", "--seed", "3"], None),
+    **{
+        f"chances/{layout}/{probe}/{target}": (
+            ["chances", "--scenario", layout, "--point", probe, "--target", target], None)
+        for layout in ("overlap", "late") for probe in ("q", "r") for target in ("eA", "joint")
+    },
+    "chances/late/undefined": (
+        ["chances", "--scenario", "late", "--point=-50,0", "--target", "eA"], None),
 }
 
 #: SHA-256 digests of the bytes each ``EMISSION_CASES`` run emits, captured
 #: before the report records took their serializers from their own fields.
 #: simulate/fixture/json-stdout was re-captured when the no-signalling
-#: attachment gained its witness, the only change to those bytes.
+#: attachment gained its witness, the only change to those bytes. The
+#: ``chances/*`` entries were captured before interventions became edits
+#: of a scenario instead of rebuilds; plain ``chances`` output keeps them.
 EMISSION_GOLDEN = {
+    "chances/late/q/eA": "d55164b3e73b48b65bb8d3bbae0038db4d14c7b5d94dc5affca75bcabcb56147",
+    "chances/late/q/joint": "167e07bcc45211508054125bf0f3b98c1b45e3e72d745cec1c69c9fae86afcd6",
+    "chances/late/r/eA": "d327e02961d5fed280038e7900a683e94bbbf24e451b7f49026a0555d3a8c7b2",
+    "chances/late/r/joint": "0128278f21cf6911f5dc85329fb858280475ae8ac8d18473204c96b08f0f6793",
+    "chances/late/undefined": "b82156c0cdf85761d2143ef7a90ae98ed66ea9543ab93b89bdaefc760f5d4eb1",
+    "chances/overlap/q/eA": "bd3d8357e18d6ec0aed9255b53c19d71de297bdd3f627fde7d839e81feb181d6",
+    "chances/overlap/q/joint": "dcdc4fcb5ebd0558f8ab19d7a292857e771ac2515f1d12ae37b440ceba40b2dd",
+    "chances/overlap/r/eA": "753e3df460059b33bbd0e68255a55a96e17398ff81df55a10316d9d391db4146",
+    "chances/overlap/r/joint": "81e5a6e57f272a3c6878ff7f0f2a11cdfe7ba45db43b152764f1de6beca40061",
     "chsh/fixture": "19f2443015691cc73fe8c7d955c52a4afa4b9c3f6b8eacf0f2cb8c2bd75beb58",
     "chsh/lhv": "2e6641804f35fcdb028b1854b4433a2a5b3394e93a62c33b022650b680c94ba6",
     "chsh/qm": "1350625e5f6cbbb6ab7700778de1b01ffb11aba389cacd39db936de82d08e075",
