@@ -42,6 +42,7 @@ from .quantum import (
     AnalyzerAngle,
     OutcomeLabel,
     PhotonPairState,
+    UndefinedConditionalError,
     Wing,
     ZERO_PROBABILITY,
     _conditional,
@@ -215,7 +216,13 @@ def _chance(
     angle_a, angle_b = _visible_angle(rc, Wing.A, point), _visible_angle(rc, Wing.B, point)
     if len(open_wings) == 2:
         return born_joint(state, angle_a, angle_b).prob(open_wings[0][1], open_wings[1][1])
-    pair = born_conditional(state, angle_a, angle_b, given=(wing.other(), given))
+    try:
+        pair = born_conditional(state, angle_a, angle_b, given=(wing.other(), given))
+    except UndefinedConditionalError:
+        raise NoChanceDefinedError(
+            f"the outcome {given.value} on wing {wing.other().value} seen from "
+            f"({point.t}, {point.x}) has zero probability; no {what} is defined there"
+        ) from None
     return pair.for_label(label)
 
 

@@ -29,6 +29,7 @@ from .harness import (
     render_report,
     resolve_model,
     run_trials,
+    schedule_grid,
     write_trial_log,
 )
 from .hidden_variables import deterministic_chsh_maximum, strategy_chsh, all_strategies
@@ -169,7 +170,7 @@ def _cmd_lhv_bound(args: argparse.Namespace) -> int:
 
 def _condition_attachments(model, schedule) -> tuple:
     """Analytic checker reports over the schedule's angles."""
-    grid = sorted({angle.degrees for pair in schedule for angle in pair})
+    grid = schedule_grid(schedule)
     checks = (check_parameter_independence, check_outcome_independence,
               check_factorizability, check_no_signalling)
     return tuple(check(model, grid).to_json_dict() for check in checks)

@@ -17,7 +17,8 @@ The sampler compares integers. ``Generator.random()`` on Philox returns
 exactly ``(raw >> 11) * 2**-53`` for a raw 64-bit word, so each uniform is
 a 53-bit integer k, and u >= c holds exactly when k >= ceil(c * 2**53).
 The cumulative prior becomes such ``uint64`` thresholds once per run, and
-each pair's per-lambda cumulative cells once per pair; a trial's cell is
+each pair's per-lambda cumulative cells, read from the run's one
+``schedule_grid`` table, once per pair; a trial's cell is
 the number of its lambda's three cumulative-cell thresholds that k
 reaches. The lambda index is the
 cumulative prior's inverse, ``searchsorted(prior, u, "right")`` clipped
@@ -213,6 +214,12 @@ class TrialLog:
     outcome_coordinates: dict | None = None
 
 
+def schedule_grid(schedule: Sequence[tuple[AnalyzerAngle, AnalyzerAngle]]) -> tuple[float, ...]:
+    """The schedule's distinct angles in degrees, sorted: the grid whose
+    one table a run samples from and its condition reports sweep."""
+    return tuple(sorted({angle.degrees for pair in schedule for angle in pair}))
+
+
 def resolve_model(name: str) -> ProbabilityModel:
     return MODEL_BUILDERS[name]()
 
@@ -269,11 +276,13 @@ def _lambda_index(guide: _LambdaGuide, k: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _cell_thresholds(model: ProbabilityModel, a: AnalyzerAngle, b: AnalyzerAngle) -> np.ndarray:
-    """Thresholds of one pair's cumulative VV, VH and HV cells: one
-    ``uint64`` row each, one column per lambda."""
-    cells = model.cells([a], [b])[0, 0].reshape(-1, 4)  # (VV, VH, HV, HH) per lambda
-    return _thresholds(np.cumsum(cells[:, :3], axis=1).T.copy())
+def _cell_thresholds(cells: np.ndarray) -> np.ndarray:
+    """Thresholds of one pair's cumulative VV, VH and HV cells, from its
+    ``[n_lambda, 2, 2]`` table entry: one ``uint64`` row each, one column
+    per lambda."""
+    vv, vh, hv, _ = cells.transpose(1, 2, 0).reshape(4, -1)  # a view when lambda is innermost
+    vv_vh = vv + vh  # cumulative sums, added in the order cumsum adds them
+    return _thresholds(np.stack([vv, vv_vh, vv_vh + hv]))
 
 
 def _sample_chunk(
@@ -311,12 +320,15 @@ def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) 
     """
     scenario = None if config.scenario is None else load_scenario(config.scenario)
     model = resolve_model(config.model)
+    grid = schedule_grid(config.schedule)
+    table = model.table(grid)
+    row = {degrees: i for i, degrees in enumerate(grid)}
     guide = _lambda_guide(model.weights) if len(model.weights) > 1 else None
     chunk = max(2, int(chunk_size))
     chunk += chunk % 2  # chunks must start on even trial indices
     pairs = []
     for pair_index, (a, b) in enumerate(config.schedule):
-        thresholds = _cell_thresholds(model, a, b)
+        thresholds = _cell_thresholds(table[row[a.degrees], row[b.degrees]])
         n = config.trials
         bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
         cells = np.empty(n, dtype=np.uint8)

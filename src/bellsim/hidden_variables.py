@@ -12,7 +12,10 @@ per-wing responses: array functions mapping analyzer angles
 ``degrees[n]`` to the probability of V for every lambda,
 ``[n, n_lambda]``. The kernel is the outer product of the two wings'
 responses, Fine's picture of a local model (PRL 48, 291, 1982); a
-strategy mixture's response is a table lookup.
+strategy mixture's response is a table lookup. The product is formed
+lambda innermost and returned as a transposed view in the unchanged
+kernel layout ``[na, nb, n_lambda, 2, 2]``, so stored tables keep lambda
+innermost for the condition sweeps.
 
 The vector model's response rule works in doubled-angle space: the
 hidden axis and the analyzer axis are doubled, treated as axes again,
@@ -140,9 +143,10 @@ class LhvModel(ProbabilityModel):
         def kernel(a_deg: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
             pa = np.asarray(response_a(a_deg), dtype=float)
             pb = np.asarray(response_b(b_deg), dtype=float)
-            wing_a = np.stack([pa, 1.0 - pa], axis=-1)  # [a, lambda, outcome_a]
-            wing_b = np.stack([pb, 1.0 - pb], axis=-1)  # [b, lambda, outcome_b]
-            return wing_a[:, None, :, :, None] * wing_b[None, :, :, None, :]
+            wing_a = np.stack([pa, 1.0 - pa], axis=1)  # [a, outcome_a, lambda]
+            wing_b = np.stack([pb, 1.0 - pb], axis=1)  # [b, outcome_b, lambda]
+            joint = wing_a[:, None, :, None, :] * wing_b[None, :, None, :, :]
+            return joint.transpose(0, 1, 4, 2, 3)  # lambda stays innermost in memory
 
         return cls(
             name=name,

@@ -11,13 +11,18 @@ per-pair cells all come from that one call and one validation step,
 passes; the quantum kernel is ``quantum``'s projector stack and pair
 einsum, batched over the angles. A model keeps the table of the last
 grid it was asked for; kernels must be pure for that cache to be sound.
+The contract fixes the table's shape, not its memory layout: the
+validated copy keeps the kernel's, and an LHV table is stored lambda
+innermost.
 
 Each of the four checkers builds a grid's table and both wings'
-per-lambda marginals once, views them from either wing in one layout so
-that every formula is written once for both wings, and returns one
-record type, a ``ConditionReport``: the worst-case deviation from its
-condition, which holds within ``CONDITION_TOL``, and a witness when it
-fails.
+per-lambda marginals once, views them from either wing in one layout,
+[own setting, remote setting, own outcome, remote outcome, lambda], so
+that every formula is written once for both wings and numpy's inner
+loops run over lambda, and returns one record type, a
+``ConditionReport``: the worst-case deviation from its condition, which
+holds within ``CONDITION_TOL``, and a witness when it fails, the first
+worst cell in the table's [a, b, lambda, outcome_a, outcome_b] order.
 
 * parameter independence: a wing's per-lambda marginal must not depend
   on the remote setting;
@@ -107,14 +112,16 @@ class ProbabilityModel:
         """Joint probabilities for every grid cell.
 
         Shape (len(grid), len(grid), n_lambda, 2, 2), indexed
-        [a, b, lambda, outcome_a, outcome_b] with V=0, H=1. The last
-        grid's table is kept, keyed by the normalized angles, so the
-        checkers sweeping one grid build it once; another grid replaces it.
+        [a, b, lambda, outcome_a, outcome_b] with V=0, H=1, in the
+        kernel's memory layout (lambda innermost for an LHV model). The
+        last grid's table is kept, keyed by the normalized angles, so a
+        run and the checkers sweeping one grid build it once; another
+        grid replaces it.
         """
         key = tuple(_degrees(grid).tolist())
         last = self._last_table
         if last is None or last[0] != key:
-            table = self.cells(key, key)
+            table = self.cells(grid, grid)
             table.setflags(write=False)
             last = (key, table)
             object.__setattr__(self, "_last_table", last)
@@ -199,24 +206,29 @@ def default_angle_grid(count: int = 8) -> tuple[AnalyzerAngle, ...]:
 
 
 class _Wing(NamedTuple):
-    """A wing's view of a grid table, [own setting, remote setting, lambda, own
-    outcome, remote outcome]; ``order``, its own inverse, maps table axes to it."""
+    """A wing's view of a grid table, [own setting, remote setting, own
+    outcome, remote outcome, lambda]: ``table.transpose(order)``."""
 
     name: str
     order: tuple[int, ...]
     joint: np.ndarray
-    marginal: np.ndarray  # [own, remote, lambda, own outcome]
-    remote_marginal: np.ndarray  # [own, remote, lambda, remote outcome]
+    marginal: np.ndarray  # [own, remote, own outcome, lambda]
+    remote_marginal: np.ndarray  # [own, remote, remote outcome, lambda]
 
     def argmax(self, values: np.ndarray) -> tuple[tuple, tuple]:
         """(table index, wing-local index) of the first maximum of
-        ``values`` in the table's own [a, b, lambda, oa, ob] order."""
-        in_table_order = values.transpose(self.order)
-        index = np.unravel_index(in_table_order.argmax(), in_table_order.shape)
+        ``values`` in the table's own [a, b, lambda, oa, ob] order. The
+        search runs on a transposed boolean mask of the maxima, because a
+        transposed copy of ``values`` itself costs more than the sweep."""
+        peaks = (values == values.max()).transpose(np.argsort(self.order))
+        first = peaks.any(axis=(3, 4))  # [a, b, lambda]
+        ia, ib, lam = np.unravel_index(first.argmax(), first.shape)
+        cell = peaks[ia, ib, lam]
+        index = (ia, ib, lam, *np.unravel_index(cell.argmax(), cell.shape))
         return index, tuple(index[k] for k in self.order)
 
 
-_ORDERS = {"A": (0, 1, 2, 3, 4), "B": (1, 0, 2, 4, 3)}
+_ORDERS = {"A": (0, 1, 3, 4, 2), "B": (1, 0, 4, 3, 2)}
 
 
 def _sweep(model: ProbabilityModel, grid: Sequence[AngleLike]) -> tuple:
@@ -227,7 +239,7 @@ def _sweep(model: ProbabilityModel, grid: Sequence[AngleLike]) -> tuple:
         raise ValueError("angle grid must be nonempty")
     table = model.table(angles)
     joints = [table.transpose(order) for order in _ORDERS.values()]
-    marginals = [joint[..., 0] + joint[..., 1] for joint in joints]
+    marginals = [joint[:, :, :, 0] + joint[:, :, :, 1] for joint in joints]
     remotes = [marginal.swapaxes(0, 1) for marginal in marginals[::-1]]
     return angles, tuple(map(_Wing, _ORDERS, _ORDERS.values(), joints, marginals, remotes))
 
@@ -239,12 +251,12 @@ def _report(condition: str, deviation: float, witness: dict) -> ConditionReport:
 
 def _remote_spread(condition: str, angles: tuple, marginals: dict) -> ConditionReport:
     """Worst dependence on the remote setting of either wing's marginal
-    ``[own, remote, lambda, own outcome]``, keyed by wing; wing A on ties."""
+    ``[own, remote, own outcome, lambda]``, keyed by wing; wing A on ties."""
     spreads = {wing: m.max(axis=1) - m.min(axis=1) for wing, m in marginals.items()}
     wing = max(spreads, key=lambda w: spreads[w].max())
-    spread = spreads[wing]  # [own setting, lambda, outcome]
+    spread = spreads[wing].swapaxes(1, 2)  # [own setting, lambda, outcome]
     local_i, lam_i, out_i = np.unravel_index(spread.argmax(), spread.shape)
-    along = marginals[wing][local_i, :, lam_i, out_i]
+    along = marginals[wing][local_i, :, out_i, lam_i]
     return _report(condition, float(spread.max()), {
         "wing": wing,
         "local_angle_deg": angles[local_i].degrees,
@@ -272,7 +284,7 @@ def check_no_signalling(model: ProbabilityModel, grid: Sequence[AngleLike]) -> C
     setting. The witness's ``lambda_index`` is always 0."""
     angles, wings = _sweep(model, grid)
     return _remote_spread("no_signalling", angles, {
-        w.name: np.tensordot(w.marginal, model.weights, axes=([2], [0]))[:, :, None] for w in wings
+        w.name: np.tensordot(w.marginal, model.weights, axes=([3], [0]))[..., None] for w in wings
     })
 
 
@@ -283,24 +295,27 @@ def check_outcome_independence(
     remote outcome. Conditioning outcomes of zero probability are
     skipped, since deterministic branches legitimately produce them."""
     angles, wings = _sweep(model, grid)
-    sweeps = []
+    dev = np.empty(wings[0].joint.shape)  # one buffer, filled for each wing in turn
+    worst = (-np.inf,)
     for wing in wings:
-        remote = wing.remote_marginal[:, :, :, None, :]
+        remote = wing.remote_marginal[:, :, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            cond = wing.joint / remote  # P(own outcome | remote outcome, lambda)
-            dev = np.abs(cond - wing.marginal[..., None])
-        sweeps.append((wing, cond, np.where(remote > SKIP_PROBABILITY, dev, -np.inf)))
-    wing, cond, dev = max(sweeps, key=lambda sweep: sweep[2].max())  # wing A on ties
-    (ia, ib, lam_i, _, _), local = wing.argmax(dev)
-    return _report("outcome_independence", float(dev.max()), {
+            np.divide(wing.joint, remote, out=dev)  # P(own outcome | remote outcome, lambda)
+        np.subtract(dev, wing.marginal[:, :, :, None], out=dev)
+        np.abs(dev, out=dev)
+        np.copyto(dev, -np.inf, where=remote <= SKIP_PROBABILITY)
+        if dev.max() > worst[0]:  # wing A on ties
+            worst = (dev.max(), wing, wing.argmax(dev))
+    peak, wing, ((ia, ib, lam_i, _, _), local) = worst
+    return _report("outcome_independence", float(peak), {
         "wing": wing.name,
         "a_deg": angles[ia].degrees,
         "b_deg": angles[ib].degrees,
         "lambda_index": int(lam_i),
-        "outcome": _LABELS[local[3]],
-        "remote_outcome": _LABELS[local[4]],
-        "conditional": float(cond[local]),
-        "unconditional": float(wing.marginal[local[:4]]),
+        "outcome": _LABELS[local[2]],
+        "remote_outcome": _LABELS[local[3]],
+        "conditional": float(wing.joint[local] / wing.remote_marginal[local[:2] + local[3:]]),
+        "unconditional": float(wing.marginal[local[:3] + local[4:]]),
     })
 
 
@@ -308,17 +323,20 @@ def check_factorizability(model: ProbabilityModel, grid: Sequence[AngleLike]) ->
     """Worst per-lambda gap between the joint and the product of the
     per-lambda marginals."""
     angles, (wing, _) = _sweep(model, grid)
-    product = wing.marginal[..., :, None] * wing.remote_marginal[..., None, :]
-    dev = np.abs(wing.joint - product)
+    dev = wing.marginal[:, :, :, None] * wing.remote_marginal[:, :, None]  # the product
+    np.subtract(wing.joint, dev, out=dev)
+    np.abs(dev, out=dev)
     (ia, ib, lam_i, oa, ob), local = wing.argmax(dev)
-    return _report("factorizability", float(dev.max()), {
+    return _report("factorizability", float(dev[local]), {
         "a_deg": angles[ia].degrees,
         "b_deg": angles[ib].degrees,
         "lambda_index": int(lam_i),
         "outcome_a": _LABELS[oa],
         "outcome_b": _LABELS[ob],
         "joint": float(wing.joint[local]),
-        "product_of_marginals": float(product[local]),
+        "product_of_marginals": float(
+            wing.marginal[local[:3] + local[4:]] * wing.remote_marginal[local[:2] + local[3:]]
+        ),
     })
 
 

@@ -156,6 +156,12 @@ class PhotonPairState:
             raise ValueError(f"photon pair state: reduced {exc}") from None
         object.__setattr__(self, "_reduced", reduced)
 
+    def __eq__(self, other: object) -> bool:
+        """Equal density matrices, entry for entry (``np.array_equal``)."""
+        if not isinstance(other, PhotonPairState):
+            return NotImplemented
+        return self is other or np.array_equal(self.matrix, other.matrix)
+
     @classmethod
     def from_vector(cls, vector: np.ndarray) -> "PhotonPairState":
         """Rank-1 state |v><v| from a (not necessarily normalized) ket."""
@@ -227,7 +233,7 @@ def _clamp_probabilities(values: np.ndarray, what: str) -> None:
 
 def _validated(raw: np.ndarray, shape: tuple) -> np.ndarray:
     """A float copy of joint probabilities ``raw`` (last two axes: outcome
-    A, outcome B), checked to have ``shape``, entries clamped by
+    A, outcome B) in its memory order, checked to have ``shape``, entries clamped by
     :func:`_clamp_probabilities` and each 2x2 cell summing to 1."""
     cells = np.array(raw, dtype=float)
     if cells.shape != shape:

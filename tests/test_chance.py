@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bellsim.chance import (
     CausalVerdictKind,
     ForceOutcome,
+    JointTarget,
     NoChanceDefinedError,
     OutcomeTarget,
     ReferenceClass,
@@ -500,6 +501,11 @@ class TestEditsEqualBuilds:
         density_matrices(),
         st.one_of(st.none(), st.floats(-2.0, 2.0)),
     )
+    @example(  # the replaced preparation gives wing B's registered V probability 0
+        overlap_layout=True, angle_a=None, angle_b=0.0, label_a=V, label_b=V,
+        matrix=np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex),
+        replacement=np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex), zeta=None,
+    )
     @settings(max_examples=60, deadline=None)
     def test_every_edit_equals_a_fresh_build(
         self, overlap_layout, angle_a, angle_b, label_a, label_b, matrix, replacement, zeta
@@ -539,6 +545,45 @@ class TestEditsEqualBuilds:
         s = standard_scenario(angle_b=None, outcome_b=None)
         with pytest.raises(ValueError, match="scenario has no outcome event on wing B"):
             s.with_outcome(Wing.B, V)
+
+
+class TestZeroProbabilityOutcome:
+    """A registered outcome whose Born probability is 0 leaves nothing to
+    condition on: a chance or an estimate conditional on it is undefined,
+    with a reason that names the outcome, not an error."""
+
+    REASON = r"the outcome H on wing B seen from \(7.0, 4.0\) has zero probability"
+
+    @pytest.fixture
+    def scenario(self):
+        # wing B's photon is polarized at 0 degrees, so H at 0 degrees never registers
+        return standard_scenario(settings_in_overlap=True, angle_b=0.0, outcome_b=H,
+                                 state=product_polarized(0.0, 0.0))
+
+    @pytest.mark.parametrize("target", [E_A, JointTarget(V, H)])
+    def test_chance_at_is_undefined(self, scenario, target):
+        with pytest.raises(NoChanceDefinedError, match=self.REASON + "; no chance is defined"):
+            chance_at(scenario.q, target, scenario)
+
+    def test_a_settled_target_keeps_its_value(self, scenario):
+        assert chance_at(scenario.q, joint_vertical(), scenario).value == 0.0
+
+    @pytest.mark.parametrize("angle", [0.0, 45.0, 90.0])
+    def test_after_setting_wing_a(self, scenario, angle):
+        altered = apply_intervention(scenario, SetAngle(Wing.A, angle))
+        with pytest.raises(NoChanceDefinedError, match=self.REASON):
+            chance_at(altered.q, E_A, altered)
+
+    def test_estimate_is_undefined(self, scenario):
+        with pytest.raises(NoChanceDefinedError, match=self.REASON + "; no estimate is defined"):
+            estimated_chance(scenario.q, E_A, None, scenario)
+
+    def test_estimate_under_a_setting_intervention(self):
+        # the one CHANCE_GOLDEN "estimate" line that names this error
+        s = standard_scenario(settings_in_overlap=True, angle_a=15.0, angle_b=15.0,
+                              outcome_a=V, outcome_b=H, state=product_polarized(0.0, 45.0))
+        with pytest.raises(NoChanceDefinedError, match="outcome H on wing B"):
+            estimated_chance(s.q, E_A, set_angle_intervention(s, Wing.B, 45.0), s)
 
 
 class TestNoRebuilds:
@@ -693,11 +738,15 @@ class TestLocalCausalityReadings:
 #: SHA-256 digests of seeded chance-layer outputs, one per layer, captured
 #: before the scalar ``born_*`` functions and the model kernel were routed
 #: through one Born-rule path. Floats are hashed by ``repr``, which round
-#: trips exactly, so any change in any bit of any value shows.
+#: trips exactly, so any change in any bit of any value shows. One of the
+#: 1,728 "estimate" lines names an error, not a value: the estimate at q
+#: conditions on an outcome of zero probability
+#: (``TestZeroProbabilityOutcome``). It recorded UndefinedConditionalError
+#: until that case became NoChanceDefinedError; every other line is unchanged.
 CHANCE_GOLDEN = {
     "born": "9dae533b652c959cd13622e1f93d26758dc116f5f81fbc5701eb6e87763af2d0",
     "chance": "cca50ced704e75ce642145d6c2996a6d15a2fe0db38edc9a5be0d262cfafa7e7",
-    "estimate": "dca12a14214001a91085862cef4483115fd75e08b6c8e4e7014abf83512b33f0",
+    "estimate": "a8a11f5df5f99388259de568e8d613a4422796e5fe31610e63b5e85f32e3dd66",
     "dependence": "488923a42881e210fe50e9afadf46952f613836bae84868fe29076653ab75e15",
     "readings": "6546872d8d176f4dfb81353f0c99bfd08e34fae65cac3293234be0a9655418ce",
 }

@@ -11,6 +11,7 @@ import bellsim
 from bellsim import harness
 from bellsim.cli import main
 from bellsim.locality import CONDITION_TOL, check_no_signalling, signalling_fixture_model
+from bellsim.quantum import OutcomeLabel, product_polarized
 from bellsim.spacetime import save_scenario, standard_scenario
 
 
@@ -68,6 +69,15 @@ class TestChancesCommand:
                       "--target", "eA")
         assert out["defined"] is False
         assert "preparation" in out["reason"]
+
+    def test_zero_probability_outcome_reported(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        save_scenario(standard_scenario(settings_in_overlap=True, outcome_b=OutcomeLabel.H,
+                                        state=product_polarized(0.0, 0.0)), str(path))
+        out = run_cli(capsys, "chances", "--scenario", str(path), "--point", "q",
+                      "--target", "eA")
+        assert out["defined"] is False
+        assert "outcome H on wing B" in out["reason"]
 
 
 class TestNosignalCommand:

@@ -29,7 +29,10 @@ from bellsim.harness import (
     run_trials,
     write_trial_log,
 )
-from bellsim.quantum import as_angle, bell_phi_plus, born_joint
+from bellsim.locality import ProbabilityModel, quantum_model
+from bellsim.quantum import PhotonPairState, as_angle, bell_phi_plus, born_joint
+
+from strategies import density_matrices
 
 OPTIMAL_SCHEDULE = chsh_schedule(*CHSH_OPTIMAL_QUADRUPLE)
 
@@ -219,7 +222,7 @@ class TestSampling:
         assert (first["pair"], first["trial"]) == (0, 0)
 
     def test_chunk_must_start_on_even_trial(self):
-        thresholds = _cell_thresholds(resolve_model("qm"), as_angle(0.0), as_angle(22.5))
+        thresholds = _cell_thresholds(resolve_model("qm").cells([0.0], [22.5])[0, 0])
         with pytest.raises(ValueError, match="even"):
             _sample_chunk(0, 0, 3, 10, None, thresholds)
         assert _sample_chunk(0, 0, 4, 10, None, thresholds).dtype == np.uint8
@@ -393,7 +396,7 @@ class TestIntegerSampler:
         built = resolve_model(model)
         a, b = as_angle(30.0), as_angle(112.5)
         guide = _lambda_guide(built.weights) if len(built.weights) > 1 else None
-        thresholds = _cell_thresholds(built, a, b)
+        thresholds = _cell_thresholds(built.cells([a], [b])[0, 0])
         prior_cum = np.cumsum(built.weights)
         cell_cum = np.cumsum(built.cells([a], [b])[0, 0].reshape(-1, 4), axis=1)
         lo = 0
@@ -405,6 +408,47 @@ class TestIntegerSampler:
             expected = (u[1::2, None] >= cell_cum[lam, :3]).sum(axis=1)
             assert np.array_equal(_sample_chunk(seed, 2, lo, lo + size, guide, thresholds), expected)
             lo += size + size % 2  # the next chunk starts on an even trial
+
+
+class TestOneGridTable:
+    """A run reads every pair's cells from one table over the schedule's
+    sorted distinct angles, and those cells are the per-pair
+    ``model.cells`` bit for bit, so the samples are those of that path."""
+
+    angles = st.floats(-360.0, 360.0)
+
+    @given(
+        st.sampled_from(["qm", "lhv", "fixture"]),
+        st.lists(st.tuples(angles, angles), min_size=1, max_size=4),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_samples_equal_the_per_pair_path(self, model, schedule, seed):
+        log = run_trials(config(model=model, schedule=schedule, trials=301, seed=seed))
+        built = resolve_model(model)
+        guide = _lambda_guide(built.weights) if len(built.weights) > 1 else None
+        for pair in log.pairs:
+            cells = built.cells([pair.a], [pair.b])[0, 0]
+            expected = _sample_chunk(seed, pair.pair_index, 0, 301, guide, _cell_thresholds(cells))
+            assert np.array_equal(pair.cells, expected)
+
+    @given(density_matrices(), st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_table_entries_are_the_pair_cells(self, matrix, grid):
+        model = quantum_model(PhotonPairState(matrix))
+        table = model.table(grid)
+        for i, a in enumerate(grid):
+            for j, b in enumerate(grid):
+                assert table[i, j].tobytes() == model.cells([a], [b])[0, 0].tobytes()
+
+    def test_one_table_per_run(self, monkeypatch):
+        calls = []
+        for name in ("table", "cells"):
+            real = getattr(ProbabilityModel, name)
+            monkeypatch.setattr(ProbabilityModel, name, lambda self, *grids, _name=name, _real=real:
+                                calls.append((_name, *map(tuple, grids))) or _real(self, *grids))
+        run_trials(config(model="lhv", schedule=((10.0, 10.0), (10.0, 200.0), (20.0, 10.0))))
+        assert calls == [("table", (10.0, 20.0)), ("cells", (10.0, 20.0), (10.0, 20.0))]
 
 
 class TestStatistics:

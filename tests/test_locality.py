@@ -10,6 +10,8 @@ from bellsim.hidden_variables import LhvModel, builtin_vector_model, strategy_mo
 from bellsim.locality import (
     ProbabilityModel,
     CONDITION_TOL,
+    SKIP_PROBABILITY,
+    ConditionReport,
     check_factorizability,
     check_no_signalling,
     check_outcome_independence,
@@ -393,3 +395,185 @@ def test_condition_reports_are_bit_identical():
         for key, values in _condition_lines().items()
     }
     assert digests == CONDITION_GOLDEN
+
+
+# -- reference: the checkers on the table's own [a, b, lambda, oa, ob] order ---------
+
+
+def _reference_reports(model, grid):
+    """The four reports as the checkers computed them before tables were
+    stored and swept with lambda innermost: every wing view and every
+    reduction in the table's own order [a, b, lambda, oa, ob]."""
+    angles = tuple(as_angle(g) for g in grid)
+    table = model.table(angles)
+    labels = ("V", "H")
+    wings = {}
+    for name, order in (("A", (0, 1, 2, 3, 4)), ("B", (1, 0, 2, 4, 3))):
+        joint = table.transpose(order)  # [own, remote, lambda, own outcome, remote outcome]
+        wings[name] = (order, joint, joint[..., 0] + joint[..., 1])
+    remotes = {"A": wings["B"][2].swapaxes(0, 1), "B": wings["A"][2].swapaxes(0, 1)}
+
+    def table_argmax(order, values):
+        in_table_order = values.transpose(order)  # each order is its own inverse
+        index = np.unravel_index(in_table_order.argmax(), in_table_order.shape)
+        return index, tuple(index[k] for k in order)
+
+    def report(condition, deviation, witness):
+        holds = deviation <= CONDITION_TOL
+        return ConditionReport(condition, holds, deviation, CONDITION_TOL, None if holds else witness)
+
+    def remote_spread(condition, marginals):
+        spreads = {w: m.max(axis=1) - m.min(axis=1) for w, m in marginals.items()}
+        wing = max(spreads, key=lambda w: spreads[w].max())
+        spread = spreads[wing]  # [own setting, lambda, outcome]
+        local_i, lam_i, out_i = np.unravel_index(spread.argmax(), spread.shape)
+        along = marginals[wing][local_i, :, lam_i, out_i]
+        return report(condition, float(spread.max()), {
+            "wing": wing,
+            "local_angle_deg": angles[local_i].degrees,
+            "remote_angle_deg": angles[int(along.argmax())].degrees,
+            "remote_angle_alt_deg": angles[int(along.argmin())].degrees,
+            "lambda_index": int(lam_i),
+            "outcome": labels[out_i],
+            "probability_high": float(along.max()),
+            "probability_low": float(along.min()),
+        })
+
+    pi = remote_spread("parameter_independence", {w: v[2] for w, v in wings.items()})
+    ns = remote_spread("no_signalling", {
+        w: np.tensordot(v[2], model.weights, axes=([2], [0]))[:, :, None] for w, v in wings.items()
+    })
+    sweeps = []
+    for name, (order, joint, marginal) in wings.items():
+        remote = remotes[name][:, :, :, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = joint / remote
+            dev = np.abs(cond - marginal[..., None])
+        sweeps.append((name, order, joint, marginal, cond, np.where(remote > SKIP_PROBABILITY, dev, -np.inf)))
+    name, order, joint, marginal, cond, dev = max(sweeps, key=lambda sweep: sweep[5].max())
+    (ia, ib, lam_i, _, _), local = table_argmax(order, dev)
+    oi = report("outcome_independence", float(dev.max()), {
+        "wing": name,
+        "a_deg": angles[ia].degrees,
+        "b_deg": angles[ib].degrees,
+        "lambda_index": int(lam_i),
+        "outcome": labels[local[3]],
+        "remote_outcome": labels[local[4]],
+        "conditional": float(cond[local]),
+        "unconditional": float(marginal[local[:4]]),
+    })
+    order, joint, marginal = wings["A"]
+    product = marginal[..., :, None] * remotes["A"][..., None, :]
+    dev = np.abs(joint - product)
+    (ia, ib, lam_i, oa, ob), local = table_argmax(order, dev)
+    fact = report("factorizability", float(dev.max()), {
+        "a_deg": angles[ia].degrees,
+        "b_deg": angles[ib].degrees,
+        "lambda_index": int(lam_i),
+        "outcome_a": labels[oa],
+        "outcome_b": labels[ob],
+        "joint": float(joint[local]),
+        "product_of_marginals": float(product[local]),
+    })
+    return [r.to_json_dict() for r in (pi, oi, fact, ns)]
+
+
+def _reports(model, grid):
+    checks = (check_parameter_independence, check_outcome_independence,
+              check_factorizability, check_no_signalling)
+    return [check(model, grid).to_json_dict() for check in checks]
+
+
+@st.composite
+def lattice_models(draw):
+    """A model whose cells are multiples of 1/4 on a random grid, so that
+    deviations tie: either factorizable (P(V) in {0, 1/2, 1} per wing and
+    lambda) or an arbitrary joint per (a, b, lambda), which fails the
+    conditions at many equal maxima."""
+    grid = draw(st.lists(st.sampled_from([0.0, 22.5, 45.0, 90.0, 135.0]), min_size=1, max_size=4))
+    rows = {as_angle(g).degrees: i for i, g in enumerate(grid)}
+    n, n_lambda = len(grid), draw(st.integers(1, 4))
+    weights = np.full(n_lambda, 1.0 / n_lambda)
+    if draw(st.booleans()):
+        values = st.sampled_from([0.0, 0.5, 1.0])
+        tables = [np.array(draw(st.lists(values, min_size=n * n_lambda, max_size=n * n_lambda)))
+                  .reshape(n, n_lambda) for _ in "AB"]
+
+        def lookup(table):
+            return lambda degrees: table[[rows[d] for d in degrees.tolist()]]
+
+        return LhvModel.from_responses("lattice-lhv", range(n_lambda), weights,
+                                       lookup(tables[0]), lookup(tables[1])), grid
+    size = n * n * n_lambda
+    cuts = draw(st.lists(st.integers(0, 4), min_size=3 * size, max_size=3 * size))
+    cuts = np.sort(np.array(cuts).reshape(size, 3), axis=1)  # each row splits 4 quarters four ways
+    edges = np.concatenate([np.zeros((size, 1)), cuts, np.full((size, 1), 4)], axis=1)
+    cells = (np.diff(edges, axis=1) / 4.0).reshape(n, n, n_lambda, 2, 2)
+
+    def kernel(a_deg, b_deg):
+        ia = [rows[d] for d in a_deg.tolist()]
+        ib = [rows[d] for d in b_deg.tolist()]
+        return cells[np.ix_(ia, ib)]
+
+    return ProbabilityModel("lattice", tuple(range(n_lambda)), weights, kernel), grid
+
+
+def _rounding_tie_model():
+    """Wing A's P(V) moves by 0.2 with the remote setting in both lambdas,
+    and rounding makes the spread one ulp larger at (lambda 0, H) and at
+    (lambda 1, V) than elsewhere: the PI witness is the first of the two
+    in [own setting, lambda, outcome] order."""
+    p_v = np.array([[0.1, 0.3], [0.7, 0.9]])  # [lambda, remote setting below / from 90 degrees]
+
+    def kernel(a_deg, b_deg):
+        p = p_v[:, (b_deg >= 90.0).astype(int)].T  # [b, lambda]
+        cells = np.zeros((a_deg.size, b_deg.size, 2, 2, 2))
+        cells[:, :, :, 0, 0] = p
+        cells[:, :, :, 1, 0] = 1.0 - p
+        return cells
+
+    return ProbabilityModel(name="rounding-tie", lambdas=(0, 1), weights=np.array([0.5, 0.5]),
+                            kernel=kernel)
+
+
+class TestLambdaInnermostLayout:
+    """Tables are stored, and swept, with lambda innermost; every report,
+    witnesses included, is the one the table-order formulas give."""
+
+    def test_lhv_table_is_stored_lambda_innermost(self, vector_lhv):
+        table = vector_lhv.table(GRID)
+        assert table.shape == (8, 8, 2048, 2, 2)
+        assert table.strides[2] == table.itemsize
+        assert np.array_equal(table, vector_lhv.cells(GRID, GRID))
+
+    def test_pi_witness_searches_lambda_before_outcome(self):
+        witness = check_parameter_independence(_rounding_tie_model(), GRID).witness
+        assert (witness["lambda_index"], witness["outcome"]) == (0, "H")
+
+    @given(st.one_of(factorizable_models(), lattice_models()))
+    @settings(max_examples=200, deadline=None)
+    def test_random_models(self, case):
+        model, grid = case
+        assert _reports(model, grid) == _reference_reports(model, grid)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(0.0, 45.0), (45.0, 0.0, 45.0), (45.0,)]))
+    @settings(max_examples=30, deadline=None)
+    def test_strategy_mixtures(self, seed, grid):
+        weights = np.random.default_rng(seed).dirichlet(np.full(16, 0.3))
+        model = strategy_model(0.0, 45.0, 0.0, 45.0, weights=weights)
+        assert _reports(model, grid) == _reference_reports(model, grid)
+
+    @given(density_matrices(), st.lists(st.floats(0.0, 360.0), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_random_density_matrices(self, matrix, grid):
+        model = quantum_model(PhotonPairState(matrix))
+        assert _reports(model, grid) == _reference_reports(model, grid)
+
+    @pytest.mark.parametrize("model", [
+        signalling_fixture_model(), signalling_fixture_model(0.1),
+        _mirrored(signalling_fixture_model()), _mirrored(signalling_fixture_model(0.1), 0.5),
+        _opposite_signalling_model(), _tied_model(), _rounding_tie_model(), builtin_vector_model(),
+    ], ids=lambda model: model.name)
+    @pytest.mark.parametrize("grid", [GRID, (0.0, 45.0, 0.0, 90.0, 45.0), (100.0, 10.0)])
+    def test_fixtures(self, model, grid):
+        assert _reports(model, grid) == _reference_reports(model, grid)

@@ -26,6 +26,7 @@ from bellsim.quantum import (
     product_polarized,
     reduced_state,
 )
+from bellsim.spacetime import standard_scenario
 
 V, H = OutcomeLabel.V, OutcomeLabel.H
 
@@ -114,6 +115,26 @@ class TestStateValidation:
         state = bell_phi_plus()
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 2.0
+
+
+class TestStateEquality:
+    """Pair states compare by their density matrices, entry for entry."""
+
+    def test_equal_states_that_are_distinct_objects(self):
+        first, second = bell_phi_plus(), bell_phi_plus()
+        assert first is not second
+        assert first == second
+        assert not first != second
+        assert first == first
+
+    def test_unequal_states(self):
+        assert bell_phi_plus() != maximally_mixed_pair()
+        assert product_polarized(0.0, 45.0) != product_polarized(45.0, 0.0)
+        assert bell_phi_plus() != "phi+"
+
+    def test_scenarios_with_equal_states_are_equal(self):
+        assert standard_scenario() == standard_scenario()
+        assert standard_scenario() != standard_scenario(state=maximally_mixed_pair())
 
 
 class TestBellState:
