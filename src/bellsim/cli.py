@@ -27,7 +27,6 @@ from .harness import (
     emit_report,
     empirical_statistics,
     render_report,
-    resolve_model,
     run_trials,
     schedule_grid,
     write_trial_log,
@@ -80,7 +79,7 @@ def _emit(payload: dict) -> None:
 
 def _cmd_chsh(args: argparse.Namespace) -> int:
     a, a_prime, b, b_prime = _parse_angles(args.angles)
-    model = resolve_model(args.model)
+    model = MODEL_BUILDERS[args.model]()
     payload = {
         "model": args.model,
         "angles_deg": [a, a_prime, b, b_prime],
@@ -143,7 +142,7 @@ def _cmd_chances(args: argparse.Namespace) -> int:
 
 def _cmd_nosignal(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
-    report = check_no_signalling(resolve_model(args.model), grid)
+    report = check_no_signalling(MODEL_BUILDERS[args.model](), grid)
     _emit({"model": args.model, "grid_deg": grid, **report.to_json_dict()})
     return 0
 

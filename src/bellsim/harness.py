@@ -43,9 +43,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -220,10 +222,6 @@ def schedule_grid(schedule: Sequence[tuple[AnalyzerAngle, AnalyzerAngle]]) -> tu
     return tuple(sorted({angle.degrees for pair in schedule for angle in pair}))
 
 
-def resolve_model(name: str) -> ProbabilityModel:
-    return MODEL_BUILDERS[name]()
-
-
 #: A uniform is ``k * 2**-53`` for the 53-bit integer ``k = raw >> 11``.
 _UNIFORM_BITS = 53
 _LOW_BITS = np.uint64(64 - _UNIFORM_BITS)
@@ -319,7 +317,7 @@ def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) 
     event coordinates are attached to the log.
     """
     scenario = None if config.scenario is None else load_scenario(config.scenario)
-    model = resolve_model(config.model)
+    model = MODEL_BUILDERS[config.model]()
     grid = schedule_grid(config.schedule)
     table = model.table(grid)
     row = {degrees: i for i, degrees in enumerate(grid)}
@@ -497,13 +495,38 @@ def render_report(bundle: ReportBundle, format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(bundle: ReportBundle, format: str, path: str) -> None:
-    text = render_report(bundle, format)
+def _open_untruncated(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def _overwritten(path: str, what: str, mode: str, **kwargs) -> Iterator[IO]:
+    """``open(path, mode, **kwargs)`` for writing, without truncating the
+    file first: truncating a file that holds data frees its blocks, and
+    on ext4 the next write then waits for the replacement's writeback.
+    On the way out, also when a write raised, a regular file is cut at
+    the handle's position, so it holds exactly what was written, as after
+    a fresh write; devices and pipes are left as they are. An ``OSError``
+    becomes one ``failed to write <what> to '<path>'`` error."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(path, mode, opener=_open_untruncated, **kwargs) as handle:
+            try:
+                yield handle
+            finally:
+                if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                    handle.truncate()
     except OSError as exc:
-        raise OSError(f"failed to write report to {path!r}: {exc}") from exc
+        raise OSError(f"failed to write {what} to {path!r}: {exc}") from exc
+
+
+def emit_report(bundle: ReportBundle, format: str, path: str) -> None:
+    """Write ``render_report(bundle, format)`` to ``path``, overwriting an
+    existing file in place and cutting it to the report's length, also
+    after a failed write; only a process killed mid-write can leave old
+    bytes after the new ones."""
+    text = render_report(bundle, format)
+    with _overwritten(path, "report", "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
 #: Trial log lines the writer fills and writes at a time, about 1.2 MB with
@@ -525,25 +548,27 @@ def write_trial_log(log: TrialLog, path: str) -> None:
     the tails of the blocks that start within the first
     ``_LOG_BLOCK_LINES`` trials are built once and shared by the pairs;
     later blocks build theirs again, which keeps memory bounded.
+
+    An existing file is overwritten in place and cut to the log's length,
+    also after a failed write, which leaves only the lines written before
+    it; only a process killed mid-write can leave old lines after the new
+    ones.
     """
     tails: dict[tuple[int, int], np.ndarray] = {}
-    try:
-        with open(path, "wb") as handle:
-            for pair in log.pairs:
-                heads = _trial_line_heads(log, pair)
-                width = heads.shape[1]
-                for start, stop, digits in _log_blocks(pair.n):
-                    tail = tails.get((start, stop))
-                    if tail is None:
-                        tail = _line_tails(start, stop, digits)
-                        if start < _LOG_BLOCK_LINES:
-                            tails[start, stop] = tail
-                    table = np.empty((stop - start, width + tail.shape[1]), dtype=np.uint8)
-                    table[:, :width] = heads[pair.cells[start:stop]]
-                    table[:, width:] = tail
-                    handle.write(table)
-    except OSError as exc:
-        raise OSError(f"failed to write trial log to {path!r}: {exc}") from exc
+    with _overwritten(path, "trial log", "wb") as handle:
+        for pair in log.pairs:
+            heads = _trial_line_heads(log, pair)
+            width = heads.shape[1]
+            for start, stop, digits in _log_blocks(pair.n):
+                tail = tails.get((start, stop))
+                if tail is None:
+                    tail = _line_tails(start, stop, digits)
+                    if start < _LOG_BLOCK_LINES:
+                        tails[start, stop] = tail
+                table = np.empty((stop - start, width + tail.shape[1]), dtype=np.uint8)
+                table[:, :width] = heads[pair.cells[start:stop]]
+                table[:, width:] = tail
+                handle.write(table)
 
 
 def _log_blocks(trials: int) -> Iterator[tuple[int, int, int]]:

@@ -1,7 +1,9 @@
 import dataclasses
+import errno
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim import harness
 from bellsim.harness import (
     CHSH_OPTIMAL_QUADRUPLE,
     CSV_COLUMNS,
+    MODEL_BUILDERS,
     PairSamples,
     ReportBundle,
     RunConfig,
@@ -25,7 +29,6 @@ from bellsim.harness import (
     emit_report,
     empirical_statistics,
     render_report,
-    resolve_model,
     run_trials,
     write_trial_log,
 )
@@ -222,7 +225,7 @@ class TestSampling:
         assert (first["pair"], first["trial"]) == (0, 0)
 
     def test_chunk_must_start_on_even_trial(self):
-        thresholds = _cell_thresholds(resolve_model("qm").cells([0.0], [22.5])[0, 0])
+        thresholds = _cell_thresholds(MODEL_BUILDERS["qm"]().cells([0.0], [22.5])[0, 0])
         with pytest.raises(ValueError, match="even"):
             _sample_chunk(0, 0, 3, 10, None, thresholds)
         assert _sample_chunk(0, 0, 4, 10, None, thresholds).dtype == np.uint8
@@ -393,7 +396,7 @@ class TestIntegerSampler:
     @pytest.mark.parametrize("model", ["qm", "lhv", "fixture"])
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_sample_chunk_is_the_float_sampler(self, model, seed):
-        built = resolve_model(model)
+        built = MODEL_BUILDERS[model]()
         a, b = as_angle(30.0), as_angle(112.5)
         guide = _lambda_guide(built.weights) if len(built.weights) > 1 else None
         thresholds = _cell_thresholds(built.cells([a], [b])[0, 0])
@@ -425,7 +428,7 @@ class TestOneGridTable:
     @settings(max_examples=40, deadline=None)
     def test_samples_equal_the_per_pair_path(self, model, schedule, seed):
         log = run_trials(config(model=model, schedule=schedule, trials=301, seed=seed))
-        built = resolve_model(model)
+        built = MODEL_BUILDERS[model]()
         guide = _lambda_guide(built.weights) if len(built.weights) > 1 else None
         for pair in log.pairs:
             cells = built.cells([pair.a], [pair.b])[0, 0]
@@ -589,3 +592,77 @@ class TestEmission:
         assert lines[0]["a_deg"] == 0.0 and lines[0]["b_deg"] == 22.5
         assert lines[3]["trial"] == 3
         assert lines[0]["A"] in ("V", "H")
+
+
+class _FailingHandle:
+    """A file handle whose writes after the first ``allowed`` raise ENOSPC."""
+
+    def __init__(self, handle, allowed):
+        self._handle, self._allowed = handle, allowed
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, data):
+        if self._allowed == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._allowed -= 1
+        return self._handle.write(data)
+
+
+def _write(kind, log, path):
+    if kind == "log":
+        write_trial_log(log, str(path))
+    else:
+        emit_report(empirical_statistics(log), kind, str(path))
+
+
+class TestOverwriteInPlace:
+    """Both writers overwrite an existing file in place and cut it to the
+    new length: the result is always the bytes of a fresh write."""
+
+    @pytest.mark.parametrize("kind", ["log", "json", "csv"])
+    def test_overwriting_a_longer_file_is_a_fresh_write(self, kind, tmp_path):
+        path, fresh = tmp_path / "out", tmp_path / "fresh"
+        _write(kind, run_trials(config(trials=3_000, scenario="overlap")), path)
+        longer = path.stat().st_size
+        short = run_trials(config(trials=10, scenario="overlap"))
+        _write(kind, short, path)
+        _write(kind, short, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert 0 < fresh.stat().st_size < longer
+        if kind == "log":
+            assert fresh.read_bytes() == per_trial_log(short)
+
+    @pytest.mark.parametrize("kind", ["log", "json", "csv"])
+    def test_devnull_accepted(self, kind):
+        _write(kind, run_trials(config(trials=10)), os.devnull)
+
+    @pytest.mark.parametrize("kind, what", [("log", "trial log"), ("json", "report")])
+    def test_directory_is_one_error(self, kind, what, tmp_path):
+        message = rf"^failed to write {what} to {re.escape(repr(str(tmp_path)))}: [^\n]*$"
+        with pytest.raises(OSError, match=message):
+            _write(kind, run_trials(config(trials=10)), tmp_path)
+
+    @pytest.mark.parametrize("kind, allowed", [("log", 1), ("csv", 0)])
+    def test_failed_write_leaves_only_the_new_prefix(self, kind, allowed, tmp_path, monkeypatch):
+        path, fresh = tmp_path / "out", tmp_path / "fresh"
+        _write(kind, run_trials(config(trials=3_000, scenario="overlap")), path)
+        short = run_trials(config(trials=10, scenario="overlap"))
+        _write(kind, short, fresh)
+        monkeypatch.setattr(
+            harness, "open",
+            lambda *args, **kwargs: _FailingHandle(open(*args, **kwargs), allowed),
+            raising=False,
+        )
+        with pytest.raises(OSError, match="^failed to write .*No space left on device"):
+            _write(kind, short, path)
+        # the log writes one block per pair; the report writes once
+        prefix = b"".join(fresh.read_bytes().splitlines(keepends=True)[: 10 * allowed])
+        assert path.read_bytes() == prefix
