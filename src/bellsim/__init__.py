@@ -82,6 +82,7 @@ from .locality import (
     signalling_fixture_model,
 )
 from .hidden_variables import (
+    CHSH_MINIMUM,
     DeterministicStrategy,
     LhvModel,
     all_strategies,
@@ -100,6 +101,7 @@ from .harness import (
     emit_report,
     empirical_statistics,
     run_trials,
+    simulate,
     write_trial_log,
 )
 

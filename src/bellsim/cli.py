@@ -24,21 +24,12 @@ from .harness import (
     MODEL_BUILDERS,
     RunConfig,
     chsh_schedule,
-    emit_report,
-    empirical_statistics,
     render_report,
-    run_trials,
-    schedule_grid,
-    write_trial_log,
+    simulate,
 )
-from .hidden_variables import deterministic_chsh_maximum, strategy_chsh, all_strategies
+from .hidden_variables import CHSH_MINIMUM, deterministic_chsh_maximum
+from .locality import check_no_signalling
 from .locality import chsh as analytic_chsh
-from .locality import (
-    check_factorizability,
-    check_no_signalling,
-    check_outcome_independence,
-    check_parameter_independence,
-)
 from .quantum import Wing
 from .spacetime import SpacetimePoint, load_scenario
 
@@ -86,19 +77,14 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
         "analytic_chsh": analytic_chsh(model, a, a_prime, b, b_prime),
     }
     if args.trials is not None:
-        config = RunConfig(
-            model=args.model,
-            schedule=chsh_schedule(a, a_prime, b, b_prime),
-            trials=args.trials,
-            seed=args.seed,
-        )
-        bundle = empirical_statistics(run_trials(config))
+        schedule = chsh_schedule(a, a_prime, b, b_prime)
+        bundle = simulate(RunConfig(args.model, schedule, args.trials, args.seed))
         payload.update(
             {
                 "empirical_chsh": bundle.chsh,
                 "empirical_chsh_stderr": bundle.chsh_stderr,
                 "trials_per_pair": args.trials,
-                "seed": config.seed,
+                "seed": args.seed,
             }
         )
     _emit(payload)
@@ -150,42 +136,16 @@ def _cmd_nosignal(args: argparse.Namespace) -> int:
 def _cmd_lhv_bound(args: argparse.Namespace) -> int:
     a, a_prime, b, b_prime = _parse_angles(args.angles)
     maximum, strategy = deterministic_chsh_maximum(a, a_prime, b, b_prime)
-    minimum = min(strategy_chsh(s) for s in all_strategies())
-    _emit(
-        {
-            "angles_deg": [a, a_prime, b, b_prime],
-            "max_chsh": maximum,
-            "min_chsh": minimum,
-            "witness_strategy": {
-                "a0": strategy.a0.value,
-                "a1": strategy.a1.value,
-                "b0": strategy.b0.value,
-                "b1": strategy.b1.value,
-            },
-        }
-    )
+    _emit({"angles_deg": [a, a_prime, b, b_prime], "max_chsh": maximum,
+           "min_chsh": CHSH_MINIMUM, "witness_strategy": strategy.to_json_dict()})
     return 0
-
-
-def _condition_attachments(model, schedule) -> tuple:
-    """Analytic checker reports over the schedule's angles."""
-    grid = schedule_grid(schedule)
-    checks = (check_parameter_independence, check_outcome_independence,
-              check_factorizability, check_no_signalling)
-    return tuple(check(model, grid).to_json_dict() for check in checks)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
         config = RunConfig.from_json_dict(json.load(handle))
-    log = run_trials(config)
-    bundle = empirical_statistics(
-        log, condition_reports=_condition_attachments(log.model, config.schedule)
-    )
-    if config.trial_log_path:
-        write_trial_log(log, config.trial_log_path)
+    bundle = simulate(config)
     if config.report_path:
-        emit_report(bundle, config.report_format, config.report_path)
         _emit(
             {
                 "seed": config.seed,
@@ -201,11 +161,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its parse errors for ``main`` to report like any bad input."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentTypeError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``bellsim`` parser, built once per process: parsing leaves it as
     it was, and each call returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellsim",
         description="Two-photon coincidence experiments: exact probabilities, "
         "relativized chances and Monte Carlo statistics.",
@@ -253,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; a bad input or an unreadable file ends in a
-    one-line ``error:`` on stderr and exit code 2."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; a bad input, a parse error included, or an
+    unreadable file ends in a one-line ``error:`` on stderr and exit code 2."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (argparse.ArgumentTypeError, ValueError, KeyError, OSError) as exc:
         message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)

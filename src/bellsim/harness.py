@@ -2,7 +2,13 @@
 
 A ``RunConfig`` is the whole description of a run: ``run_trials(config)``
 builds the model ``config.model`` names and reads ``config.scenario``
-through ``spacetime.load_scenario``.
+through ``spacetime.load_scenario``. ``simulate(config)`` is the one run
+pipeline, the one ``bellsim simulate`` calls: it samples, takes the
+statistics, whose report carries the model's four locality condition
+reports over the run's own grid table, and writes the trial log and then
+the report to the files the config names, so a config has one report
+whichever entry point runs it. In the CLI a bad config, like every bad
+input, parse errors included, ends in one ``error:`` line.
 
 Sampling is reproducible to the bit under any execution plan. Each
 (seed, pair) gets its own Philox counter-based stream, and trial i
@@ -52,7 +58,15 @@ from typing import IO, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .hidden_variables import builtin_vector_model
-from .locality import ProbabilityModel, quantum_model, signalling_fixture_model
+from .locality import (
+    ProbabilityModel,
+    check_factorizability,
+    check_no_signalling,
+    check_outcome_independence,
+    check_parameter_independence,
+    quantum_model,
+    signalling_fixture_model,
+)
 from .quantum import AngleLike, AnalyzerAngle, Wing, as_angle
 from .spacetime import load_scenario
 
@@ -387,9 +401,9 @@ class ReportBundle:
     chsh: float | None
     chsh_stderr: float | None
     no_signal_deltas: tuple[NoSignalDelta, ...]
-    #: Optional analytic condition reports (JSON-ready dicts) attached to
-    #: the empirical run, e.g. the locality checkers for the same model.
-    condition_reports: tuple = ()
+    #: The run model's four analytic condition reports as JSON-ready
+    #: dicts, in the order ``empirical_statistics`` computes them.
+    condition_reports: tuple[dict, ...]
 
     def to_json_dict(self) -> dict:
         """The fields, each pair and delta as a copy of its own fields."""
@@ -451,16 +465,20 @@ def _no_signal_deltas(stats: Sequence[PairStatistics]) -> tuple[NoSignalDelta, .
     return tuple(deltas)
 
 
-def empirical_statistics(log: TrialLog, condition_reports: tuple = ()) -> ReportBundle:
-    """Plug-in frequency estimates for every report field.
+def empirical_statistics(log: TrialLog) -> ReportBundle:
+    """Plug-in frequency estimates for every report field, and the log
+    model's four condition reports over ``schedule_grid``, swept on the
+    table ``run_trials`` already built.
 
     The CHSH combination E1 + E2 + E3 - E4 and its propagated standard
     error are filled in only for four-pair schedules.
-    ``condition_reports`` (JSON-ready dicts) are attached verbatim.
     """
     if not log.pairs:
         raise ValueError("trial log is empty")
     stats = tuple(_pair_statistics(pair) for pair in log.pairs)
+    grid = schedule_grid(log.config.schedule)
+    checks = (check_parameter_independence, check_outcome_independence,
+              check_factorizability, check_no_signalling)
     chsh_value = None
     chsh_stderr = None
     if len(stats) == 4:
@@ -473,8 +491,21 @@ def empirical_statistics(log: TrialLog, condition_reports: tuple = ()) -> Report
         chsh=chsh_value,
         chsh_stderr=chsh_stderr,
         no_signal_deltas=_no_signal_deltas(stats),
-        condition_reports=tuple(condition_reports),
+        condition_reports=tuple(check(log.model, grid).to_json_dict() for check in checks),
     )
+
+
+def simulate(config: RunConfig) -> ReportBundle:
+    """Run ``config`` end to end and return its report: sample, take the
+    statistics, then write the trial log and the report, each only when
+    the config names its file."""
+    log = run_trials(config)
+    bundle = empirical_statistics(log)
+    if config.trial_log_path:
+        write_trial_log(log, config.trial_log_path)
+    if config.report_path:
+        emit_report(bundle, config.report_format, config.report_path)
+    return bundle
 
 
 # -- emission ------------------------------------------------------------------

@@ -60,6 +60,10 @@ class DeterministicStrategy:
             return self.a0 if setting_index == 0 else self.a1
         return self.b0 if setting_index == 0 else self.b1
 
+    def to_json_dict(self) -> dict:
+        """Each field's outcome label, ``"V"`` or ``"H"``."""
+        return {name: label.value for name, label in vars(self).items()}
+
 
 def all_strategies() -> tuple[DeterministicStrategy, ...]:
     """All sixteen deterministic strategies for the 2x2 setting problem."""
@@ -78,8 +82,9 @@ def strategy_chsh(strategy: DeterministicStrategy) -> float:
 
 
 #: The largest CHSH value over all sixteen strategies and the first
-#: strategy that reaches it, enumerated once.
+#: strategy that reaches it, and the smallest value, enumerated once.
 _CHSH_MAXIMUM = max(((strategy_chsh(s), s) for s in all_strategies()), key=lambda item: item[0])
+CHSH_MINIMUM = min(strategy_chsh(s) for s in all_strategies())
 
 
 def deterministic_chsh_maximum(

@@ -151,6 +151,43 @@ class TestSimulateCommand:
         assert len(built) == 1
 
 
+class TestOneReportPerConfig:
+    """``bellsim simulate`` is ``harness.simulate``: a config has one report
+    whichever entry point runs it."""
+
+    @pytest.mark.parametrize("report_format", ["json", "csv"])
+    @pytest.mark.parametrize("schedule", ["chsh-optimal", "custom"])
+    @pytest.mark.parametrize("model", ["qm", "lhv", "fixture"])
+    def test_library_report_is_the_cli_report(self, capsys, tmp_path, model, schedule,
+                                              report_format):
+        spec = {"model": model, "trials": 50, "seed": 3, "report_format": report_format}
+        if schedule == "custom":
+            spec["schedule"] = [[10.0, 37.3], [10.0, 101.9], [123.4, 37.3]]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(spec))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        config = harness.RunConfig.from_json_dict(spec)
+        library = harness.render_report(
+            harness.empirical_statistics(harness.run_trials(config)), report_format)
+        assert capsys.readouterr().out == library
+
+    def test_simulate_writes_the_cli_files(self, capsys, tmp_path, monkeypatch):
+        spec = {"model": "lhv", "trials": 50, "seed": 3, "scenario": "overlap",
+                "report_path": "report.json", "trial_log_path": "trials.jsonl"}
+        cli_dir, library_dir = tmp_path / "cli", tmp_path / "library"
+        cli_dir.mkdir()
+        library_dir.mkdir()
+        (cli_dir / "config.json").write_text(json.dumps(spec))
+        monkeypatch.chdir(cli_dir)
+        assert main(["simulate", "--config", "config.json"]) == 0
+        monkeypatch.chdir(library_dir)
+        bundle = harness.simulate(harness.RunConfig.from_json_dict(spec))
+        assert len(bundle.condition_reports) == 4
+        for name in ("report.json", "trials.jsonl"):
+            assert (cli_dir / name).read_bytes() == (library_dir / name).read_bytes()
+        assert json.loads(capsys.readouterr().out)["chsh"] == bundle.chsh
+
+
 #: Runs ``main`` on the command line's arguments in a fresh interpreter.
 FRESH_MAIN = "import sys; from bellsim.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -251,6 +288,25 @@ class TestErrors:
         self.run_error(capsys, "simulate", "--config", self.write_config(tmp_path, config))
         assert not (tmp_path / "trials.jsonl").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["chances", "--scenario", "overlap", "--point", "p", "--target", "bogus"],
+         "argument --target: invalid choice: 'bogus'"),
+        (["chsh", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+        (["simulate"], "the following arguments are required: --config"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["chsh", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ], ids=["invalid-choice", "non-integer", "missing-option", "unknown-command",
+            "unknown-option", "no-command"])
+    def test_parse_error(self, capsys, argv, message):
+        assert message in self.run_error(capsys, *argv)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chsh", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bellsim chsh")
+
     def test_bad_grid_angle(self, capsys):
         assert "0,x,3" in self.run_error(capsys, "nosignal", "--grid", "0,x,3")
 
@@ -340,9 +396,10 @@ def moved(entry: dict, t: float, x: float) -> None:
 
 #: Run specs for the emitted bytes that ``GOLDEN`` in test_model_kernel.py
 #: does not reach: a four-pair CSV report file (with its CHSH summary
-#: row), report-only stdout in both formats, and ``bellsim chsh`` with an
-#: empirical estimate. Each spec is (argv, simulate config or None, the
-#: file whose bytes are digested or None for stdout).
+#: row), report-only stdout in both formats, ``bellsim chsh`` with an
+#: empirical estimate, and ``bellsim lhv-bound``. Each spec is (argv,
+#: simulate config or None, the file whose bytes are digested or None for
+#: stdout).
 EMISSION_CASES = {
     "simulate/qm/csv-file": (
         {"model": "qm", "trials": 300, "seed": 3, "report_format": "csv",
@@ -371,6 +428,8 @@ EMISSION_CASES = {
     },
     "chances/late/undefined": (
         ["chances", "--scenario", "late", "--point=-50,0", "--target", "eA"], None),
+    "lhv-bound/default": (["lhv-bound"], None),
+    "lhv-bound/custom": (["lhv-bound", "--angles", "10,101.9,37.3,-5"], None),
 }
 
 #: SHA-256 digests of the bytes each ``EMISSION_CASES`` run emits, captured
@@ -379,6 +438,8 @@ EMISSION_CASES = {
 #: attachment gained its witness, the only change to those bytes. The
 #: ``chances/*`` entries were captured before interventions became edits
 #: of a scenario instead of rebuilds; plain ``chances`` output keeps them.
+#: The ``lhv-bound/*`` entries were captured while the command still
+#: spelled its witness dict and enumerated the minimum on each call.
 EMISSION_GOLDEN = {
     "chances/late/q/eA": "d55164b3e73b48b65bb8d3bbae0038db4d14c7b5d94dc5affca75bcabcb56147",
     "chances/late/q/joint": "167e07bcc45211508054125bf0f3b98c1b45e3e72d745cec1c69c9fae86afcd6",
@@ -392,6 +453,8 @@ EMISSION_GOLDEN = {
     "chsh/fixture": "19f2443015691cc73fe8c7d955c52a4afa4b9c3f6b8eacf0f2cb8c2bd75beb58",
     "chsh/lhv": "2e6641804f35fcdb028b1854b4433a2a5b3394e93a62c33b022650b680c94ba6",
     "chsh/qm": "1350625e5f6cbbb6ab7700778de1b01ffb11aba389cacd39db936de82d08e075",
+    "lhv-bound/custom": "d3ce12e2c337f4d3f879fe2e4021cfbcae8fc7a8e1141e433f688318735f0346",
+    "lhv-bound/default": "4373599e62cf1cb8402225bbbd56ca70d15bd49e9303b0366691c20356a4b559",
     "simulate/fixture/csv-file": "3094469f086a62a7c7945051f2ffb5b5cfa16e79bfeec14fcde1c066e1be4b22",
     "simulate/fixture/json-stdout": "78b3f240994e63e7842849ea0d0dcd1a330c676a956a93cb7c07f55e0a2495f8",
     "simulate/lhv/csv-stdout": "820b6b9f01078e7ce54279ec6797b89e4555e08c975bfa7c4f6553d00c2f9e42",

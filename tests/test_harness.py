@@ -30,9 +30,18 @@ from bellsim.harness import (
     empirical_statistics,
     render_report,
     run_trials,
+    schedule_grid,
     write_trial_log,
 )
-from bellsim.locality import ProbabilityModel, quantum_model
+from bellsim.locality import (
+    ProbabilityModel,
+    check_factorizability,
+    check_no_signalling,
+    check_outcome_independence,
+    check_parameter_independence,
+    quantum_model,
+    signalling_fixture_model,
+)
 from bellsim.quantum import PhotonPairState, as_angle, bell_phi_plus, born_joint
 
 from strategies import density_matrices
@@ -558,17 +567,20 @@ class TestEmission:
         assert bundle.no_signal_deltas and bundle.no_signal_deltas[0].delta != 9.0
 
     def test_condition_report_attachments_round_trip(self, tmp_path):
-        from bellsim.locality import check_parameter_independence, default_angle_grid, quantum_model
-
-        attachment = check_parameter_independence(
-            quantum_model(), default_angle_grid(4)
-        ).to_json_dict()
-        bundle = empirical_statistics(run_trials(config(trials=10)),
-                                      condition_reports=(attachment,))
+        """The bundle carries its model's four condition reports over the
+        schedule's grid, and they survive a JSON report."""
+        log = run_trials(config(model="fixture", trials=10))
+        bundle = empirical_statistics(log)
+        grid = schedule_grid(log.config.schedule)
+        checks = (check_parameter_independence, check_outcome_independence,
+                  check_factorizability, check_no_signalling)
+        assert bundle.condition_reports == tuple(
+            check(signalling_fixture_model(), grid).to_json_dict() for check in checks)
+        assert not all(report["holds"] for report in bundle.condition_reports)
         path = tmp_path / "report.json"
         emit_report(bundle, "json", str(path))
         restored = ReportBundle.from_json_dict(json.loads(path.read_text()))
-        assert restored.condition_reports == (attachment,)
+        assert restored.condition_reports == bundle.condition_reports
         assert restored == bundle
 
     def test_deterministic_bytes(self):

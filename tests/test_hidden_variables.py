@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bellsim.hidden_variables import (
+    CHSH_MINIMUM,
     DeterministicStrategy,
     LhvModel,
     all_strategies,
@@ -54,6 +55,10 @@ class TestDeterministicStrategies:
         with pytest.raises(ValueError):
             s.response(Wing.A, 2)
 
+    def test_json_dict_maps_each_field_to_its_label(self):
+        s = DeterministicStrategy(a0=V, a1=H, b0=H, b1=V)
+        assert s.to_json_dict() == {"a0": "V", "a1": "H", "b0": "H", "b1": "V"}
+
     def test_maximum_is_exactly_two(self):
         value, witness = deterministic_chsh_maximum(0.0, 45.0, 22.5, -22.5)
         assert value == 2.0
@@ -68,6 +73,7 @@ class TestDeterministicStrategies:
 
     def test_minimum_is_exactly_minus_two(self):
         assert min(strategy_chsh(s) for s in all_strategies()) == -2.0
+        assert CHSH_MINIMUM == -2.0
 
     def test_values_are_even_integers(self):
         assert sorted(set(strategy_chsh(s) for s in all_strategies())) == [-2.0, 2.0]
