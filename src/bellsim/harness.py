@@ -40,8 +40,8 @@ VV, VH, HV and HH: the order of a model table's last two axes and of the
 report's ``f_VV..f_HH`` columns. Statistics count these cells and the
 trial log is written from them without a Python loop over trials: a
 line is its cell's pre-encoded head and its trial index, so lines of
-equal index width form a fixed-width ``uint8`` table whose bytes go to
-the file in blocks of bounded size.
+equal index width form an array of fixed-width (head, tail) records
+whose bytes go to the file in blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import os
 import stat
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -406,12 +406,16 @@ class ReportBundle:
     condition_reports: tuple[dict, ...]
 
     def to_json_dict(self) -> dict:
-        """The fields, each pair and delta as a copy of its own fields."""
-        return {
-            name: [dict(vars(v)) if is_dataclass(v) else v for v in value]
-            if isinstance(value, tuple) else value
-            for name, value in vars(self).items()
-        }
+        """The fields, each pair and delta as a copy of its own fields and
+        each condition report as a copy with a copy of its ``witness``."""
+        data = dict(vars(self))
+        data["pairs"] = [dict(vars(p)) for p in self.pairs]
+        data["no_signal_deltas"] = [dict(vars(d)) for d in self.no_signal_deltas]
+        data["condition_reports"] = [
+            {key: dict(v) if isinstance(v, dict) else v for key, v in report.items()}
+            for report in self.condition_reports
+        ]
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReportBundle":
@@ -574,32 +578,29 @@ def write_trial_log(log: TrialLog, path: str) -> None:
     pair are encoded once and have one width, so trials whose indices
     have the same number of digits have lines of one width. Such a run
     of trials goes to the file in blocks of at most ``_LOG_BLOCK_LINES``
-    lines, each one ``uint8`` table of heads gathered by cell beside the
-    tails, written in one call. Every pair numbers its trials from 0, so
-    the tails of the blocks that start within the first
-    ``_LOG_BLOCK_LINES`` trials are built once and shared by the pairs;
-    later blocks build theirs again, which keeps memory bounded.
+    lines, each one array of (head, tail) ``np.void`` records, its heads
+    gathered by cell, written in one call. Every pair numbers its trials
+    from 0, so the tails of the blocks that start within the first
+    ``_LOG_BLOCK_LINES`` trials are slices of ``_SHARED_TAILS``, built at
+    import; later blocks build theirs, which keeps memory bounded.
 
     An existing file is overwritten in place and cut to the log's length,
     also after a failed write, which leaves only the lines written before
     it; only a process killed mid-write can leave old lines after the new
     ones.
     """
-    tails: dict[tuple[int, int], np.ndarray] = {}
     with _overwritten(path, "trial log", "wb") as handle:
         for pair in log.pairs:
             heads = _trial_line_heads(log, pair)
-            width = heads.shape[1]
             for start, stop, digits in _log_blocks(pair.n):
-                tail = tails.get((start, stop))
-                if tail is None:
-                    tail = _line_tails(start, stop, digits)
-                    if start < _LOG_BLOCK_LINES:
-                        tails[start, stop] = tail
-                table = np.empty((stop - start, width + tail.shape[1]), dtype=np.uint8)
-                table[:, :width] = heads[pair.cells[start:stop]]
-                table[:, width:] = tail
-                handle.write(table)
+                if start < _LOG_BLOCK_LINES:
+                    tails = _SHARED_TAILS[digits - 1][: stop - start]
+                else:
+                    tails = _line_tails(start, stop, digits)
+                block = np.empty(stop - start, dtype=[("head", heads.dtype), ("tail", tails.dtype)])
+                block["head"] = heads[pair.cells[start:stop]]
+                block["tail"] = tails
+                handle.write(block)
 
 
 def _log_blocks(trials: int) -> Iterator[tuple[int, int, int]]:
@@ -616,19 +617,34 @@ def _log_blocks(trials: int) -> Iterator[tuple[int, int, int]]:
 
 def _line_tails(start: int, stop: int, digits: int) -> np.ndarray:
     """The ASCII ends ``<index>}\\n`` of trial lines start..stop-1, whose
-    indices all have ``digits`` digits, as a ``[lines, digits + 2]`` array."""
+    indices all have ``digits`` digits, as a read-only array of ``np.void``
+    records of ``digits + 2`` bytes."""
     tails = np.empty((stop - start, digits + 2), dtype=np.uint8)
     index = np.arange(start, stop)
     for column in range(digits - 1, -1, -1):
         tails[:, column] = index % 10 + ord("0")
         index //= 10
     tails[:, digits:] = np.frombuffer(b"}\n", dtype=np.uint8)
-    return tails
+    return _read_only(tails.view(f"V{digits + 2}").reshape(-1))
+
+
+#: Tails of the first block of each digit group that starts below
+#: ``_LOG_BLOCK_LINES``, by digit count: no other block starts there, and a
+#: pair's block is a prefix of its group's (indices 0..9191, about 54 KB).
+_SHARED_TAILS = tuple(
+    _line_tails(start, stop, digits)
+    for start, stop, digits in _log_blocks(2 * _LOG_BLOCK_LINES)
+    if start < _LOG_BLOCK_LINES
+)
+
+#: Each cell's line start: ``"A"`` and ``"B"`` sort before every other key.
+_CELL_HEADS = tuple(f'{{"A": "{a}", "B": "{b}", '.encode("ascii") for a in "VH" for b in "VH")
 
 
 def _trial_line_heads(log: TrialLog, pair: PairSamples) -> np.ndarray:
-    """The lines of this pair's four cells up to the trial index, as the
-    rows of a ``[4, width]`` ASCII ``uint8`` array."""
+    """The lines of this pair's four cells up to the trial index, as four
+    ASCII ``np.void`` records of one width. The fields after ``"A"`` and
+    ``"B"`` are encoded once; those two take one character each."""
     fields = {
         "pair": pair.pair_index,
         "trial": 0,
@@ -637,11 +653,6 @@ def _trial_line_heads(log: TrialLog, pair: PairSamples) -> np.ndarray:
     }
     if log.outcome_coordinates is not None:
         fields["coordinates"] = log.outcome_coordinates
-    heads = []
-    for cell in range(4):
-        fields.update(A="VH"[cell >> 1], B="VH"[cell & 1])
-        line = json.dumps(fields, sort_keys=True)
-        heads.append(line[: -len("0}")].encode("ascii"))  # "trial" sorts last
-    # "A" and "B" take one character each, so the four heads have one width.
-    assert len({len(head) for head in heads}) == 1, heads
-    return np.frombuffer(b"".join(heads), dtype=np.uint8).reshape(4, -1)
+    rest = json.dumps(fields, sort_keys=True)[1 : -len("0}")].encode("ascii")  # "trial" sorts last
+    heads = [head + rest for head in _CELL_HEADS]
+    return np.frombuffer(b"".join(heads), dtype=f"V{len(heads[0])}")

@@ -39,12 +39,13 @@ worst cell in the table's [a, b, lambda, outcome_a, outcome_b] order.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .quantum import (
+    PHI_PLUS,
     AngleLike,
     AnalyzerAngle,
     JointDistribution,
@@ -55,7 +56,6 @@ from .quantum import (
     _projectors,
     _validated,
     as_angle,
-    bell_phi_plus,
 )
 
 #: Default tolerance for a condition to count as holding.
@@ -140,9 +140,9 @@ def quantum_model(state: PhotonPairState | None = None) -> ProbabilityModel:
     """The orthodox quantum model: one lambda, Born-rule kernel.
 
     The kernel is ``born_joint``'s own projector stack and pair einsum,
-    over every angle at once.
+    over every angle at once. Without a state it uses ``PHI_PLUS``.
     """
-    rho = _as_pair_state(state if state is not None else bell_phi_plus()).matrix
+    rho = (PHI_PLUS if state is None else _as_pair_state(state)).matrix
 
     def kernel(a_deg: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
         pa, pb = _projectors(a_deg.tolist()), _projectors(b_deg.tolist())
@@ -196,7 +196,11 @@ class ConditionReport:
             raise ValueError("a failing report must carry a witness")
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a new dict, with a copy of ``witness``."""
+        data = dict(vars(self))
+        if self.witness is not None:
+            data["witness"] = dict(self.witness)
+        return data
 
 
 def default_angle_grid(count: int = 8) -> tuple[AnalyzerAngle, ...]:

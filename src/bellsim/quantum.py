@@ -64,6 +64,10 @@ class Wing(Enum):
     A = "A"
     B = "B"
 
+    # Members are singletons and compare by identity, so the identity hash
+    # agrees with ``==``; it is a C slot, where ``Enum.__hash__`` is Python.
+    __hash__ = object.__hash__
+
     def other(self) -> "Wing":
         return Wing.B if self is Wing.A else Wing.A
 
@@ -73,6 +77,8 @@ class OutcomeLabel(Enum):
 
     V = "V"
     H = "H"
+
+    __hash__ = object.__hash__  # identity, as for ``Wing``
 
     @property
     def sign(self) -> int:
@@ -367,6 +373,12 @@ def _partial_trace(matrix: np.ndarray, keep: Wing) -> np.ndarray:
     if keep is Wing.A:
         return np.einsum("ikjk->ij", reshaped)
     return np.einsum("kikj->ij", reshaped)
+
+
+#: The default pair state, ``bell_phi_plus()`` built and checked once at
+#: import. It is immutable, so every model and scenario that takes the
+#: default shares it; ``bell_phi_plus()`` still returns a new object.
+PHI_PLUS = bell_phi_plus()
 
 
 def reduced_state(state: PhotonPairState | np.ndarray, wing: Wing) -> SingleWingState:

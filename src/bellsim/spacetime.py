@@ -54,13 +54,13 @@ from typing import Iterable, Union
 import numpy as np
 
 from .quantum import (
+    PHI_PLUS,
     AngleLike,
     AnalyzerAngle,
     OutcomeLabel,
     PhotonPairState,
     Wing,
     as_angle,
-    bell_phi_plus,
 )
 
 SCENARIO_FORMAT = "bellsim-scenario-v1"
@@ -504,7 +504,8 @@ def standard_scenario(
 
     An angle of None means no measurement is performed on that wing, in
     which case the wing has a setting event with no axis and no outcome
-    event; requesting an outcome there is rejected.
+    event; requesting an outcome there is rejected. Without a state the
+    scenario holds ``quantum.PHI_PLUS``.
     """
     angles: dict[Wing, AnalyzerAngle | None] = {
         Wing.A: None if angle_a is None else as_angle(angle_a),
@@ -551,7 +552,7 @@ def standard_scenario(
                 )
             )
     return Scenario(
-        state=state if state is not None else bell_phi_plus(),
+        state=PHI_PLUS if state is None else state,
         events=tuple(events),
         p=_PROBE_P,
         p_prime=_PROBE_P_PRIME,

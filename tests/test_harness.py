@@ -43,6 +43,7 @@ from bellsim.locality import (
     signalling_fixture_model,
 )
 from bellsim.quantum import PhotonPairState, as_angle, bell_phi_plus, born_joint
+from bellsim.spacetime import Scenario, SpacetimePoint, save_scenario, standard_scenario
 
 from strategies import density_matrices
 
@@ -322,6 +323,42 @@ class TestTrialLogWriter:
         write_trial_log(log, str(path))
         assert path.read_bytes() == per_trial_log(log)
 
+    def test_coordinates_in_exponent_form(self, tmp_path):
+        """A scenario moved so that its outcome coordinates are negative,
+        non-integer and printed in exponent form."""
+        base = standard_scenario(settings_in_overlap=True)
+        dt, dx = 1e-07 - 6.0, -4.0 - 2.5e-07
+
+        def moved(point):
+            return SpacetimePoint(point.t + dt, point.x + dx)
+
+        scenario = Scenario(
+            state=base.state,
+            events=tuple(dataclasses.replace(ev, point=moved(ev.point)) for ev in base.events),
+            p=moved(base.p), p_prime=moved(base.p_prime), q=moved(base.q), r=moved(base.r),
+        )
+        save_scenario(scenario, str(tmp_path / "moved.json"))
+        log = run_trials(config(trials=1000 + 3, seed=5, scenario=str(tmp_path / "moved.json")))
+        path = tmp_path / "trials.jsonl"
+        write_trial_log(log, str(path))
+        first = path.read_bytes().split(b"\n", 1)[0]
+        assert b'"x": -8.00000025}' in first, first
+        assert re.search(rb'"t": 1\.0\d*e-07, "x": -2\.5\d*e-07}', first), first
+        assert path.read_bytes() == per_trial_log(log)
+
+    def test_heads_of_different_widths(self, tmp_path):
+        """Pairs whose heads differ in width: angle reprs of several lengths
+        and a two-digit pair index."""
+        angles = (0.0, 1e-05, 22.5, 179.99999999, 33.333333333333336, -0.1, 90.0, 3.0, 100.25, 7.5, 45.0)
+        schedule = tuple(zip(angles, angles[::-1]))
+        log = run_trials(config(trials=101, seed=9, schedule=schedule, scenario="late"))
+        path = tmp_path / "trials.jsonl"
+        write_trial_log(log, str(path))
+        lines = path.read_bytes().splitlines(keepends=True)
+        widths = {len(lines[101 * i]) for i in range(len(schedule))}  # each pair's trial 0
+        assert len(widths) >= 5
+        assert path.read_bytes() == per_trial_log(log)
+
     def test_peak_memory_does_not_grow_with_trials(self):
         def peak(trials: int) -> int:
             log = run_trials(config(trials=trials, scenario="late"))
@@ -565,6 +602,25 @@ class TestEmission:
         assert render_report(bundle, "json") == before
         assert bundle.pairs[0].E != 9.0 and len(bundle.pairs) == 4
         assert bundle.no_signal_deltas and bundle.no_signal_deltas[0].delta != 9.0
+
+    def test_to_json_dict_copies_condition_reports(self):
+        bundle = empirical_statistics(run_trials(config(model="fixture", trials=10)))
+        before = render_report(bundle, "json")
+        originals = [dict(report) for report in bundle.condition_reports]
+        data = bundle.to_json_dict()
+        failing = [i for i, report in enumerate(bundle.condition_reports) if not report["holds"]]
+        assert failing
+        for i in failing:
+            witness = data["condition_reports"][i]["witness"]
+            assert witness is not bundle.condition_reports[i]["witness"]
+            witness["wing"] = "edited"
+            witness.clear()
+        for report in data["condition_reports"]:
+            report["holds"] = "edited"
+            report.pop("witness")
+        assert render_report(bundle, "json") == before
+        assert [dict(report) for report in bundle.condition_reports] == originals
+        assert all(report["witness"] for report in (bundle.condition_reports[i] for i in failing))
 
     def test_condition_report_attachments_round_trip(self, tmp_path):
         """The bundle carries its model's four condition reports over the

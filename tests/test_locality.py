@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -164,6 +165,45 @@ class TestSignallingFixture:
         assert data["condition"] == "parameter_independence"
         assert data["holds"] is False
         assert isinstance(data["witness"], dict)
+
+
+_CHECKS = (check_parameter_independence, check_outcome_independence,
+           check_factorizability, check_no_signalling)
+
+
+def _assert_json_dict_is_asdict(report: ConditionReport) -> None:
+    """``to_json_dict`` against ``dataclasses.asdict``, the deep copy it
+    replaced: equal dicts with equal key order, and a new witness dict."""
+    data = report.to_json_dict()
+    reference = dataclasses.asdict(report)
+    assert data == reference and list(data) == list(reference)
+    assert [type(v) for v in data.values()] == [type(v) for v in reference.values()]
+    if report.witness is not None:
+        assert data["witness"] is not report.witness
+        data["witness"]["wing"] = "edited"
+        data["witness"].clear()
+        assert report.witness == reference["witness"]
+
+
+class TestConditionReportJson:
+    @pytest.mark.parametrize("model", [
+        quantum_model(), builtin_vector_model(), signalling_fixture_model(),
+        signalling_fixture_model(0.1), quantum_model(product_polarized(10.0, 80.0)),
+    ], ids=lambda model: model.name)
+    @pytest.mark.parametrize("grid", [GRID, (0.0, 45.0, 22.5, -22.5), (100.0,)])
+    def test_equals_asdict(self, model, grid):
+        reports = [check(model, grid) for check in _CHECKS]
+        for report in reports:
+            _assert_json_dict_is_asdict(report)
+        if model.name == "signalling-fixture" and len(grid) > 1:
+            assert reports[0].witness is not None  # parameter independence fails
+
+    @given(density_matrices(), st.lists(st.floats(0.0, 360.0), min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_random_density_matrices(self, matrix, grid):
+        model = quantum_model(PhotonPairState(matrix))
+        for check in _CHECKS:
+            _assert_json_dict_is_asdict(check(model, grid))
 
 
 @st.composite

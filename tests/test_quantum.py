@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from bellsim import quantum
+from bellsim.locality import quantum_model
 from bellsim.quantum import (
+    PHI_PLUS,
     ZERO_PROBABILITY,
     AnalyzerAngle,
     OutcomeLabel,
@@ -26,7 +33,7 @@ from bellsim.quantum import (
     product_polarized,
     reduced_state,
 )
-from bellsim.spacetime import standard_scenario
+from bellsim.spacetime import load_scenario, standard_scenario
 
 V, H = OutcomeLabel.V, OutcomeLabel.H
 
@@ -135,6 +142,68 @@ class TestStateEquality:
     def test_scenarios_with_equal_states_are_equal(self):
         assert standard_scenario() == standard_scenario()
         assert standard_scenario() != standard_scenario(state=maximally_mixed_pair())
+
+
+class TestDefaultState:
+    """Without a state, the quantum model and the canonical layouts share
+    ``PHI_PLUS``, built and checked once at import."""
+
+    def test_one_read_only_object_equal_to_bell_phi_plus(self):
+        assert PHI_PLUS == bell_phi_plus()
+        assert PHI_PLUS is not bell_phi_plus()
+        assert not PHI_PLUS.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            PHI_PLUS.matrix[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PHI_PLUS.matrix = np.eye(4)
+        for scenario in (standard_scenario(), standard_scenario(settings_in_overlap=True),
+                         load_scenario("overlap"), load_scenario("late")):
+            assert scenario.state is PHI_PLUS
+
+    def test_defaults_build_and_check_no_state(self, monkeypatch):
+        grid = (0.0, 22.5, 45.0, 157.5)
+        expected = quantum_model(bell_phi_plus()).table(grid)
+
+        def refuse(*args):
+            raise AssertionError("a default state was built and checked again")
+
+        monkeypatch.setattr(quantum, "_check_density", refuse)
+        assert np.array_equal(quantum_model().table(grid), expected)
+        assert standard_scenario(angle_a=30.0).state is PHI_PLUS
+        with pytest.raises(AssertionError, match="built and checked again"):
+            bell_phi_plus()
+
+
+class TestEnumIdentityHash:
+    """``Wing`` and ``OutcomeLabel`` hash by identity: their members are
+    singletons and ``==`` is identity, so every key lookup still works."""
+
+    @pytest.mark.parametrize("enum", [Wing, OutcomeLabel])
+    def test_members_are_singletons(self, enum):
+        assert enum.__hash__ is object.__hash__
+        for member in enum:
+            assert enum(member.value) is member
+            assert enum[member.name] is member
+            assert copy.copy(member) is member and copy.deepcopy(member) is member
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(member, protocol)) is member
+            assert hash(member) == hash(enum(member.value))
+        assert Wing("A") is Wing.A and OutcomeLabel("H") is OutcomeLabel.H
+
+    def test_dict_set_and_functools_keys(self):
+        by_wing = {Wing.A: "left", Wing.B: "right"}
+        assert by_wing[Wing("A")] == "left" and by_wing[pickle.loads(pickle.dumps(Wing.B))] == "right"
+        assert {Wing.A, Wing("A"), Wing.B} == {Wing.A, Wing.B}
+        assert {(Wing.A, V): 1}[(Wing("A"), OutcomeLabel("V"))] == 1
+        assert Wing.A != "A" and V != "V"
+
+        @functools.lru_cache(maxsize=None)
+        def sign(wing: Wing, label: OutcomeLabel) -> int:
+            return label.sign if wing is Wing.A else -label.sign
+
+        assert [sign(w, lab) for w in Wing for lab in OutcomeLabel] == [1, -1, -1, 1]
+        assert [sign(Wing(w), OutcomeLabel(lab)) for w in "AB" for lab in "VH"] == [1, -1, -1, 1]
+        assert sign.cache_info()[:2] == (4, 4)  # (hits, misses)
 
 
 class TestBellState:
