@@ -12,18 +12,15 @@ from .quantum import (
     OutcomeLabel,
     PhotonPairState,
     ProbabilityPair,
-    Projector,
     SingleWingState,
     UndefinedConditionalError,
     Wing,
-    analyzer_projector,
     as_angle,
     bell_phi_plus,
     born_conditional,
     born_joint,
     born_marginal,
     conditional_remote_state,
-    correlation_E,
     maximally_mixed_pair,
     product_polarized,
     reduced_state,

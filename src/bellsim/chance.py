@@ -46,7 +46,7 @@ from .quantum import (
     Wing,
     ZERO_PROBABILITY,
     _conditional,
-    _joint_cells,
+    _joint,
     as_angle,
     born_conditional,
     born_joint,
@@ -368,7 +368,7 @@ def estimated_chance(
     # Each weight is bit for bit the denominator born_conditional would
     # compute, so one joint serves both hypothesized labels.
     weights = born_marginal(state, remote, remote_angle)
-    joint = _joint_cells(state, *angles)
+    joint = _joint(state, *angles)
     estimate = 0.0
     for hypothesized, weight in zip((OutcomeLabel.V, OutcomeLabel.H), weights):
         if weight <= ZERO_PROBABILITY:

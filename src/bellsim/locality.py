@@ -7,12 +7,12 @@ angles ``a_degrees[na]`` and ``b_degrees[nb]`` to the table ``[na, nb,
 n_lambda, 2, 2]``, indexed [a, b, lambda, outcome_a, outcome_b] with
 V=0, H=1. Grid tables, single cells, the sampler's per-pair cells and
 correlations come from that one call and one validation step,
-``quantum._validated``, the same check that every scalar Born result
-passes, except ``LhvModel.correlation``, which reduces the two wings'
-response rows directly (see ``hidden_variables``); the quantum kernel
-is ``quantum``'s projector stack and pair einsum, batched over the
-angles. A model keeps the table of the last grid it was asked for;
-kernels must be pure for that cache to be sound.
+``quantum._validated``, whose bounds and errors every scalar Born
+result's check shares, except ``LhvModel.correlation``, which reduces
+the two wings' response rows directly (see ``hidden_variables``); the
+quantum kernel is ``quantum``'s projector stack and pair einsum,
+batched over the angles. A model keeps the table of the last grid it
+was asked for; kernels must be pure for that cache to be sound.
 The contract fixes the table's shape, not its memory layout: the
 validated copy keeps the kernel's, and an LHV table is stored lambda
 innermost.

@@ -15,15 +15,17 @@ the conventions are fixed once in this module:
   ``identity / 2`` are first class; pure states are rank-1 operators.
 
 This module is the only place that turns a state and analyzer angles
-into probabilities. Three private helpers do it, for the scalar
-``born_*`` functions and the quantum model's array kernel alike:
-``_projectors`` stacks every angle's (V, H) projector pair,
-``_born_pairs`` is the one pair einsum, and ``_validated`` (with
-``_clamp_probabilities``) is the one check-and-clamp: entries in
-[-ATOL, 1 + ATOL] clamped to [0, 1], joint cells summing to 1 within
-ATOL. A pair state is checked together with both of its reduced
-states, so every Born probability of an accepted state passes that
-check.
+into probabilities. The joint is one formula, ``_born_pairs``, the pair
+einsum over ``_projectors``' stacked (V, H) projector pairs, shared by
+``born_joint``, ``born_conditional`` and the quantum model's kernel. A
+marginal is float arithmetic on the reduced state's real entries, bit
+for bit the einsum it replaced. Every probability passes one
+check-and-clamp: entries in [-ATOL, 1 + ATOL] clamped to [0, 1], joint
+cells summing to 1 within ATOL; ``_validated`` runs it on arrays, and
+``_probability`` and ``JointDistribution`` on the floats of one scalar
+result, with the same errors. A pair state is checked together with
+both of its reduced states, so every Born probability of an accepted
+state passes that check.
 
 The module deliberately restricts to two-outcome polarization
 measurements; general observables with arbitrary outcome sets (and the
@@ -49,8 +51,8 @@ ATOL = 1e-12
 #: Probabilities at or below this threshold count as impossible outcomes.
 ZERO_PROBABILITY = 1e-14
 
-#: Absolute rounding bound of one Born einsum, a joint cell or a marginal
-#: (derived in ``born_conditional``).
+#: Absolute rounding bound of one Born joint cell or marginal (derived in
+#: ``_conditional``).
 _BORN_ROUNDING = 16 * float(np.finfo(float).eps)
 
 
@@ -191,28 +193,11 @@ class SingleWingState:
     def __post_init__(self) -> None:
         checked = _check_density(self.matrix, 2, "single wing state")
         object.__setattr__(self, "matrix", _frozen_matrix(checked))
+        # (rho_00, rho_01, rho_10, rho_11).real as floats, for born_marginal
+        object.__setattr__(self, "_real", tuple(self.matrix.real.reshape(4).tolist()))
 
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Rank-1 Hermitian idempotent on the single-photon space."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"projector must be 2x2, got shape {m.shape}")
-        if float(np.abs(m - m.conj().T).max()) > ATOL:
-            raise ValueError("projector is not Hermitian")
-        if float(np.abs(m @ m - m).max()) > ATOL:
-            raise ValueError("projector is not idempotent")
-        if abs(complex(m.trace()) - 1.0) > ATOL:
-            raise ValueError("projector is not rank 1")
-        object.__setattr__(self, "matrix", _frozen_matrix(m))
 
 
 class ProbabilityPair(NamedTuple):
@@ -225,16 +210,31 @@ class ProbabilityPair(NamedTuple):
         return self.v if label is OutcomeLabel.V else self.h
 
 
+def _range_error(value: float, what: str) -> ValueError:
+    return ValueError(f"{what} entry: probability {value!r} outside [0, 1]")
+
+
+def _sum_error(total: float) -> ValueError:
+    return ValueError(f"joint distribution sums to {total!r}, not 1")
+
+
 def _clamp_probabilities(values: np.ndarray, what: str) -> None:
     """Check that every entry of the float array ``values`` lies in
     [-ATOL, 1 + ATOL], then clamp it to [0, 1] in place."""
     low, high = values.min(initial=0.0), values.max(initial=1.0)
     if not (low >= -ATOL and high <= 1.0 + ATOL):  # also false for NaN
-        bad = float(values[~((values >= -ATOL) & (values <= 1.0 + ATOL))][0])
-        raise ValueError(f"{what} entry: probability {bad!r} outside [0, 1]")
+        raise _range_error(float(values[~((values >= -ATOL) & (values <= 1.0 + ATOL))][0]), what)
     if low < 0.0 or high > 1.0:
         np.copyto(values, 0.0, where=values < 0.0)
         np.copyto(values, 1.0, where=values > 1.0)
+
+
+def _probability(value: float, what: str) -> float:
+    """:func:`_clamp_probabilities` for one float: ``value`` checked to lie in
+    [-ATOL, 1 + ATOL] and clamped to [0, 1] (-0.0 stays -0.0, as there)."""
+    if not -ATOL <= value <= 1.0 + ATOL:  # also true for NaN
+        raise _range_error(value, what)
+    return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
 
 def _validated(raw: np.ndarray, shape: tuple) -> np.ndarray:
@@ -248,7 +248,7 @@ def _validated(raw: np.ndarray, shape: tuple) -> np.ndarray:
     totals = cells[..., 0, 0] + cells[..., 0, 1] + cells[..., 1, 0] + cells[..., 1, 1]
     off = np.abs(totals - 1.0)
     if off.max(initial=0.0) > ATOL:
-        raise ValueError(f"joint distribution sums to {float(totals.flat[off.argmax()])!r}, not 1")
+        raise _sum_error(float(totals.flat[off.argmax()]))
     return cells
 
 
@@ -262,8 +262,14 @@ class JointDistribution:
     hh: float
 
     def __post_init__(self) -> None:
-        cells = _validated([[self.vv, self.vh], [self.hv, self.hh]], (2, 2))
-        for name, value in zip(("vv", "vh", "hv", "hh"), cells.reshape(4).tolist()):
+        # _validated on four floats: each clamped by _probability, then
+        # summed in the same order
+        raw = float(self.vv), float(self.vh), float(self.hv), float(self.hh)
+        cells = [_probability(p, "joint") for p in raw]
+        total = cells[0] + cells[1] + cells[2] + cells[3]
+        if abs(total - 1.0) > ATOL:
+            raise _sum_error(total)
+        for name, value in zip(("vv", "vh", "hv", "hh"), cells):
             object.__setattr__(self, name, value)
 
     def prob(self, a: OutcomeLabel, b: OutcomeLabel) -> float:
@@ -330,15 +336,6 @@ def _outcome_index(outcome: OutcomeLabel) -> int:
     return 0 if outcome is OutcomeLabel.V else 1
 
 
-def analyzer_projector(angle: AngleLike, outcome: OutcomeLabel) -> Projector:
-    """Projector selecting the given outcome of an analyzer at ``angle``.
-
-    V projects onto the analyzer axis, H onto the orthogonal axis, so
-    the two projectors for one angle sum to the identity.
-    """
-    return Projector(_projectors([angle])[0, _outcome_index(outcome)])
-
-
 def product_polarized(angle_a: AngleLike, angle_b: AngleLike) -> PhotonPairState:
     """Product state with each photon polarized along the given axis."""
     ka = axis_ket(angle_a)
@@ -363,9 +360,14 @@ def born_joint(
     state: PhotonPairState | np.ndarray, a: AngleLike, b: AngleLike
 ) -> JointDistribution:
     """Joint outcome distribution Tr(rho P_A x P_B) for analyzers at a, b."""
-    rho = _as_pair_state(state)
-    (vv, vh), (hv, hh) = _born_pairs(rho.matrix, _projectors([a]), _projectors([b]))[0, 0].tolist()
-    return JointDistribution(vv=vv, vh=vh, hv=hv, hh=hh)
+    return _joint(_as_pair_state(state), a, b)
+
+
+def _joint(state: PhotonPairState, a: AngleLike, b: AngleLike) -> JointDistribution:
+    """``born_joint`` for the Born functions and ``chance`` to call
+    without passing through the public name."""
+    raw = _born_pairs(state.matrix, _projectors([a]), _projectors([b]))
+    return JointDistribution(*raw.reshape(4).tolist())
 
 
 def _partial_trace(matrix: np.ndarray, keep: Wing) -> np.ndarray:
@@ -394,10 +396,18 @@ def born_marginal(
     Computed from the reduced state of ``wing`` alone, so the result
     never references the remote analyzer angle.
     """
-    local = reduced_state(state, wing).matrix
-    p = np.einsum("ij,mji->m", local, _projectors([angle])[0]).real
-    _clamp_probabilities(p, "marginal")
-    return ProbabilityPair(*p.tolist())
+    # Bit for bit the einsum "ij,mji->m" of the reduced matrix and
+    # _projectors' pair: terms Re rho_ij * P[m, j, i], summed as (t00 + t01)
+    # + (t10 + t11), with _projectors' products (IEEE products commute and
+    # negate exactly). The einsum's +0.0 start matters only for a sum of
+    # -0.0 terms, and with trace 1 a diagonal entry's term is never -0.0.
+    r00, r01, r10, r11 = reduced_state(state, wing)._real
+    rad = as_angle(angle).radians
+    s, c = math.sin(rad), math.cos(rad)
+    ss, sc, cc = s * s, s * c, c * c
+    v = (r00 * ss + r01 * sc) + (r10 * sc + r11 * cc)
+    h = (r00 * cc + r01 * -sc) + (r10 * -sc + r11 * ss)
+    return ProbabilityPair(_probability(v, "marginal"), _probability(h, "marginal"))
 
 
 def born_conditional(
@@ -413,31 +423,26 @@ def born_conditional(
     raises :class:`UndefinedConditionalError`.
 
     Each returned probability is accurate to about 2 * ``_BORN_ROUNDING``
-    / marginal, the two einsums' rounding over the conditioning marginal
-    (derived below). That bound is coarser than ``ATOL`` below a marginal
-    of about 7e-3; the measured error, about 1.7e-16 / marginal, is
-    coarser than ``ATOL`` below a marginal of about 1e-4.
+    / marginal, the joint's and the marginal's rounding over the
+    conditioning marginal (derived in ``_conditional``). That bound is
+    coarser than ``ATOL`` below a marginal of about 7e-3; the measured
+    error, about 1.7e-16 / marginal, is coarser than ``ATOL`` below a
+    marginal of about 1e-4.
     """
     cond_wing, cond_label = given
     rho = _as_pair_state(state)
-    joint = _joint_cells(rho, a, b)
+    joint = _joint(rho, a, b)
     cond_angle = a if cond_wing is Wing.A else b
     denom = born_marginal(rho, cond_wing, cond_angle).for_label(cond_label)
     return _conditional(joint, denom, given)
 
 
-def _joint_cells(state: PhotonPairState, a: AngleLike, b: AngleLike) -> np.ndarray:
-    """The validated 2x2 joint of ``state`` at ``a``, ``b``, indexed [outcome
-    A, outcome B]; equal, cell for cell, to ``born_joint``'s."""
-    return _validated(_born_pairs(state.matrix, _projectors([a]), _projectors([b]))[0, 0], (2, 2))
-
-
 def _conditional(
-    joint: np.ndarray, denom: float, given: tuple[Wing, OutcomeLabel]
+    joint: JointDistribution, denom: float, given: tuple[Wing, OutcomeLabel]
 ) -> ProbabilityPair:
     """The ratio-and-clamp step of :func:`born_conditional`: the row (or
-    column) of the validated ``joint`` that ``given`` selects, over the
-    conditioning marginal ``denom``."""
+    column) of ``joint`` that ``given`` selects, over the conditioning
+    marginal ``denom``."""
     cond_wing, cond_label = given
     if denom <= ZERO_PROBABILITY:
         raise UndefinedConditionalError(
@@ -445,27 +450,24 @@ def _conditional(
             f"has probability {denom!r}"
         )
     index = _outcome_index(cond_label)
-    ratios = (joint[index] if cond_wing is Wing.A else joint[:, index]) / denom
+    cells = (joint.vv, joint.vh, joint.hv, joint.hh)
+    selected = cells[2 * index:2 * index + 2] if cond_wing is Wing.A else cells[index::2]
+    ratios = [p / denom for p in selected]
     # The exact ratios lie in [0, 1]; rounding r_joint in the numerator and
     # r_marginal in the denominator moves them by at most (r_joint +
-    # r_marginal) / denom. Each einsum sums at most 16 products of a rho
-    # entry and two projector entries, and for a positive semidefinite rho
-    # their magnitudes total at most 1 (|rho_IJ| <= sqrt(rho_II rho_JJ),
+    # r_marginal) / denom. The joint einsum sums at most 16 products of a
+    # rho entry and two projector entries, and for a positive semidefinite
+    # rho their magnitudes total at most 1 (|rho_IJ| <= sqrt(rho_II rho_JJ),
     # then Cauchy-Schwarz against the projectors' unit product vector). The
     # sum costs 15u, two complex products ~6u and the rounded projector
-    # entries ~6u (u = eps / 2), so r <= 27u < _BORN_ROUNDING. Measured
-    # joint rows and marginals differ by at most 1.7e-16. Only a slack
-    # above ATOL reaches past what _clamp_probabilities accepts.
+    # entries ~6u (u = eps / 2), so r <= 27u < _BORN_ROUNDING; the marginal's
+    # 4 products round less. Measured joint rows and marginals differ by at
+    # most 1.7e-16. Only a slack above ATOL reaches past what _probability
+    # accepts.
     slack = 2.0 * _BORN_ROUNDING / denom
-    if slack > ATOL and -slack <= ratios.min() and ratios.max() <= 1.0 + slack:
-        ratios = ratios.clip(0.0, 1.0)
-    _clamp_probabilities(ratios, "conditional")
-    return ProbabilityPair(*ratios.tolist())
-
-
-def correlation_E(state: PhotonPairState | np.ndarray, a: AngleLike, b: AngleLike) -> float:
-    """Signed outcome correlation: P(+,+) + P(-,-) - P(+,-) - P(-,+)."""
-    return born_joint(state, a, b).correlation()
+    if slack > ATOL and all(-slack <= r <= 1.0 + slack for r in ratios):  # false for NaN
+        ratios = [0.0 if r < 0.0 else 1.0 if r > 1.0 else r for r in ratios]
+    return ProbabilityPair(*(_probability(r, "conditional") for r in ratios))
 
 
 def conditional_remote_state(

@@ -20,7 +20,6 @@ from bellsim.quantum import (
     PhotonPairState,
     UndefinedConditionalError,
     Wing,
-    analyzer_projector,
     as_angle,
     axis_ket,
     bell_phi_plus,
@@ -28,7 +27,6 @@ from bellsim.quantum import (
     born_joint,
     born_marginal,
     conditional_remote_state,
-    correlation_E,
     maximally_mixed_pair,
     product_polarized,
     reduced_state,
@@ -218,15 +216,25 @@ class TestBellState:
         assert bell_phi_plus().purity() == pytest.approx(1.0, abs=1e-12)
 
 
+def projector(degrees, label):
+    """The (V or H) projector of an analyzer at ``degrees``, as the Born
+    functions stack it."""
+    return quantum._projectors([degrees])[0, 0 if label is V else 1]
+
+
+def axis_projector(degrees):
+    return np.outer(axis_ket(degrees), axis_ket(degrees))
+
+
 class TestProjectors:
     def test_vertical_at_reference(self):
-        p = analyzer_projector(0.0, V).matrix
+        p = projector(0.0, V)
         assert_allclose(p, np.diag([0.0, 1.0]), atol=1e-15)
 
     @pytest.mark.parametrize("degrees", [0.0, 13.7, 45.0, 90.0, 120.0, 179.0])
     def test_completeness_and_idempotence(self, degrees):
-        pv = analyzer_projector(degrees, V).matrix
-        ph = analyzer_projector(degrees, H).matrix
+        pv = projector(degrees, V)
+        ph = projector(degrees, H)
         assert_allclose(pv + ph, np.eye(2), atol=1e-12)
         assert_allclose(pv @ pv, pv, atol=1e-12)
         assert_allclose(ph @ ph, ph, atol=1e-12)
@@ -234,8 +242,8 @@ class TestProjectors:
     @given(angle_floats)
     @settings(max_examples=200)
     def test_projector_laws_everywhere(self, degrees):
-        pv = analyzer_projector(degrees, V).matrix
-        ph = analyzer_projector(degrees, H).matrix
+        pv = projector(degrees, V)
+        ph = projector(degrees, H)
         assert np.abs(pv + ph - np.eye(2)).max() < 1e-12
         assert np.abs(pv @ pv - pv).max() < 1e-12
 
@@ -246,11 +254,11 @@ class TestProjectors:
         axis = np.array([math.sin(rad), math.cos(rad)])
         orthogonal = np.array([math.cos(rad), -math.sin(rad)])
         for label, ket in ((V, axis), (H, orthogonal)):
-            assert np.array_equal(analyzer_projector(degrees, label).matrix, np.outer(ket, ket))
+            assert np.array_equal(projector(degrees, label), np.outer(ket, ket))
 
     def test_diagonal_projector_entries_at_45(self):
         # direct trig: cos 45 = sin 45 = sqrt(2)/2, every entry magnitude 1/2
-        p = analyzer_projector(45.0, V).matrix
+        p = projector(45.0, V)
         assert_allclose(np.abs(p), 0.5, atol=1e-12)
 
 
@@ -402,24 +410,28 @@ class TestBornConditional:
         assert overshoots > 0  # the sweep reaches the rounding-overshoot branch
 
 
+def correlation(state, a, b):
+    return born_joint(state, a, b).correlation()
+
+
 class TestCorrelation:
     def test_aligned(self):
-        assert correlation_E(bell_phi_plus(), 18.0, 18.0) == pytest.approx(1.0, abs=1e-12)
+        assert correlation(bell_phi_plus(), 18.0, 18.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_cos_double_angle(self):
         # oracle: E = cos 2(a-b) from the joint table itself
-        assert correlation_E(bell_phi_plus(), 0.0, 22.5) == pytest.approx(
+        assert correlation(bell_phi_plus(), 0.0, 22.5) == pytest.approx(
             math.cos(math.radians(45.0)), abs=1e-12
         )
 
     def test_orthogonal(self):
-        assert correlation_E(bell_phi_plus(), 0.0, 90.0) == pytest.approx(-1.0, abs=1e-12)
+        assert correlation(bell_phi_plus(), 0.0, 90.0) == pytest.approx(-1.0, abs=1e-12)
 
     @given(angle_floats, angle_floats, st.floats(-180.0, 180.0, allow_nan=False))
     @settings(max_examples=150, deadline=None)
     def test_depends_only_on_separation(self, a, b, shift):
-        base = correlation_E(bell_phi_plus(), a, b)
-        rotated = correlation_E(bell_phi_plus(), a + shift, b + shift)
+        base = correlation(bell_phi_plus(), a, b)
+        rotated = correlation(bell_phi_plus(), a + shift, b + shift)
         assert base == pytest.approx(rotated, abs=1e-12)
 
 
@@ -431,7 +443,7 @@ class TestReducedState:
 
     def test_product_state_unchanged(self):
         reduced = reduced_state(product_polarized(0.0, 0.0), Wing.A)
-        assert_allclose(reduced.matrix, analyzer_projector(0.0, V).matrix, atol=1e-12)
+        assert_allclose(reduced.matrix, axis_projector(0.0), atol=1e-12)
 
     def test_maximally_mixed(self):
         reduced = reduced_state(maximally_mixed_pair(), Wing.B)
@@ -454,7 +466,7 @@ class TestReducedState:
         }
         for wing, local in traced.items():
             assert np.array_equal(reduced_state(state, wing).matrix, local)
-            p_v = float(np.einsum("ij,ji->", local, analyzer_projector(angle, V).matrix).real)
+            p_v = float(np.einsum("ij,ji->", local, axis_projector(angle)).real)
             first = born_marginal(state, wing, angle)
             assert born_marginal(state, wing, angle) == first
             assert first.v == pytest.approx(p_v, abs=1e-15)
@@ -468,12 +480,12 @@ class TestConditionalRemoteState:
 
     def test_orthogonal_outcome(self):
         remote = conditional_remote_state(bell_phi_plus(), Wing.B, 30.0, H)
-        expected = analyzer_projector(30.0, H).matrix
+        expected = axis_projector(120.0)  # H at 30 degrees is the axis at 120
         assert_allclose(remote.matrix, expected, atol=1e-12)
 
     def test_product_state_unaffected(self):
         remote = conditional_remote_state(product_polarized(0.0, 0.0), Wing.B, 0.0, V)
-        assert_allclose(remote.matrix, analyzer_projector(0.0, V).matrix, atol=1e-12)
+        assert_allclose(remote.matrix, axis_projector(0.0), atol=1e-12)
 
     def test_impossible_observation_rejected(self):
         with pytest.raises(UndefinedConditionalError):
