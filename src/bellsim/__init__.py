@@ -21,7 +21,6 @@ from .quantum import (
     born_joint,
     born_marginal,
     conditional_remote_state,
-    maximally_mixed_pair,
     product_polarized,
     reduced_state,
 )
@@ -37,7 +36,6 @@ from .spacetime import (
     backward_cone_contents,
     causal_relation,
     load_scenario,
-    save_scenario,
     standard_scenario,
 )
 from .chance import (
@@ -61,7 +59,6 @@ from .chance import (
     joint_vertical,
     local_causality_readings,
     reference_class_at,
-    replace_preparation_intervention,
     set_angle_intervention,
     vertical_outcome,
 )

@@ -293,14 +293,6 @@ def set_angle_intervention(scenario: Scenario, wing: Wing, angle: AngleLike | No
     return intervention
 
 
-def replace_preparation_intervention(
-    scenario: Scenario, state: PhotonPairState
-) -> ReplacePreparation:
-    intervention = ReplacePreparation(state=state)
-    _acted_on(scenario, intervention)
-    return intervention
-
-
 def apply_intervention(
     scenario: Scenario, intervention: Intervention
 ) -> Scenario | SenselessIntervention:

@@ -4,11 +4,11 @@ A ``RunConfig`` is the whole description of a run: ``run_trials(config)``
 builds the model ``config.model`` names and reads ``config.scenario``
 through ``spacetime.load_scenario``. ``simulate(config)`` is the one run
 pipeline, the one ``bellsim simulate`` calls: it samples, takes the
-statistics, whose report carries the model's four locality condition
-reports over the run's own grid table, and writes the trial log and then
-the report to the files the config names, so a config has one report
-whichever entry point runs it. In the CLI a bad config, like every bad
-input, parse errors included, ends in one ``error:`` line.
+statistics, whose report carries the model's four ``ConditionReport``
+records over the run's own grid table, and writes the trial log and
+then the report to the files the config names, so a config has one
+report whichever entry point runs it. In the CLI a bad config, like
+every bad input, parse errors included, ends in one ``error:`` line.
 
 Sampling is reproducible to the bit under any execution plan. Each
 (seed, pair) gets its own Philox counter-based stream, and trial i
@@ -59,6 +59,7 @@ import numpy as np
 
 from .hidden_variables import builtin_vector_model
 from .locality import (
+    ConditionReport,
     ProbabilityModel,
     check_factorizability,
     check_no_signalling,
@@ -383,14 +384,16 @@ class PairStatistics:
 
 @dataclass(frozen=True)
 class NoSignalDelta:
-    """Marginal difference between two pairs sharing a local setting."""
+    """Marginal difference between two pairs sharing a local setting.
+    ``z_statistic`` is None when both plug-in stderrs are 0 and the gap is
+    not, so the JSON report stays strict JSON."""
 
     wing: str
     local_angle_deg: float
     remote_angle_deg: float
     remote_angle_alt_deg: float
     delta: float
-    z_statistic: float
+    z_statistic: float | None
 
 
 @dataclass(frozen=True)
@@ -401,33 +404,18 @@ class ReportBundle:
     chsh: float | None
     chsh_stderr: float | None
     no_signal_deltas: tuple[NoSignalDelta, ...]
-    #: The run model's four analytic condition reports as JSON-ready
-    #: dicts, in the order ``empirical_statistics`` computes them.
-    condition_reports: tuple[dict, ...]
+    #: The run model's four analytic condition reports, in the order
+    #: ``empirical_statistics`` computes them.
+    condition_reports: tuple[ConditionReport, ...]
 
     def to_json_dict(self) -> dict:
-        """The fields, each pair and delta as a copy of its own fields and
-        each condition report as a copy with a copy of its ``witness``."""
+        """The fields as a new dict, each pair and delta as a copy of its
+        own fields and each condition report as its ``to_json_dict()``."""
         data = dict(vars(self))
         data["pairs"] = [dict(vars(p)) for p in self.pairs]
         data["no_signal_deltas"] = [dict(vars(d)) for d in self.no_signal_deltas]
-        data["condition_reports"] = [
-            {key: dict(v) if isinstance(v, dict) else v for key, v in report.items()}
-            for report in self.condition_reports
-        ]
+        data["condition_reports"] = [r.to_json_dict() for r in self.condition_reports]
         return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ReportBundle":
-        values = _tupled(data)
-        values["pairs"] = tuple(PairStatistics(**_tupled(p)) for p in values["pairs"])
-        values["no_signal_deltas"] = tuple(NoSignalDelta(**d) for d in values["no_signal_deltas"])
-        return cls(**values)
-
-
-def _tupled(data: dict) -> dict:
-    """A copy of a JSON object with its lists as tuples."""
-    return {key: tuple(v) if isinstance(v, list) else v for key, v in data.items()}
 
 
 def _pair_statistics(pair: PairSamples) -> PairStatistics:
@@ -464,15 +452,15 @@ def _no_signal_deltas(stats: Sequence[PairStatistics]) -> tuple[NoSignalDelta, .
                     continue
                 delta = abs(f1 - f2)
                 spread = math.hypot(_binomial_stderr(f1, n1), _binomial_stderr(f2, n2))
-                z = delta / spread if spread > 0.0 else (0.0 if delta == 0.0 else math.inf)
+                z = delta / spread if spread > 0.0 else (0.0 if delta == 0.0 else None)
                 deltas.append(NoSignalDelta(wing, local, remote, other_remote, delta, z))
     return tuple(deltas)
 
 
 def empirical_statistics(log: TrialLog) -> ReportBundle:
     """Plug-in frequency estimates for every report field, and the log
-    model's four condition reports over ``schedule_grid``, swept on the
-    table ``run_trials`` already built.
+    model's four ``ConditionReport`` records over ``schedule_grid``, swept
+    on the table ``run_trials`` already built.
 
     The CHSH combination E1 + E2 + E3 - E4 and its propagated standard
     error are filled in only for four-pair schedules.
@@ -495,7 +483,7 @@ def empirical_statistics(log: TrialLog) -> ReportBundle:
         chsh=chsh_value,
         chsh_stderr=chsh_stderr,
         no_signal_deltas=_no_signal_deltas(stats),
-        condition_reports=tuple(check(log.model, grid).to_json_dict() for check in checks),
+        condition_reports=tuple(check(log.model, grid) for check in checks),
     )
 
 

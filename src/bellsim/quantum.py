@@ -134,6 +134,11 @@ def _check_density(matrix: np.ndarray, dim: int, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"{what}: expected a {dim}x{dim} matrix, got shape {m.shape}")
+    finite = np.isfinite(m)
+    if not finite.all():
+        # NaN passes the comparisons below, and eigvalsh reads one triangle
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{what}: non-finite entry {complex(m[i, j])} at ({i}, {j})")
     asym = float(np.abs(m - m.conj().T).max())
     if asym > ATOL:
         raise ValueError(f"{what}: not Hermitian (max asymmetry {asym:.3e})")
@@ -180,9 +185,6 @@ class PhotonPairState:
         v = v / norm
         return cls(np.outer(v, v.conj()))
 
-    def purity(self) -> float:
-        return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
-
 
 @dataclass(frozen=True)
 class SingleWingState:
@@ -195,9 +197,6 @@ class SingleWingState:
         object.__setattr__(self, "matrix", _frozen_matrix(checked))
         # (rho_00, rho_01, rho_10, rho_11).real as floats, for born_marginal
         object.__setattr__(self, "_real", tuple(self.matrix.real.reshape(4).tolist()))
-
-    def purity(self) -> float:
-        return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
 
 
 class ProbabilityPair(NamedTuple):
@@ -302,10 +301,6 @@ def bell_phi_plus() -> PhotonPairState:
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[0, 3] = m[3, 0] = m[3, 3] = 0.5
     return PhotonPairState(m)
-
-
-def maximally_mixed_pair() -> PhotonPairState:
-    return PhotonPairState(np.eye(4, dtype=complex) / 4.0)
 
 
 def axis_ket(angle: AngleLike) -> np.ndarray:

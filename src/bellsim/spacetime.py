@@ -370,7 +370,8 @@ class Scenario:
             raise ValueError(f"scenario must be a JSON object, got {data!r}")
         if data.get("format") != SCENARIO_FORMAT:
             raise ValueError(f"unsupported scenario format {data.get('format')!r}")
-        with _malformed("state"):
+        # 1j * inf is nan + inf j; the state check refuses it without a warning
+        with _malformed("state"), np.errstate(invalid="ignore"):
             real, imag = (
                 np.array([[_number(v) for v in row] for row in data["state"][key]], dtype=float)
                 for key in ("matrix_real", "matrix_imag")
@@ -447,12 +448,6 @@ def _event_from_json(ev: dict) -> EventRecord:
         region=RegionLabel(ev["region"]),
         kind=kind,
     )
-
-
-def save_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(scenario.to_json())
-        handle.write("\n")
 
 
 def load_scenario(spec: str) -> Scenario:

@@ -26,7 +26,6 @@ from bellsim.chance import (
     joint_vertical,
     local_causality_readings,
     reference_class_at,
-    replace_preparation_intervention,
     set_angle_intervention,
     vertical_outcome,
 )
@@ -41,7 +40,6 @@ from bellsim.quantum import (
     born_joint,
     born_marginal,
     conditional_remote_state,
-    maximally_mixed_pair,
     product_polarized,
 )
 from bellsim.spacetime import (
@@ -381,7 +379,7 @@ class TestEstimatedChance:
             estimated_chance(overlap.p_prime, E_A, iv, overlap)
 
     def test_estimate_under_replaced_preparation(self, overlap):
-        iv = replace_preparation_intervention(overlap, product_polarized(90.0, 0.0))
+        iv = ReplacePreparation(product_polarized(90.0, 0.0))
         est = estimated_chance(overlap.p_prime, E_A, iv, overlap)
         # wing A polarized orthogonal to its analyzer: V never registers
         assert est.value == pytest.approx(0.0, abs=1e-12)
@@ -426,7 +424,7 @@ class TestEstimatedChance:
 
 class TestApplyIntervention:
     def test_replace_preparation_changes_chances(self, overlap):
-        iv = replace_preparation_intervention(overlap, product_polarized(90.0, 0.0))
+        iv = ReplacePreparation(product_polarized(90.0, 0.0))
         altered = apply_intervention(overlap, iv)
         assert isinstance(altered, Scenario)
         assert chance_at(altered.r, E_A, altered).value == pytest.approx(0.0, abs=1e-12)
@@ -652,9 +650,8 @@ class TestInterventionActsOnTheScenarioGiven:
         )
         state = product_polarized(90.0, 0.0)
         for call in (
-            lambda: replace_preparation_intervention(bare, state),
             lambda: apply_intervention(bare, ReplacePreparation(state)),
-            lambda: apply_intervention(bare, replace_preparation_intervention(overlap, state)),
+            lambda: estimated_chance(bare.p_prime, E_A, ReplacePreparation(state), bare),
         ):
             with pytest.raises(ValueError, match="scenario has no preparation event"):
                 call()
@@ -757,7 +754,7 @@ def _golden_states():
     rng = np.random.default_rng(20160517)
     states = [
         bell_phi_plus(),
-        maximally_mixed_pair(),
+        PhotonPairState(np.eye(4, dtype=complex) / 4.0),
         product_polarized(0.0, 45.0),
         product_polarized(30.0, 120.0),
     ]
@@ -816,7 +813,7 @@ def _chance_layer_lines():
                         None,
                         set_angle_intervention(s, Wing.B, b + 30.0),
                         set_angle_intervention(s, Wing.B, None),
-                        replace_preparation_intervention(s, product_polarized(a, 45.0)),
+                        ReplacePreparation(product_polarized(a, 45.0)),
                     )
                     for name in ("p", "p'", "q", "r"):
                         point = s.probe(name)

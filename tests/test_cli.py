@@ -12,7 +12,7 @@ from bellsim import harness
 from bellsim.cli import main
 from bellsim.locality import CONDITION_TOL, check_no_signalling, signalling_fixture_model
 from bellsim.quantum import OutcomeLabel, product_polarized
-from bellsim.spacetime import save_scenario, standard_scenario
+from bellsim.spacetime import standard_scenario
 
 
 def run_cli(capsys, *argv):
@@ -51,10 +51,8 @@ class TestChancesCommand:
 
     def test_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
-        save_scenario(
-            standard_scenario(settings_in_overlap=True, angle_a=0.0, angle_b=60.0),
-            str(path),
-        )
+        path.write_text(
+            standard_scenario(settings_in_overlap=True, angle_a=0.0, angle_b=60.0).to_json())
         out = run_cli(capsys, "chances", "--scenario", str(path), "--point", "q",
                       "--target", "eA")
         assert out["chance"] == pytest.approx(0.25, abs=1e-12)
@@ -72,8 +70,8 @@ class TestChancesCommand:
 
     def test_zero_probability_outcome_reported(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
-        save_scenario(standard_scenario(settings_in_overlap=True, outcome_b=OutcomeLabel.H,
-                                        state=product_polarized(0.0, 0.0)), str(path))
+        path.write_text(standard_scenario(settings_in_overlap=True, outcome_b=OutcomeLabel.H,
+                                          state=product_polarized(0.0, 0.0)).to_json())
         out = run_cli(capsys, "chances", "--scenario", str(path), "--point", "q",
                       "--target", "eA")
         assert out["defined"] is False
@@ -330,6 +328,9 @@ class TestErrors:
             data["probes"] = []
         elif part == "state":
             data["state"]["matrix_real"][0][0] = "0.5"
+        elif part == "NaN state":
+            # json writes and reads NaN; eigvalsh never sees the upper triangle
+            data["state"]["matrix_real"][0][1] = math.nan
         else:
             data = [1]
         path = tmp_path / "scenario.json"
@@ -341,6 +342,7 @@ class TestErrors:
         ("event 0", "malformed scenario event 0"),
         ("event 1", "malformed scenario event 1: expected a number, got True"),
         ("state", "malformed scenario state: expected a number, got '0.5'"),
+        ("NaN state", "malformed scenario state: photon pair state: non-finite entry (nan+0j)"),
         ("probes", "malformed scenario probes"),
         ("top-level", "scenario must be a JSON object"),
     ])

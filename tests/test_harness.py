@@ -17,7 +17,6 @@ from bellsim.harness import (
     CSV_COLUMNS,
     MODEL_BUILDERS,
     PairSamples,
-    ReportBundle,
     RunConfig,
     _LOG_BLOCK_LINES,
     _cell_thresholds,
@@ -34,6 +33,7 @@ from bellsim.harness import (
     write_trial_log,
 )
 from bellsim.locality import (
+    ConditionReport,
     ProbabilityModel,
     check_factorizability,
     check_no_signalling,
@@ -43,7 +43,7 @@ from bellsim.locality import (
     signalling_fixture_model,
 )
 from bellsim.quantum import PhotonPairState, as_angle, bell_phi_plus, born_joint
-from bellsim.spacetime import Scenario, SpacetimePoint, save_scenario, standard_scenario
+from bellsim.spacetime import Scenario, SpacetimePoint, standard_scenario
 
 from strategies import density_matrices
 
@@ -337,7 +337,7 @@ class TestTrialLogWriter:
             events=tuple(dataclasses.replace(ev, point=moved(ev.point)) for ev in base.events),
             p=moved(base.p), p_prime=moved(base.p_prime), q=moved(base.q), r=moved(base.r),
         )
-        save_scenario(scenario, str(tmp_path / "moved.json"))
+        (tmp_path / "moved.json").write_text(scenario.to_json())
         log = run_trials(config(trials=1000 + 3, seed=5, scenario=str(tmp_path / "moved.json")))
         path = tmp_path / "trials.jsonl"
         write_trial_log(log, str(path))
@@ -582,13 +582,6 @@ class TestEmission:
         assert lines[-1].startswith("CHSH,")
         assert len(lines) == 6  # header + 4 pairs + summary
 
-    def test_json_round_trip(self, tmp_path):
-        bundle = empirical_statistics(run_trials(config(trials=10)))
-        path = tmp_path / "report.json"
-        emit_report(bundle, "json", str(path))
-        restored = ReportBundle.from_json_dict(json.loads(path.read_text()))
-        assert restored == bundle
-
     def test_to_json_dict_returns_copies(self):
         bundle = empirical_statistics(run_trials(config(trials=10)))
         before = render_report(bundle, "json")
@@ -606,38 +599,55 @@ class TestEmission:
     def test_to_json_dict_copies_condition_reports(self):
         bundle = empirical_statistics(run_trials(config(model="fixture", trials=10)))
         before = render_report(bundle, "json")
-        originals = [dict(report) for report in bundle.condition_reports]
+        originals = [report.to_json_dict() for report in bundle.condition_reports]
         data = bundle.to_json_dict()
-        failing = [i for i, report in enumerate(bundle.condition_reports) if not report["holds"]]
+        failing = [i for i, report in enumerate(bundle.condition_reports) if not report.holds]
         assert failing
         for i in failing:
             witness = data["condition_reports"][i]["witness"]
-            assert witness is not bundle.condition_reports[i]["witness"]
+            assert witness == bundle.condition_reports[i].witness
+            assert witness is not bundle.condition_reports[i].witness
             witness["wing"] = "edited"
             witness.clear()
         for report in data["condition_reports"]:
             report["holds"] = "edited"
             report.pop("witness")
         assert render_report(bundle, "json") == before
-        assert [dict(report) for report in bundle.condition_reports] == originals
-        assert all(report["witness"] for report in (bundle.condition_reports[i] for i in failing))
+        assert [report.to_json_dict() for report in bundle.condition_reports] == originals
+        assert all(bundle.condition_reports[i].witness for i in failing)
 
     def test_condition_report_attachments_round_trip(self, tmp_path):
         """The bundle carries its model's four condition reports over the
-        schedule's grid, and they survive a JSON report."""
+        schedule's grid as records, and the JSON report holds their dicts."""
         log = run_trials(config(model="fixture", trials=10))
         bundle = empirical_statistics(log)
         grid = schedule_grid(log.config.schedule)
         checks = (check_parameter_independence, check_outcome_independence,
                   check_factorizability, check_no_signalling)
         assert bundle.condition_reports == tuple(
-            check(signalling_fixture_model(), grid).to_json_dict() for check in checks)
-        assert not all(report["holds"] for report in bundle.condition_reports)
+            check(signalling_fixture_model(), grid) for check in checks)
+        assert all(isinstance(report, ConditionReport) for report in bundle.condition_reports)
+        assert not all(report.holds for report in bundle.condition_reports)
         path = tmp_path / "report.json"
         emit_report(bundle, "json", str(path))
-        restored = ReportBundle.from_json_dict(json.loads(path.read_text()))
-        assert restored.condition_reports == bundle.condition_reports
-        assert restored == bundle
+        assert json.loads(path.read_text())["condition_reports"] == [
+            report.to_json_dict() for report in bundle.condition_reports]
+
+    @pytest.mark.parametrize("model", ["qm", "lhv"])
+    def test_json_report_is_strict_json(self, model):
+        """At one trial per pair both plug-in stderrs are 0: a nonzero gap
+        has no z (null, not ``Infinity``) and a zero gap has z = 0.0."""
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        deltas = []
+        for seed in range(20):
+            bundle = empirical_statistics(run_trials(config(model=model, trials=1, seed=seed)))
+            json.loads(render_report(bundle, "json"), parse_constant=reject)
+            deltas += bundle.no_signal_deltas
+        assert any(d.z_statistic is None for d in deltas)
+        assert any(d.z_statistic == 0.0 for d in deltas)
+        assert all((d.z_statistic is None) == (d.delta != 0.0) for d in deltas)
 
     def test_deterministic_bytes(self):
         bundle = empirical_statistics(run_trials(config(trials=25)))

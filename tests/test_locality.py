@@ -29,7 +29,6 @@ from bellsim.quantum import (
     as_angle,
     bell_phi_plus,
     born_joint,
-    maximally_mixed_pair,
     product_polarized,
 )
 
@@ -398,7 +397,7 @@ def _condition_cases():
     grids = (GRID, random_grid, (0.0, 45.0, 0.0, 90.0, 45.0), (30.0, 210.0, 30.0), (112.5,))
     states = [
         bell_phi_plus(),
-        maximally_mixed_pair(),
+        PhotonPairState(np.eye(4, dtype=complex) / 4.0),
         product_polarized(30.0, 120.0),
     ]
     for k in range(6):

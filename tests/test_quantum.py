@@ -18,6 +18,7 @@ from bellsim.quantum import (
     AnalyzerAngle,
     OutcomeLabel,
     PhotonPairState,
+    SingleWingState,
     UndefinedConditionalError,
     Wing,
     as_angle,
@@ -27,7 +28,6 @@ from bellsim.quantum import (
     born_joint,
     born_marginal,
     conditional_remote_state,
-    maximally_mixed_pair,
     product_polarized,
     reduced_state,
 )
@@ -38,6 +38,10 @@ V, H = OutcomeLabel.V, OutcomeLabel.H
 
 def cos2(degrees: float) -> float:
     return math.cos(math.radians(degrees)) ** 2
+
+
+def maximally_mixed_pair() -> PhotonPairState:
+    return PhotonPairState(np.eye(4, dtype=complex) / 4.0)
 
 
 def random_state(seed: int) -> PhotonPairState:
@@ -86,6 +90,20 @@ class TestStateValidation:
         m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             PhotonPairState(m)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 1), (1, 0), (0, 1)],
+                             ids=["diagonal", "last-diagonal", "lower", "upper"])
+    @pytest.mark.parametrize("cls, what", [(PhotonPairState, "photon pair state"),
+                                           (SingleWingState, "single wing state")])
+    def test_rejects_non_finite_entries(self, cls, what, i, j, value):
+        """NaN fails no comparison and eigvalsh reads one triangle, so a
+        non-finite entry is refused before either runs."""
+        dim = 4 if cls is PhotonPairState else 2
+        m = np.eye(dim, dtype=complex) / dim
+        m[i, j] = value
+        with pytest.raises(ValueError, match=f"^{what}: non-finite entry "):
+            cls(m)
 
     @pytest.mark.parametrize(
         "diagonal, message",
@@ -213,7 +231,8 @@ class TestBellState:
         assert bell_phi_plus().matrix.trace().real == pytest.approx(1.0, abs=1e-12)
 
     def test_pure(self):
-        assert bell_phi_plus().purity() == pytest.approx(1.0, abs=1e-12)
+        m = bell_phi_plus().matrix
+        assert np.trace(m @ m).real == pytest.approx(1.0, abs=1e-12)
 
 
 def projector(degrees, label):

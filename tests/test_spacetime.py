@@ -252,6 +252,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(message)):
             Scenario.from_json_dict(data)
 
+    @pytest.mark.parametrize("key", ["matrix_real", "matrix_imag"])
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (0, 1)], ids=["diagonal", "lower", "upper"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_state_entries(self, key, i, j, value):
+        data = standard_scenario().to_json_dict()
+        data["state"][key][i][j] = value
+        message = "malformed scenario state: photon pair state: non-finite entry "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Scenario.from_json_dict(data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Scenario.from_json(json.dumps(data))
+
     @staticmethod
     def points(scenario: Scenario) -> list[SpacetimePoint]:
         return [ev.point for ev in scenario.events] + [scenario.probe(n) for n in ("p", "p'", "q", "r")]
