@@ -220,13 +220,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; a bad input, a parse error included, or an
-    unreadable file ends in a one-line ``error:`` on stderr and exit code 2."""
+    """Run one subcommand; a bad input, a parse error included, an
+    unreadable file or a request too large for memory ends in a one-line
+    ``error:`` on stderr and exit code 2."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (argparse.ArgumentTypeError, ValueError, KeyError, OSError) as exc:
-        message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    except (argparse.ArgumentTypeError, ValueError, KeyError, OSError, MemoryError) as exc:
+        if isinstance(exc, KeyError):
+            message = f"missing key {exc}"
+        elif isinstance(exc, MemoryError):
+            message = f"out of memory: {exc}"
+        else:
+            message = str(exc)
         print("error: " + " ".join(message.splitlines()), file=sys.stderr)
         return 2
 

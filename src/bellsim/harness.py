@@ -22,17 +22,19 @@ block, in chunks, or on several threads.
 The sampler compares integers. ``Generator.random()`` on Philox returns
 exactly ``(raw >> 11) * 2**-53`` for a raw 64-bit word, so each uniform is
 a 53-bit integer k, and u >= c holds exactly when k >= ceil(c * 2**53).
-The cumulative prior becomes such ``uint64`` thresholds once per run, and
-each pair's per-lambda cumulative cells, read from the run's one
-``schedule_grid`` table, once per pair; a trial's cell is
-the number of its lambda's three cumulative-cell thresholds that k
-reaches. The lambda index is the
+The cumulative prior becomes such ``uint64`` thresholds once per model,
+in the lambda guide the model builds with its weights, and each pair's
+per-lambda cumulative cells, read from the run's one ``schedule_grid``
+table, once per pair; a trial's cell is the number of its lambda's three
+cumulative-cell thresholds that k reaches. The lambda index is the
 cumulative prior's inverse, ``searchsorted(prior, u, "right")`` clipped
-to the last node, found through a guide table over the top bits of k
+to the last node, found through that guide table over the top bits of k
 (Chen & Asau 1974; Devroye 1986, section III.2.4) and a binary search of
 a few vectorised steps over the widest bucket. Every comparison is the float one's, so
 the cells are those of ``random()``, ``searchsorted`` and
-``cells >= cumulative`` to the bit.
+``cells >= cumulative`` to the bit. The ``lhv`` runs of a process share
+one built-in model (``hidden_variables.VECTOR_LHV``), so its guide is
+built once, at import.
 
 A pair's trials are stored as one ``uint8`` array of joint outcome
 cells, cell = 2 * index_A + index_B with V = 0 and H = 1, so 0..3 are
@@ -53,14 +55,17 @@ import stat
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .hidden_variables import builtin_vector_model
+from .hidden_variables import VECTOR_LHV
 from .locality import (
+    _UNIFORM_BITS,
     ConditionReport,
     ProbabilityModel,
+    _LambdaGuide,
+    _thresholds,
     check_factorizability,
     check_no_signalling,
     check_outcome_independence,
@@ -79,7 +84,7 @@ CHSH_OPTIMAL_QUADRUPLE = (0.0, 45.0, 22.5, -22.5)
 
 MODEL_BUILDERS = {
     "qm": quantum_model,
-    "lhv": builtin_vector_model,
+    "lhv": lambda: VECTOR_LHV,  # one model per process, with its guide
     "fixture": signalling_fixture_model,
 }
 
@@ -237,45 +242,8 @@ def schedule_grid(schedule: Sequence[tuple[AnalyzerAngle, AnalyzerAngle]]) -> tu
     return tuple(sorted({angle.degrees for pair in schedule for angle in pair}))
 
 
-#: A uniform is ``k * 2**-53`` for the 53-bit integer ``k = raw >> 11``.
-_UNIFORM_BITS = 53
+#: The low bits of a raw Philox word that its 53-bit uniform drops.
 _LOW_BITS = np.uint64(64 - _UNIFORM_BITS)
-_NEVER = np.uint64(2**64 - 1)
-
-
-def _thresholds(cumulative: np.ndarray) -> np.ndarray:
-    """``uint64`` thresholds T with ``k >= T`` exactly when ``k * 2**-53 >=
-    cumulative`` for every 53-bit k. Scaling by 2**53 is exact; a value
-    that rounds above 1 gives 2**53, which no k reaches."""
-    scaled = np.ceil(np.ldexp(cumulative, _UNIFORM_BITS))
-    return np.clip(scaled, 0, 2**_UNIFORM_BITS).astype(np.uint64)
-
-
-class _LambdaGuide(NamedTuple):
-    """Guide table over the top bits of k, ``k >> shift``, for a cumulative
-    prior's thresholds. ``start[b]`` is the first lambda that a k in bucket
-    b can map to; ``steps`` are the binary-search strides that cover the
-    widest bucket; ``prior`` is padded with unreachable thresholds past
-    them."""
-
-    shift: np.uint64
-    start: np.ndarray
-    steps: tuple[int, ...]
-    prior: np.ndarray
-
-
-def _lambda_guide(weights: np.ndarray) -> _LambdaGuide:
-    prior = _thresholds(np.cumsum(weights))
-    prior[-1] = _NEVER  # the index is clipped to the last node
-    bits = len(prior).bit_length()  # at least two buckets per node
-    shift = np.uint64(_UNIFORM_BITS - bits)
-    edges = np.arange(2**bits + 1, dtype=np.uint64) << shift
-    start = np.searchsorted(prior, edges[:-1], side="right")
-    end = np.searchsorted(prior, edges[1:] - np.uint64(1), side="right")
-    widest = int((end - start).max())
-    steps = tuple(1 << j for j in reversed(range(widest.bit_length())))
-    padding = np.full(max(steps, default=0), _NEVER)
-    return _LambdaGuide(shift, start, steps, np.concatenate([prior, padding]))
 
 
 def _lambda_index(guide: _LambdaGuide, k: np.ndarray) -> np.ndarray:
@@ -336,7 +304,6 @@ def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) 
     grid = schedule_grid(config.schedule)
     table = model.table(grid)
     row = {degrees: i for i, degrees in enumerate(grid)}
-    guide = _lambda_guide(model.weights) if len(model.weights) > 1 else None
     chunk = max(2, int(chunk_size))
     chunk += chunk % 2  # chunks must start on even trial indices
     pairs = []
@@ -348,7 +315,7 @@ def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) 
 
         def fill(span, *, _pair=pair_index, _ct=thresholds, _cells=cells):
             lo, hi = span
-            _cells[lo:hi] = _sample_chunk(config.seed, _pair, lo, hi, guide, _ct)
+            _cells[lo:hi] = _sample_chunk(config.seed, _pair, lo, hi, model._guide, _ct)
 
         if workers > 1 and len(bounds) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -11,11 +11,14 @@ correlations come from that one call and one validation step,
 result's check shares, except ``LhvModel.correlation``, which reduces
 the two wings' response rows directly (see ``hidden_variables``); the
 quantum kernel is ``quantum``'s projector stack and pair einsum,
-batched over the angles. A model keeps the table of the last grid it
-was asked for; kernels must be pure for that cache to be sound.
-The contract fixes the table's shape, not its memory layout: the
-validated copy keeps the kernel's, and an LHV table is stored lambda
-innermost.
+batched over the angles (its broadcast sum on grids of more than
+``quantum._EINSUM_PAIRS`` angle pairs). A model keeps the table of the
+last grid it was asked for; kernels must be pure for that cache to be
+sound. A model with more than one lambda also carries the sampler's
+guide to its prior, built once from the read-only weights when the
+model is built. The contract fixes the table's shape, not its memory
+layout: the validated copy keeps the kernel's, and an LHV table is
+stored lambda innermost.
 
 Each of the four checkers builds a grid's table and both wings'
 per-lambda marginals once, views them from either wing in one layout,
@@ -74,6 +77,50 @@ def _degrees(angles: Sequence[AngleLike]) -> np.ndarray:
     return np.array([as_angle(x).degrees for x in angles], dtype=float)
 
 
+#: A uniform is ``k * 2**-53`` for the 53-bit integer ``k = raw >> 11``.
+_UNIFORM_BITS = 53
+_NEVER = np.uint64(2**64 - 1)
+
+
+def _thresholds(cumulative: np.ndarray) -> np.ndarray:
+    """``uint64`` thresholds T with ``k >= T`` exactly when ``k * 2**-53 >=
+    cumulative`` for every 53-bit k. Scaling by 2**53 is exact; a value
+    that rounds above 1 gives 2**53, which no k reaches."""
+    scaled = np.ceil(np.ldexp(cumulative, _UNIFORM_BITS))
+    return np.clip(scaled, 0, 2**_UNIFORM_BITS).astype(np.uint64)
+
+
+class _LambdaGuide(NamedTuple):
+    """Guide table over the top bits of k, ``k >> shift``, for a cumulative
+    prior's thresholds. ``start[b]`` is the first lambda that a k in bucket
+    b can map to; ``steps`` are the binary-search strides that cover the
+    widest bucket; ``prior`` is padded with unreachable thresholds past
+    them."""
+
+    shift: np.uint64
+    start: np.ndarray
+    steps: tuple[int, ...]
+    prior: np.ndarray
+
+
+def _lambda_guide(weights: np.ndarray) -> _LambdaGuide:
+    """The read-only guide for sampling a lambda from the prior ``weights``."""
+    prior = _thresholds(np.cumsum(weights))
+    prior[-1] = _NEVER  # the index is clipped to the last node
+    bits = len(prior).bit_length()  # at least two buckets per node
+    shift = np.uint64(_UNIFORM_BITS - bits)
+    edges = np.arange(2**bits + 1, dtype=np.uint64) << shift
+    start = np.searchsorted(prior, edges[:-1], side="right")
+    end = np.searchsorted(prior, edges[1:] - np.uint64(1), side="right")
+    widest = int((end - start).max())
+    steps = tuple(1 << j for j in reversed(range(widest.bit_length())))
+    padding = np.full(max(steps, default=0), _NEVER)
+    prior = np.concatenate([prior, padding])
+    start.setflags(write=False)
+    prior.setflags(write=False)
+    return _LambdaGuide(shift, start, steps, prior)
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityModel:
     """Bipartite model: prior-weighted lambdas and an array-valued kernel."""
@@ -84,6 +131,9 @@ class ProbabilityModel:
     kernel: Kernel
     #: (normalized grid, table) of the last ``table`` call.
     _last_table: tuple | None = field(default=None, init=False, repr=False)
+    #: The sampler's guide to the prior, built once from the read-only
+    #: weights; None for a single lambda, which needs no draw.
+    _guide: _LambdaGuide | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
@@ -99,6 +149,7 @@ class ProbabilityModel:
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
+        object.__setattr__(self, "_guide", _lambda_guide(weights) if weights.size > 1 else None)
 
     def cells(self, a: Sequence[AngleLike], b: Sequence[AngleLike]) -> np.ndarray:
         """Validated joint probabilities, shape (len(a), len(b), n_lambda, 2, 2)."""
@@ -139,8 +190,10 @@ class ProbabilityModel:
 def quantum_model(state: PhotonPairState | None = None) -> ProbabilityModel:
     """The orthodox quantum model: one lambda, Born-rule kernel.
 
-    The kernel is ``born_joint``'s own projector stack and pair einsum,
-    over every angle at once. Without a state it uses ``PHI_PLUS``.
+    The kernel is ``born_joint``'s own projector stack and
+    ``_born_pairs``, over every angle at once: the pair einsum up to
+    ``_EINSUM_PAIRS`` angle pairs, above that the same sum by
+    broadcasting, bit for bit. Without a state it uses ``PHI_PLUS``.
     """
     rho = (PHI_PLUS if state is None else _as_pair_state(state)).matrix
 

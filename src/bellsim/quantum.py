@@ -17,9 +17,11 @@ the conventions are fixed once in this module:
 This module is the only place that turns a state and analyzer angles
 into probabilities. The joint is one formula, ``_born_pairs``, the pair
 einsum over ``_projectors``' stacked (V, H) projector pairs, shared by
-``born_joint``, ``born_conditional`` and the quantum model's kernel. A
-marginal is float arithmetic on the reduced state's real entries, bit
-for bit the einsum it replaced. Every probability passes one
+``born_joint``, ``born_conditional`` and the quantum model's kernel; on
+grids of more than ``_EINSUM_PAIRS`` angle pairs it sums the einsum's
+terms by broadcasting, in the einsum's own order. A marginal is float
+arithmetic on the reduced state's real entries, bit for bit the einsum
+it replaced. Every probability passes one
 check-and-clamp: entries in [-ATOL, 1 + ATOL] clamped to [0, 1], joint
 cells summing to 1 within ATOL; ``_validated`` runs it on arrays, and
 ``_probability`` and ``JointDistribution`` on the floats of one scalar
@@ -344,11 +346,47 @@ def _as_pair_state(state: PhotonPairState | np.ndarray) -> PhotonPairState:
     return PhotonPairState(state)
 
 
+#: Most angle pairs that ``_born_pairs`` sums with the einsum. Past this,
+#: the einsum's generic loop costs more than summing its terms by broadcasting.
+_EINSUM_PAIRS = 20
+
+
 def _born_pairs(rho: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Unvalidated Tr(rho P_A x P_B) for the 4x4 matrix ``rho`` and every
     pair of stacked projector pairs ``pa[x]``, ``pb[y]``: shape [x, y, 2, 2],
-    indexed [angle_a, angle_b, outcome_a, outcome_b]."""
-    return np.einsum("ikjl,xmji,ynlk->xymn", rho.reshape(2, 2, 2, 2), pa, pb).real
+    indexed [angle_a, angle_b, outcome_a, outcome_b]. Up to ``_EINSUM_PAIRS``
+    angle pairs (every scalar joint, a 4-angle grid) this is the einsum;
+    larger grids take ``_born_grid``, the same bits."""
+    if len(pa) * len(pb) <= _EINSUM_PAIRS:
+        return np.einsum("ikjl,xmji,ynlk->xymn", rho.reshape(2, 2, 2, 2), pa, pb).real
+    return _born_grid(rho, pa, pb)
+
+
+#: Terms that ``_born_grid`` multiplies and adds at a time (512 KB), so its
+#: scratch memory stays bounded whatever the grid size.
+_GRID_BLOCK_TERMS = 1 << 16
+
+
+def _born_grid(rho: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """``_born_pairs``' einsum summed in the einsum's own order: each cell
+    is a left-to-right sum from +0.0 of 16 terms, one per entry rho_IJ in
+    row-major order, (Re rho_IJ * P_A[m, j, i]) * P_B[n, l, k] with I = 2i +
+    k and J = 2j + l. The projectors' imaginary parts are +0.0, so each
+    complex product's real part is that float product; reducing the outer
+    axis of the terms adds them in order. Rows of angle_a are done in
+    blocks of about ``_GRID_BLOCK_TERMS`` terms. The result is a view laid
+    out [x, m, y, n]."""
+    nx, ny = len(pa), len(pb)
+    a = pa.real.transpose(3, 2, 0, 1)  # [i, j, x, m]
+    b = pb.real.transpose(3, 2, 0, 1)  # [k, l, y, n]
+    ra = (rho.real.reshape(2, 2, 2, 2, 1, 1) * a[:, None, :, None]).reshape(16, nx, 2)
+    rb = np.broadcast_to(b[None, :, None], (2, 2, 2, 2, ny, 2)).reshape(16, 1, 2 * ny)
+    cells = np.empty((nx, 2, 2 * ny))
+    rows = max(1, _GRID_BLOCK_TERMS // (64 * ny))  # 16 terms x 4 cells per angle pair
+    for lo in range(0, nx, rows):
+        terms = ra[:, lo : lo + rows].reshape(16, -1, 1) * rb  # [rho entry, (x m), (y n)]
+        np.add.reduce(terms, axis=0, initial=0.0, out=cells[lo : lo + rows].reshape(-1, 2 * ny))
+    return cells.reshape(nx, 2, ny, 2).transpose(0, 2, 1, 3)
 
 
 def born_joint(

@@ -1,12 +1,16 @@
-"""The scalar Born path against the array forms it replaced, bit for bit.
+"""The scalar and grid Born paths against the numpy forms they replace,
+bit for bit.
 
 ``born_marginal`` is Python-float arithmetic on the reduced state's real
 entries, and one joint or marginal is checked on its four or two floats.
 The references below are the former numpy forms: the ``"ij,mji->m"``
 marginal einsum, ``_validated``/``_clamp_probabilities`` on arrays and
-the array ratio-slack-clamp step of ``_conditional``. Equality is exact,
-sign of zero included. If a numpy sums the einsum in another order,
-these tests fail; the scalar form then has to follow it.
+the array ratio-slack-clamp step of ``_conditional``. A grid of more than
+``_EINSUM_PAIRS`` angle pairs sums the joint einsum's terms by
+broadcasting (``_born_grid``); its reference is the
+``"ikjl,xmji,ynlk->xymn"`` einsum itself. Equality is exact, sign of zero
+included. If a numpy sums an einsum in another order, these tests fail;
+the scalar and grid forms then have to follow it.
 """
 
 import itertools
@@ -14,6 +18,7 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +143,54 @@ class TestScalarBornIsTheEinsum:
                 given_ = (wing, label)
                 want = outcome(array_conditional, cells, denom, given_)
                 assert outcome(born_conditional, state, a, b, given_) == want
+
+
+def einsum_pairs(rho, pa, pb):
+    """The joint einsum of ``_born_pairs``, at every grid size."""
+    return np.einsum("ikjl,xmji,ynlk->xymn", rho.reshape(2, 2, 2, 2), pa, pb).real
+
+
+def bits(values):
+    """An array's float64 bit patterns in [a, b, outcome_a, outcome_b] order."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+#: The 22.5-degree grid from -180 to 180, 17 angles: 289 angle pairs.
+GRID_22_5 = [22.5 * k for k in range(-8, 9)]
+
+grid_states = st.one_of(states, st.just(quantum.PHI_PLUS))
+#: 1 to 40 angles, so both sides of ``_EINSUM_PAIRS`` are drawn.
+grids = st.lists(angles, min_size=1, max_size=40)
+
+
+class TestGridBornIsTheEinsum:
+    @given(grid_states, grids, grids)
+    @example(quantum.PHI_PLUS, GRID_22_5, GRID_22_5)
+    @example(product_polarized(22.5, 90.0), GRID_22_5, [0.0, 45.0])
+    @example(PhotonPairState(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)), GRID_22_5, [90.0])
+    @settings(max_examples=300, deadline=None)
+    def test_broadcast_sum_bit_for_bit(self, state, grid_a, grid_b):
+        pa, pb = quantum._projectors(grid_a), quantum._projectors(grid_b)
+        want = bits(einsum_pairs(state.matrix, pa, pb))
+        for got in (quantum._born_grid(state.matrix, pa, pb),
+                    quantum._born_pairs(state.matrix, pa, pb)):
+            assert got.shape == (len(grid_a), len(grid_b), 2, 2)
+            mismatched = np.argwhere(bits(got) != want)
+            assert mismatched.size == 0, (mismatched[:4], grid_a, grid_b)
+
+    def test_small_grids_keep_the_einsum(self, monkeypatch):
+        """Up to ``_EINSUM_PAIRS`` angle pairs, a scalar joint and a 4-angle
+        CHSH grid included, ``_born_pairs`` does not broadcast."""
+        def broadcast(*args):
+            raise AssertionError("small grid took the broadcast path")
+
+        monkeypatch.setattr(quantum, "_born_grid", broadcast)
+        born_joint(quantum.PHI_PLUS, 0.0, 22.5)
+        rho = quantum.PHI_PLUS.matrix
+        for nx, ny in ((1, 1), (4, 4), (1, 20), (20, 1), (2, 10)):
+            quantum._born_pairs(rho, quantum._projectors([0.0] * nx), quantum._projectors([22.5] * ny))
+        with pytest.raises(AssertionError, match="broadcast"):
+            quantum._born_pairs(rho, quantum._projectors([0.0] * 3), quantum._projectors([22.5] * 7))
 
 
 #: The edge values of the check: both zeros, the tolerance band's ends on

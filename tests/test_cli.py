@@ -308,6 +308,12 @@ class TestErrors:
     def test_bad_grid_angle(self, capsys):
         assert "0,x,3" in self.run_error(capsys, "nosignal", "--grid", "0,x,3")
 
+    def test_grid_too_large_for_memory(self, capsys):
+        """A 100,000-angle qm grid's table is refused at its first large
+        allocation, which numpy raises as a ``MemoryError``."""
+        err = self.run_error(capsys, "nosignal", "--grid", "0:180:100000")
+        assert err.startswith("error: out of memory: ")
+
     @pytest.mark.parametrize("point", ["1,x", "zz", "1,2,3"])
     def test_bad_point(self, capsys, point):
         err = self.run_error(capsys, "chances", "--scenario", "overlap", f"--point={point}",

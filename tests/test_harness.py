@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim import harness
+from bellsim import harness, locality
 from bellsim.harness import (
     CHSH_OPTIMAL_QUADRUPLE,
     CSV_COLUMNS,
@@ -20,10 +20,8 @@ from bellsim.harness import (
     RunConfig,
     _LOG_BLOCK_LINES,
     _cell_thresholds,
-    _lambda_guide,
     _lambda_index,
     _sample_chunk,
-    _thresholds,
     chsh_schedule,
     emit_report,
     empirical_statistics,
@@ -32,9 +30,12 @@ from bellsim.harness import (
     schedule_grid,
     write_trial_log,
 )
+from bellsim.hidden_variables import VECTOR_LHV, builtin_vector_model
 from bellsim.locality import (
     ConditionReport,
     ProbabilityModel,
+    _lambda_guide,
+    _thresholds,
     check_factorizability,
     check_no_signalling,
     check_outcome_independence,
@@ -459,6 +460,46 @@ class TestIntegerSampler:
             lo += size + size % 2  # the next chunk starts on an even trial
 
 
+class TestSharedLhvModel:
+    """``lhv`` runs share one built-in model per process, built with its
+    lambda guide at import, and give the reports of a fresh model."""
+
+    def test_runs_build_no_guide(self, monkeypatch):
+        built = []
+        for module in (harness, locality):
+            real = getattr(module, "_lambda_guide", None)
+            if real is not None:
+                monkeypatch.setattr(module, "_lambda_guide",
+                                    lambda weights, _real=real: built.append(1) or _real(weights))
+        for seed in (1, 2):
+            harness.simulate(config(model="lhv", trials=10, seed=seed))
+        assert built == []
+
+    def test_grid_sequence_reports_match_a_fresh_model(self, monkeypatch):
+        """Grids G1, G2, G1 on the shared model: each report is byte-equal
+        to its config's report on a fresh ``builtin_vector_model()``."""
+        grid_1 = ((10.0, 37.3), (10.0, 101.9), (123.4, 37.3))
+        grid_2 = chsh_schedule(*CHSH_OPTIMAL_QUADRUPLE)
+        configs = [config(model="lhv", schedule=s, trials=200, seed=5) for s in (grid_1, grid_2, grid_1)]
+        shared = [render_report(harness.simulate(c), "json") for c in configs]
+        monkeypatch.setitem(MODEL_BUILDERS, "lhv", builtin_vector_model)
+        fresh = [render_report(harness.simulate(c), "json") for c in configs]
+        assert shared == fresh
+
+    def test_shared_model_is_read_only(self):
+        model = MODEL_BUILDERS["lhv"]()
+        assert model is MODEL_BUILDERS["lhv"]() is VECTOR_LHV
+        guide = model._guide
+        for array in (model.weights, guide.start, guide.prior):
+            assert not array.flags.writeable
+        assert not model.table([0.0, 45.0]).flags.writeable
+
+    def test_builtin_vector_model_is_new_on_each_call(self):
+        first, second = builtin_vector_model(), builtin_vector_model()
+        assert first is not second and VECTOR_LHV not in (first, second)
+        assert np.array_equal(first._guide.prior, VECTOR_LHV._guide.prior)
+
+
 class TestOneGridTable:
     """A run reads every pair's cells from one table over the schedule's
     sorted distinct angles, and those cells are the per-pair
@@ -491,6 +532,9 @@ class TestOneGridTable:
                 assert table[i, j].tobytes() == model.cells([a], [b])[0, 0].tobytes()
 
     def test_one_table_per_run(self, monkeypatch):
+        # a fresh model, so a table the shared one kept from an earlier run
+        # on this grid cannot stand in for the build
+        monkeypatch.setitem(MODEL_BUILDERS, "lhv", builtin_vector_model)
         calls = []
         for name in ("table", "cells"):
             real = getattr(ProbabilityModel, name)
