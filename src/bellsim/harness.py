@@ -17,7 +17,9 @@ one to pick a hidden-variable node from the model prior, one to pick
 the joint outcome cell. Chunks therefore start on even trial indices
 (Philox jumps in blocks of four outputs), and workers write into
 preassigned slots, so the log is identical whether trials run in one
-block, in chunks, or on several threads.
+block, in chunks, or on several threads. The threads are stdlib
+``threading`` ones, taking a pair's chunks round-robin; the first
+exception a worker raises is raised again in the caller.
 
 The sampler compares integers. ``Generator.random()`` on Philox returns
 exactly ``(raw >> 11) * 2**-53`` for a raw 64-bit word, so each uniform is
@@ -32,9 +34,13 @@ to the last node, found through that guide table over the top bits of k
 (Chen & Asau 1974; Devroye 1986, section III.2.4) and a binary search of
 a few vectorised steps over the widest bucket. Every comparison is the float one's, so
 the cells are those of ``random()``, ``searchsorted`` and
-``cells >= cumulative`` to the bit. The ``lhv`` runs of a process share
-one built-in model (``hidden_variables.VECTOR_LHV``), so its guide is
-built once, at import.
+``cells >= cumulative`` to the bit. A one-lambda model (``qm``,
+``fixture``) has no guide and never reads its lambda words: only the
+cell words are shifted, into one contiguous array compared with the
+pair's three scalar thresholds. Models with more lambdas shift the
+whole buffer in place and compare on its odd words. The ``lhv`` runs
+of a process share one built-in model (``hidden_variables.VECTOR_LHV``),
+so its guide is built once, at import.
 
 A pair's trials are stored as one ``uint8`` array of joint outcome
 cells, cell = 2 * index_A + index_B with V = 0 and H = 1, so 0..3 are
@@ -52,7 +58,7 @@ import json
 import math
 import os
 import stat
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import IO, Iterator, Sequence
@@ -280,15 +286,43 @@ def _sample_chunk(
     bitgen = np.random.Philox(key=np.array([seed, pair_index], dtype=np.uint64))
     if lo:
         bitgen.advance(lo // 2)  # one Philox block covers two trials
-    k = bitgen.random_raw(2 * (hi - lo))
-    k >>= _LOW_BITS
-    lam = 0 if guide is None else _lambda_index(guide, k[0::2])
-    vv, vh, hv = thresholds.take(lam, axis=1)
-    k_cell = k[1::2]
+    raw = bitgen.random_raw(2 * (hi - lo))
+    if guide is None:
+        # only the cell words are read: shift them into one contiguous array
+        k_cell = raw[1::2] >> _LOW_BITS
+        vv, vh, hv = thresholds[:, 0]
+    else:
+        raw >>= _LOW_BITS
+        vv, vh, hv = thresholds.take(_lambda_index(guide, raw[0::2]), axis=1)
+        k_cell = raw[1::2]
     out = (k_cell >= vv).view(np.uint8)
-    out += k_cell >= vh
-    out += k_cell >= hv
+    out += (k_cell >= vh).view(np.uint8)
+    out += (k_cell >= hv).view(np.uint8)
     return out
+
+
+def _fill_on_threads(fill, spans: list[tuple[int, int]], workers: int) -> None:
+    """``fill`` every span on up to ``workers`` threads, thread t taking
+    spans t, t + workers, ...; the first worker exception is raised again
+    in the caller once every thread has ended."""
+    errors: list[BaseException] = []
+
+    def work(share):
+        try:
+            for span in share:
+                fill(span)
+        except BaseException as exc:  # re-raised below, in the caller
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=work, args=(spans[t::workers],)) for t in range(min(workers, len(spans)))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) -> TrialLog:
@@ -318,8 +352,7 @@ def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) 
             _cells[lo:hi] = _sample_chunk(config.seed, _pair, lo, hi, model._guide, _ct)
 
         if workers > 1 and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fill, bounds))
+            _fill_on_threads(fill, bounds, workers)
         else:
             for span in bounds:
                 fill(span)

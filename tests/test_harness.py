@@ -4,6 +4,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -189,6 +192,44 @@ class TestDeterminism:
         r1 = render_report(empirical_statistics(run_trials(config())), "json")
         r2 = render_report(empirical_statistics(run_trials(config(), workers=2)), "json")
         assert r1 == r2
+
+    def test_threads_under_fast_switching(self):
+        """More threads than cores, switched every microsecond, fill
+        disjoint slices: no chunk is lost or written twice."""
+        baseline = run_trials(config(model="lhv", trials=3000))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            other = run_trials(config(model="lhv", trials=3000), workers=8, chunk_size=64)
+        finally:
+            sys.setswitchinterval(interval)
+        for p1, p2 in zip(baseline.pairs, other.pairs, strict=True):
+            assert np.array_equal(p1.cells, p2.cells)
+
+    def test_failing_worker_raises_in_the_caller(self, monkeypatch):
+        real = harness._sample_chunk
+
+        def sample(seed, pair_index, lo, hi, guide, thresholds):
+            if pair_index == 1 and lo == 600:
+                raise RuntimeError(f"chunk {lo} failed")
+            return real(seed, pair_index, lo, hi, guide, thresholds)
+
+        monkeypatch.setattr(harness, "_sample_chunk", sample)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 600 failed"):
+            run_trials(config(trials=1000), workers=3, chunk_size=100)
+        assert threading.active_count() == threads  # every worker was joined
+
+    def test_import_loads_no_thread_pool(self):
+        package_root = os.path.dirname(os.path.dirname(harness.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys, bellsim; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'logging', 'queue')))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert fresh.stdout == "[]\n"
 
     def test_different_seeds_differ(self):
         log1 = run_trials(config(seed=1))
@@ -440,13 +481,27 @@ class TestIntegerSampler:
         expected = np.minimum(np.searchsorted(thresholds, k, side="right"), n - 1)
         assert np.array_equal(_lambda_index(_lambda_guide(weights), k), expected)
 
-    @pytest.mark.parametrize("model", ["qm", "lhv", "fixture"])
+    @pytest.mark.parametrize(
+        "model,state,angles,edges",
+        [
+            pytest.param("qm", None, (30.0, 112.5), None, id="qm"),
+            pytest.param("lhv", None, (30.0, 112.5), None, id="lhv"),
+            pytest.param("fixture", None, (30.0, 112.5), None, id="fixture"),
+            # one-lambda thresholds at the edges 0 and 2**53, and repeated
+            pytest.param("qm", np.diag([1.0, 0, 0, 0]), (0.0, 0.0), [0, 0, 0], id="qm-diag1000"),
+            pytest.param("qm", np.diag([0, 0, 0, 1.0]), (0.0, 0.0), [UNIFORM_GRID] * 3, id="qm-diag0001"),
+            pytest.param("qm", None, (30.0, 30.0), [UNIFORM_GRID // 2] * 3, id="qm-phi-30-30"),
+            pytest.param("qm", None, (30.0, 120.0), [0, UNIFORM_GRID // 2, UNIFORM_GRID], id="qm-phi-30-120"),
+        ],
+    )
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    def test_sample_chunk_is_the_float_sampler(self, model, seed):
-        built = MODEL_BUILDERS[model]()
-        a, b = as_angle(30.0), as_angle(112.5)
+    def test_sample_chunk_is_the_float_sampler(self, model, state, angles, edges, seed):
+        built = MODEL_BUILDERS[model]() if state is None else quantum_model(PhotonPairState(state))
+        a, b = map(as_angle, angles)
         guide = _lambda_guide(built.weights) if len(built.weights) > 1 else None
         thresholds = _cell_thresholds(built.cells([a], [b])[0, 0])
+        if edges is not None:
+            assert thresholds[:, 0].tolist() == edges
         prior_cum = np.cumsum(built.weights)
         cell_cum = np.cumsum(built.cells([a], [b])[0, 0].reshape(-1, 4), axis=1)
         lo = 0
