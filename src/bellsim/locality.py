@@ -13,21 +13,25 @@ the two wings' response rows directly (see ``hidden_variables``); the
 quantum kernel is ``quantum``'s projector stack and pair einsum,
 batched over the angles (its broadcast sum on grids of more than
 ``quantum._EINSUM_PAIRS`` angle pairs). A model keeps the table of the
-last grid it was asked for; kernels must be pure for that cache to be
-sound. A model with more than one lambda also carries the sampler's
-guide to its prior, built once from the read-only weights when the
-model is built. The contract fixes the table's shape, not its memory
-layout: the validated copy keeps the kernel's, and an LHV table is
-stored lambda innermost.
+last grid it was asked for, and that grid's condition sweep once a
+checker has built it, in one slot, ``(key, table, wings)``, each time
+written in one assignment; another grid replaces all three. Kernels
+must be pure for that cache to be sound. A model with more than one
+lambda also carries the sampler's guide to its prior, built once from
+the read-only weights when the model is built. The contract fixes the
+table's shape, not its memory layout: the validated copy keeps the
+kernel's, and an LHV table is stored lambda innermost.
 
-Each of the four checkers builds a grid's table and both wings'
-per-lambda marginals once, views them from either wing in one layout,
-[own setting, remote setting, own outcome, remote outcome, lambda], so
-that every formula is written once for both wings and numpy's inner
-loops run over lambda, and returns one record type, a
-``ConditionReport``: the worst-case deviation from its condition, which
-holds within ``CONDITION_TOL``, and a witness when it fails, the first
-worst cell in the table's [a, b, lambda, outcome_a, outcome_b] order.
+The sweep is both wings' views of the table and per-lambda marginals,
+built once per grid, by the first checker call, in one layout, [own
+setting, remote setting, own outcome, remote outcome, lambda], so that
+every formula is written once for both wings and numpy's inner loops
+run over lambda. Each of the four checkers reads it and returns one
+record type, a ``ConditionReport``: the worst-case deviation from its
+condition, taken from one ``max``, which holds within
+``CONDITION_TOL``. Only when it fails does the checker search for a
+witness, the first worst cell in the table's [a, b, lambda, outcome_a,
+outcome_b] order.
 
 * parameter independence: a wing's per-lambda marginal must not depend
   on the remote setting;
@@ -56,9 +60,9 @@ from .quantum import (
     PhotonPairState,
     _as_pair_state,
     _born_pairs,
+    _normalized_degrees,
     _projectors,
     _validated,
-    as_angle,
 )
 
 #: Default tolerance for a condition to count as holding.
@@ -73,8 +77,12 @@ _LABELS = (OutcomeLabel.V.value, OutcomeLabel.H.value)
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _degrees(angles: Sequence[AngleLike]) -> np.ndarray:
-    return np.array([as_angle(x).degrees for x in angles], dtype=float)
+def _angle_degrees(angles: Sequence[AngleLike]) -> tuple[float, ...]:
+    """The normalized angles in degrees: a kernel's input, and for a grid
+    the table's key and its axis labels."""
+    return tuple(
+        x.degrees if isinstance(x, AnalyzerAngle) else _normalized_degrees(x) for x in angles
+    )
 
 
 #: A uniform is ``k * 2**-53`` for the 53-bit integer ``k = raw >> 11``.
@@ -129,7 +137,8 @@ class ProbabilityModel:
     lambdas: tuple
     weights: np.ndarray
     kernel: Kernel
-    #: (normalized grid, table) of the last ``table`` call.
+    #: (normalized grid, table, wings) of the last ``table`` call; the
+    #: wings, the grid's condition sweep, are None until a checker sweeps it.
     _last_table: tuple | None = field(default=None, init=False, repr=False)
     #: The sampler's guide to the prior, built once from the read-only
     #: weights; None for a single lambda, which needs no draw.
@@ -153,7 +162,7 @@ class ProbabilityModel:
 
     def cells(self, a: Sequence[AngleLike], b: Sequence[AngleLike]) -> np.ndarray:
         """Validated joint probabilities, shape (len(a), len(b), n_lambda, 2, 2)."""
-        a_deg, b_deg = _degrees(a), _degrees(b)
+        a_deg, b_deg = (np.array(_angle_degrees(angles), dtype=float) for angles in (a, b))
         shape = (a_deg.size, b_deg.size, len(self.lambdas), 2, 2)
         return _validated(self.kernel(a_deg, b_deg), shape)
 
@@ -167,16 +176,17 @@ class ProbabilityModel:
         Shape (len(grid), len(grid), n_lambda, 2, 2), indexed
         [a, b, lambda, outcome_a, outcome_b] with V=0, H=1, in the
         kernel's memory layout (lambda innermost for an LHV model). The
-        last grid's table is kept, keyed by the normalized angles, so a
-        run and the checkers sweeping one grid build it once; another
-        grid replaces it.
+        last grid's table is kept, keyed by the normalized angles, and
+        with it the grid's condition sweep, both wings' views and
+        marginals, once a checker has built it; so a run and the checkers
+        sweeping one grid build each once, and another grid replaces both.
         """
-        key = tuple(_degrees(grid).tolist())
+        key = _angle_degrees(grid)
         last = self._last_table
         if last is None or last[0] != key:
             table = self.cells(grid, grid)
             table.setflags(write=False)
-            last = (key, table)
+            last = (key, table, None)
             object.__setattr__(self, "_last_table", last)
         return last[1]
 
@@ -290,42 +300,66 @@ class _Wing(NamedTuple):
 _ORDERS = {"A": (0, 1, 3, 4, 2), "B": (1, 0, 4, 3, 2)}
 
 
-def _sweep(model: ProbabilityModel, grid: Sequence[AngleLike]) -> tuple:
-    """The normalized grid and both wings' views of the model's table. Each
-    marginal sums the two remote-outcome slices: ``.sum`` over that axis, bit for bit."""
-    angles = tuple(as_angle(g) for g in grid)
-    if not angles:
-        raise ValueError("angle grid must be nonempty")
-    table = model.table(angles)
+def _wings(table: np.ndarray) -> tuple[_Wing, _Wing]:
+    """Both wings' views of a read-only table: the condition sweep that a
+    model keeps with it. Each marginal sums the two remote-outcome slices:
+    ``.sum`` over that axis, bit for bit."""
     joints = [table.transpose(order) for order in _ORDERS.values()]
     marginals = [joint[:, :, :, 0] + joint[:, :, :, 1] for joint in joints]
+    for marginal in marginals:
+        marginal.setflags(write=False)
     remotes = [marginal.swapaxes(0, 1) for marginal in marginals[::-1]]
-    return angles, tuple(map(_Wing, _ORDERS, _ORDERS.values(), joints, marginals, remotes))
+    return tuple(map(_Wing, _ORDERS, _ORDERS.values(), joints, marginals, remotes))
 
 
-def _report(condition: str, deviation: float, witness: dict) -> ConditionReport:
+def _sweep(model: ProbabilityModel, grid: Sequence[AngleLike]) -> tuple:
+    """The grid's normalized angles in degrees and both wings' views of
+    the model's table, built on the first sweep of the grid and then kept
+    with the table, in its slot."""
+    degrees = _angle_degrees(grid)
+    if not degrees:
+        raise ValueError("angle grid must be nonempty")
+    table = model.table(degrees)
+    key, kept, wings = model._last_table
+    if kept is not table:  # another caller's grid has taken the slot since
+        return degrees, _wings(table)
+    if wings is None:
+        wings = _wings(table)
+        object.__setattr__(model, "_last_table", (key, table, wings))
+    return degrees, wings
+
+
+def _report(condition: str, deviation: float, witness: Callable[[], dict]) -> ConditionReport:
+    """The report on a worst-case ``deviation``; ``witness()`` searches
+    for the worst cell only when the condition fails."""
+    deviation = float(deviation)
     holds = deviation <= CONDITION_TOL
-    return ConditionReport(condition, holds, deviation, CONDITION_TOL, None if holds else witness)
+    return ConditionReport(condition, holds, deviation, CONDITION_TOL, None if holds else witness())
 
 
-def _remote_spread(condition: str, angles: tuple, marginals: dict) -> ConditionReport:
+def _remote_spread(condition: str, degrees: tuple, marginals: dict) -> ConditionReport:
     """Worst dependence on the remote setting of either wing's marginal
     ``[own, remote, own outcome, lambda]``, keyed by wing; wing A on ties."""
     spreads = {wing: m.max(axis=1) - m.min(axis=1) for wing, m in marginals.items()}
-    wing = max(spreads, key=lambda w: spreads[w].max())
-    spread = spreads[wing].swapaxes(1, 2)  # [own setting, lambda, outcome]
-    local_i, lam_i, out_i = np.unravel_index(spread.argmax(), spread.shape)
-    along = marginals[wing][local_i, :, out_i, lam_i]
-    return _report(condition, float(spread.max()), {
-        "wing": wing,
-        "local_angle_deg": angles[local_i].degrees,
-        "remote_angle_deg": angles[int(along.argmax())].degrees,
-        "remote_angle_alt_deg": angles[int(along.argmin())].degrees,
-        "lambda_index": int(lam_i),
-        "outcome": _LABELS[out_i],
-        "probability_high": float(along.max()),
-        "probability_low": float(along.min()),
-    })
+    peaks = {wing: spread.max() for wing, spread in spreads.items()}
+    wing = max(peaks, key=peaks.__getitem__)
+
+    def witness() -> dict:
+        spread = spreads[wing].swapaxes(1, 2)  # [own setting, lambda, outcome]
+        local_i, lam_i, out_i = np.unravel_index(spread.argmax(), spread.shape)
+        along = marginals[wing][local_i, :, out_i, lam_i]
+        return {
+            "wing": wing,
+            "local_angle_deg": degrees[local_i],
+            "remote_angle_deg": degrees[int(along.argmax())],
+            "remote_angle_alt_deg": degrees[int(along.argmin())],
+            "lambda_index": int(lam_i),
+            "outcome": _LABELS[out_i],
+            "probability_high": float(along.max()),
+            "probability_low": float(along.min()),
+        }
+
+    return _report(condition, peaks[wing], witness)
 
 
 def check_parameter_independence(
@@ -333,18 +367,36 @@ def check_parameter_independence(
 ) -> ConditionReport:
     """Worst per-lambda dependence of either wing's marginal on the
     remote setting, over all setting pairs drawn from the grid."""
-    angles, wings = _sweep(model, grid)
-    return _remote_spread("parameter_independence", angles, {w.name: w.marginal for w in wings})
+    degrees, wings = _sweep(model, grid)
+    return _remote_spread("parameter_independence", degrees, {w.name: w.marginal for w in wings})
 
 
 def check_no_signalling(model: ProbabilityModel, grid: Sequence[AngleLike]) -> ConditionReport:
     """Parameter independence of the lambda-averaged marginals: the worst
     dependence of either wing's observable statistics on the remote
     setting. The witness's ``lambda_index`` is always 0."""
-    angles, wings = _sweep(model, grid)
-    return _remote_spread("no_signalling", angles, {
-        w.name: np.tensordot(w.marginal, model.weights, axes=([3], [0]))[..., None] for w in wings
-    })
+    degrees, wings = _sweep(model, grid)
+    weights = model.weights[:, None]
+
+    def averaged(m: np.ndarray) -> np.ndarray:
+        """``np.tensordot(m, weights, axes=([3], [0]))[..., None]``: its own
+        reshape and dot, bit for bit, without its argument handling."""
+        return np.dot(m.reshape(-1, len(weights)), weights).reshape(m.shape[:3] + (1,))
+
+    return _remote_spread("no_signalling", degrees, {w.name: averaged(w.marginal) for w in wings})
+
+
+def _conditional_gap(wing: _Wing, out: np.ndarray) -> np.ndarray:
+    """|P(own outcome | remote outcome, lambda) - P(own outcome | lambda)|
+    into ``out``, in the wing's layout; -inf where the remote outcome is
+    skipped."""
+    remote = wing.remote_marginal[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(wing.joint, remote, out=out)
+    np.subtract(out, wing.marginal[:, :, :, None], out=out)
+    np.abs(out, out=out)
+    np.copyto(out, -np.inf, where=remote <= SKIP_PROBABILITY)
+    return out
 
 
 def check_outcome_independence(
@@ -353,50 +405,53 @@ def check_outcome_independence(
     """Worst per-lambda dependence of either wing's probability on the
     remote outcome. Conditioning outcomes of zero probability are
     skipped, since deterministic branches legitimately produce them."""
-    angles, wings = _sweep(model, grid)
-    dev = np.empty(wings[0].joint.shape)  # one buffer, filled for each wing in turn
-    worst = (-np.inf,)
-    for wing in wings:
-        remote = wing.remote_marginal[:, :, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(wing.joint, remote, out=dev)  # P(own outcome | remote outcome, lambda)
-        np.subtract(dev, wing.marginal[:, :, :, None], out=dev)
-        np.abs(dev, out=dev)
-        np.copyto(dev, -np.inf, where=remote <= SKIP_PROBABILITY)
-        if dev.max() > worst[0]:  # wing A on ties
-            worst = (dev.max(), wing, wing.argmax(dev))
-    peak, wing, ((ia, ib, lam_i, _, _), local) = worst
-    return _report("outcome_independence", float(peak), {
-        "wing": wing.name,
-        "a_deg": angles[ia].degrees,
-        "b_deg": angles[ib].degrees,
-        "lambda_index": int(lam_i),
-        "outcome": _LABELS[local[2]],
-        "remote_outcome": _LABELS[local[3]],
-        "conditional": float(wing.joint[local] / wing.remote_marginal[local[:2] + local[3:]]),
-        "unconditional": float(wing.marginal[local[:3] + local[4:]]),
-    })
+    degrees, wings = _sweep(model, grid)
+    gap = np.empty(wings[0].joint.shape)  # one buffer, filled for wing B, then wing A
+    peaks = [_conditional_gap(wing, gap).max() for wing in wings[::-1]][::-1]
+    worst = int(peaks[1] > peaks[0])  # wing A on ties
+
+    def witness() -> dict:
+        wing = wings[worst]
+        if worst:
+            _conditional_gap(wing, gap)  # the buffer holds wing A's gaps
+        (ia, ib, lam_i, _, _), local = wing.argmax(gap)
+        return {
+            "wing": wing.name,
+            "a_deg": degrees[ia],
+            "b_deg": degrees[ib],
+            "lambda_index": int(lam_i),
+            "outcome": _LABELS[local[2]],
+            "remote_outcome": _LABELS[local[3]],
+            "conditional": float(wing.joint[local] / wing.remote_marginal[local[:2] + local[3:]]),
+            "unconditional": float(wing.marginal[local[:3] + local[4:]]),
+        }
+
+    return _report("outcome_independence", peaks[worst], witness)
 
 
 def check_factorizability(model: ProbabilityModel, grid: Sequence[AngleLike]) -> ConditionReport:
     """Worst per-lambda gap between the joint and the product of the
     per-lambda marginals."""
-    angles, (wing, _) = _sweep(model, grid)
+    degrees, (wing, _) = _sweep(model, grid)
     dev = wing.marginal[:, :, :, None] * wing.remote_marginal[:, :, None]  # the product
     np.subtract(wing.joint, dev, out=dev)
     np.abs(dev, out=dev)
-    (ia, ib, lam_i, oa, ob), local = wing.argmax(dev)
-    return _report("factorizability", float(dev[local]), {
-        "a_deg": angles[ia].degrees,
-        "b_deg": angles[ib].degrees,
-        "lambda_index": int(lam_i),
-        "outcome_a": _LABELS[oa],
-        "outcome_b": _LABELS[ob],
-        "joint": float(wing.joint[local]),
-        "product_of_marginals": float(
-            wing.marginal[local[:3] + local[4:]] * wing.remote_marginal[local[:2] + local[3:]]
-        ),
-    })
+
+    def witness() -> dict:
+        (ia, ib, lam_i, oa, ob), local = wing.argmax(dev)
+        return {
+            "a_deg": degrees[ia],
+            "b_deg": degrees[ib],
+            "lambda_index": int(lam_i),
+            "outcome_a": _LABELS[oa],
+            "outcome_b": _LABELS[ob],
+            "joint": float(wing.joint[local]),
+            "product_of_marginals": float(
+                wing.marginal[local[:3] + local[4:]] * wing.remote_marginal[local[:2] + local[3:]]
+            ),
+        }
+
+    return _report("factorizability", dev.max(), witness)
 
 
 def chsh(

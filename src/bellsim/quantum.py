@@ -89,6 +89,18 @@ class OutcomeLabel(Enum):
         return 1 if self is OutcomeLabel.V else -1
 
 
+def _normalized_degrees(value: float) -> float:
+    """An analyzer axis in degrees, normalized to [0, 180): an
+    ``AnalyzerAngle``'s ``degrees`` without building the angle."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"analyzer angle must be finite, got {value!r}")
+    normalized = value % 180.0
+    if normalized == 180.0:  # tiny negatives round up to the full period
+        normalized = 0.0
+    return normalized
+
+
 @dataclass(frozen=True)
 class AnalyzerAngle:
     """Analyzer axis orientation in degrees, normalized to [0, 180)."""
@@ -96,13 +108,7 @@ class AnalyzerAngle:
     degrees: float
 
     def __post_init__(self) -> None:
-        value = float(self.degrees)
-        if not math.isfinite(value):
-            raise ValueError(f"analyzer angle must be finite, got {value!r}")
-        normalized = value % 180.0
-        if normalized == 180.0:  # tiny negatives round up to the full period
-            normalized = 0.0
-        object.__setattr__(self, "degrees", normalized)
+        object.__setattr__(self, "degrees", _normalized_degrees(self.degrees))
 
     @property
     def radians(self) -> float:

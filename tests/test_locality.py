@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.hidden_variables import LhvModel, builtin_vector_model, strategy_model
+from bellsim import locality
+from bellsim.hidden_variables import VECTOR_LHV, LhvModel, builtin_vector_model, strategy_model
 from bellsim.locality import (
     ProbabilityModel,
     CONDITION_TOL,
@@ -342,6 +344,30 @@ class TestChsh:
             a, ap, b, bp = rng.choice(degrees, size=4)
             assert abs(chsh(vector_lhv, a, ap, b, bp)) <= 2.0 + 1e-9
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(1, 8),
+        st.lists(st.floats(-360.0, 360.0), min_size=4, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bells_bound_for_random_factorizable_models(self, seed, n_lambda, bins, quad):
+        """|CHSH| <= 2 for any factorizable model (Bell's side of the bound):
+        a random prior and, per wing, a random P(V | angle bin, lambda)
+        table over ``bins`` equal bins of [0, 180), some entries 0 or 1."""
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.ones(n_lambda))
+
+        def response():
+            table = rng.uniform(0.0, 1.0, size=(bins, n_lambda))
+            extreme = rng.random(table.shape) < 0.5
+            table[extreme] = np.round(table[extreme])  # deterministic strategies reach 2
+            return lambda degrees: table[np.minimum((degrees * bins / 180.0).astype(int), bins - 1)]
+
+        model = LhvModel.from_responses("random-lhv", range(n_lambda), weights, response(), response())
+        assert check_factorizability(model, quad).holds
+        assert abs(chsh(model, *quad)) <= 2.0 + 1e-12
+
     def test_global_rotation_invariance(self, quantum):
         base = chsh(quantum, 0.0, 45.0, 22.5, -22.5)
         for shift in (10.0, 33.3, 90.0):
@@ -616,3 +642,102 @@ class TestLambdaInnermostLayout:
     @pytest.mark.parametrize("grid", [GRID, (0.0, 45.0, 0.0, 90.0, 45.0), (100.0, 10.0)])
     def test_fixtures(self, model, grid):
         assert _reports(model, grid) == _reference_reports(model, grid)
+
+
+_SWEEP_MODELS = [
+    pytest.param(quantum_model, id="quantum"),
+    pytest.param(lambda: quantum_model(product_polarized(30.0, 120.0)), id="product"),
+    pytest.param(builtin_vector_model, id="vector-lhv"),
+    pytest.param(signalling_fixture_model, id="fixture"),
+    pytest.param(lambda: _mirrored(signalling_fixture_model(0.1), 0.5), id="mirrored"),
+    pytest.param(_tied_model, id="tied"),
+    pytest.param(lambda: strategy_model(0.0, 45.0, 0.0, 45.0,
+                                        weights=np.random.default_rng(5).dirichlet(np.ones(16))),
+                 id="strategies"),
+]
+
+
+class TestKeptSweep:
+    """A model keeps the condition sweep of its last grid next to the
+    table, in one slot ``(key, table, wings)``: the four reports do not
+    depend on which checker runs first or how often, another grid
+    replaces the whole slot, and a condition that holds never searches
+    for a witness."""
+
+    GRIDS = ((0.0, 45.0), (45.0, 0.0, 45.0), (0.0, 45.0, 0.0, 90.0, 45.0))
+
+    @staticmethod
+    def grids_for(model):
+        return TestKeptSweep.GRIDS[:2] if model.name == "strategy-mixture" else TestKeptSweep.GRIDS
+
+    @pytest.mark.parametrize("factory", _SWEEP_MODELS)
+    def test_reports_do_not_depend_on_call_order_or_repetition(self, factory):
+        for grid in self.grids_for(factory()):
+            expected = _reports(factory(), grid)
+            for order in itertools.permutations(range(4)):
+                model = factory()
+                for _ in range(2):
+                    for k in order:
+                        assert _CHECKS[k](model, grid).to_json_dict() == expected[k]
+
+    @pytest.mark.parametrize("factory", _SWEEP_MODELS)
+    def test_alternating_grids_give_each_grids_reports(self, factory):
+        model = factory()
+        first, second = self.grids_for(model)[-1], self.grids_for(model)[0]
+        for grid in (first, second, first):
+            assert _reports(model, grid) == _reference_reports(factory(), grid)
+            key, table, wings = model._last_table
+            assert key == tuple(as_angle(g).degrees for g in grid)
+            assert model.table(grid) is table
+            assert table.shape[:2] == (len(grid), len(grid))
+            for wing in wings:
+                assert np.shares_memory(wing.joint, table)
+                assert wing.marginal.shape[:2] == (len(grid), len(grid))
+                assert not wing.marginal.flags.writeable
+
+    def test_another_grid_replaces_the_whole_slot(self):
+        model = quantum_model()
+        check_parameter_independence(model, GRID)
+        first = model._last_table
+        table = model.table(GRID[:3])  # a run's table: the old grid's sweep goes with its table
+        assert model._last_table[1:] == (table, None) and table is not first[1]
+        check_factorizability(model, GRID[:3])
+        _, kept, swept = model._last_table
+        assert kept is table and swept[0].marginal.shape[:2] == (3, 3)
+        assert model.table(list(GRID[:3])) is table  # the same grid keeps both
+        check_outcome_independence(model, GRID[:3])
+        assert model._last_table[2] is swept
+
+    def test_a_sweep_is_of_the_table_it_was_given(self, monkeypatch):
+        """Another grid that takes the slot between a checker's ``table``
+        call and its read of the slot (a model shared across threads)
+        does not lend the checker its sweep."""
+        model, other, fresh = (_mirrored(signalling_fixture_model(0.1), 0.5) for _ in range(3))
+        check_parameter_independence(other, (100.0, 10.0))  # its slot holds a sweep
+        real = ProbabilityModel.table
+
+        def table_then_another_grid(self, grid):
+            table = real(self, grid)
+            object.__setattr__(self, "_last_table", other._last_table)
+            return table
+
+        monkeypatch.setattr(ProbabilityModel, "table", table_then_another_grid)
+        reports = _reports(model, GRID)
+        monkeypatch.undo()
+        assert reports == _reference_reports(fresh, GRID)
+
+    @pytest.mark.parametrize("model", [
+        VECTOR_LHV,
+        strategy_model(0.0, 45.0, 0.0, 45.0, weights=np.random.default_rng(3).dirichlet(np.ones(16))),
+    ], ids=["vector-lhv", "strategies"])
+    def test_holding_conditions_never_search_for_a_witness(self, model, monkeypatch):
+        def no_search(self, values):
+            raise AssertionError("witness search on a condition that holds")
+
+        monkeypatch.setattr(locality._Wing, "argmax", no_search)
+        for check in _CHECKS:
+            report = check(model, (0.0, 45.0))
+            assert report.holds and report.witness is None
+        # the patch is live: a failing condition still searches
+        with pytest.raises(AssertionError, match="witness search"):
+            check_outcome_independence(quantum_model(), (0.0, 45.0))
