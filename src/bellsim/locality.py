@@ -10,9 +10,9 @@ correlations come from that one call and one validation step,
 ``quantum._validated``, whose bounds and errors every scalar Born
 result's check shares, except ``LhvModel.correlation``, which reduces
 the two wings' response rows directly (see ``hidden_variables``); the
-quantum kernel is ``quantum``'s projector stack and pair einsum,
-batched over the angles (its broadcast sum on grids of more than
-``quantum._EINSUM_PAIRS`` angle pairs). A model keeps the table of the
+quantum kernel is ``quantum._born_pairs``: one cell on Python floats,
+as ``born_joint`` sums it, and a larger grid by broadcasting, in the
+same order. A model keeps the table of the
 last grid it was asked for, and that grid's condition sweep once a
 checker has built it, in one slot, ``(key, table, wings)``, each time
 written in one assignment; another grid replaces all three. Kernels
@@ -61,7 +61,6 @@ from .quantum import (
     _as_pair_state,
     _born_pairs,
     _normalized_degrees,
-    _projectors,
     _validated,
 )
 
@@ -200,16 +199,15 @@ class ProbabilityModel:
 def quantum_model(state: PhotonPairState | None = None) -> ProbabilityModel:
     """The orthodox quantum model: one lambda, Born-rule kernel.
 
-    The kernel is ``born_joint``'s own projector stack and
-    ``_born_pairs``, over every angle at once: the pair einsum up to
-    ``_EINSUM_PAIRS`` angle pairs, above that the same sum by
-    broadcasting, bit for bit. Without a state it uses ``PHI_PLUS``.
+    The kernel is ``quantum._born_pairs`` over every angle at once: one
+    cell is ``born_joint``'s own float sum, and a larger grid the same
+    sum by broadcasting, bit for bit. Without a state it uses
+    ``PHI_PLUS``.
     """
-    rho = (PHI_PLUS if state is None else _as_pair_state(state)).matrix
+    pair = PHI_PLUS if state is None else _as_pair_state(state)
 
     def kernel(a_deg: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
-        pa, pb = _projectors(a_deg.tolist()), _projectors(b_deg.tolist())
-        return _born_pairs(rho, pa, pb)[:, :, None]
+        return _born_pairs(pair, a_deg.tolist(), b_deg.tolist())[:, :, None]
 
     return ProbabilityModel(
         name="quantum",
@@ -380,8 +378,11 @@ def check_no_signalling(model: ProbabilityModel, grid: Sequence[AngleLike]) -> C
 
     def averaged(m: np.ndarray) -> np.ndarray:
         """``np.tensordot(m, weights, axes=([3], [0]))[..., None]``: its own
-        reshape and dot, bit for bit, without its argument handling."""
-        return np.dot(m.reshape(-1, len(weights)), weights).reshape(m.shape[:3] + (1,))
+        reshape and dot, bit for bit, without its argument handling, stored
+        with the remote setting innermost, the axis ``_remote_spread``
+        reduces over."""
+        dot = np.dot(m.reshape(-1, len(weights)), weights).reshape(m.shape[:3])
+        return np.ascontiguousarray(dot.swapaxes(1, 2)).swapaxes(1, 2)[..., None]
 
     return _remote_spread("no_signalling", degrees, {w.name: averaged(w.marginal) for w in wings})
 

@@ -15,15 +15,17 @@ the conventions are fixed once in this module:
   ``identity / 2`` are first class; pure states are rank-1 operators.
 
 This module is the only place that turns a state and analyzer angles
-into probabilities. The joint is one formula, ``_born_pairs``, the pair
-einsum over ``_projectors``' stacked (V, H) projector pairs, shared by
-``born_joint``, ``born_conditional`` and the quantum model's kernel; on
-grids of more than ``_EINSUM_PAIRS`` angle pairs it sums the einsum's
-terms by broadcasting, in the einsum's own order. A marginal is float
-arithmetic on the reduced state's real entries, bit for bit the einsum
-it replaced. Every probability passes one
-check-and-clamp: entries in [-ATOL, 1 + ATOL] clamped to [0, 1], joint
-cells summing to 1 within ATOL; ``_validated`` runs it on arrays, and
+into probabilities, in one summation order of its own: a joint cell is
+a left-to-right sum from +0.0 of 16 terms, one per entry of rho in
+row-major order (``_born_cell``). One cell, as in ``born_joint``,
+``born_conditional`` and a one-cell kernel call, is that sum on Python
+floats; a grid of more (``_born_grid``) is the same sum by
+broadcasting. ``_born_pairs`` picks between the two for the quantum
+model's kernel. A marginal is float arithmetic on the reduced state's
+real entries. No result depends on a library's internal summation
+order. Every probability passes one check-and-clamp: entries in
+[-ATOL, 1 + ATOL] clamped to [0, 1], joint cells summing to 1 within
+ATOL; ``_validated`` runs it on arrays, and
 ``_probability`` and ``JointDistribution`` on the floats of one scalar
 result, with the same errors. A pair state is checked together with
 both of its reduced states, so every Born probability of an accepted
@@ -176,6 +178,8 @@ class PhotonPairState:
         except ValueError as exc:
             raise ValueError(f"photon pair state: reduced {exc}") from None
         object.__setattr__(self, "_reduced", reduced)
+        # rho's 16 real entries in row-major order, as floats, for _born_cell
+        object.__setattr__(self, "_real", tuple(self.matrix.real.reshape(16).tolist()))
 
     def __eq__(self, other: object) -> bool:
         """Equal density matrices, entry for entry (``np.array_equal``)."""
@@ -320,18 +324,26 @@ def axis_ket(angle: AngleLike) -> np.ndarray:
     return np.array([math.sin(rad), math.cos(rad)], dtype=complex)
 
 
+def _axis_products(angle: AngleLike) -> tuple[float, float, float]:
+    """(s * s, s * c, c * c) for the sine s and cosine c of the analyzer
+    axis: the V projector is [[ss, sc], [sc, cc]] and the H projector
+    [[cc, -sc], [-sc, ss]] (IEEE products commute and negate exactly)."""
+    degrees = angle.degrees if isinstance(angle, AnalyzerAngle) else _normalized_degrees(angle)
+    rad = math.radians(degrees)
+    s, c = math.sin(rad), math.cos(rad)
+    return s * s, s * c, c * c
+
+
 def _projectors(angles: Iterable[AngleLike]) -> np.ndarray:
-    """Stacked (V, H) projector pairs, shape [n, 2, 2, 2], indexed [angle,
-    outcome] with V=0, H=1.
+    """Stacked real (V, H) projector pairs, shape [n, 2, 2, 2], indexed
+    [angle, outcome] with V=0, H=1.
 
     V projects onto ``axis_ket``, H onto the orthogonal axis, so each
     pair sums to the identity. Rank-1 outer products satisfy the
     projector laws by construction, so no validation runs here.
     """
-    trig = [(math.sin(rad), math.cos(rad)) for rad in (as_angle(x).radians for x in angles)]
     return np.array(
-        [e for s, c in trig for e in (s * s, s * c, c * s, c * c, c * c, -c * s, -s * c, s * s)],
-        dtype=complex,
+        [e for ss, sc, cc in map(_axis_products, angles) for e in (ss, sc, sc, cc, cc, -sc, -sc, ss)]
     ).reshape(-1, 2, 2, 2)
 
 
@@ -352,46 +364,67 @@ def _as_pair_state(state: PhotonPairState | np.ndarray) -> PhotonPairState:
     return PhotonPairState(state)
 
 
-#: Most angle pairs that ``_born_pairs`` sums with the einsum. Past this,
-#: the einsum's generic loop costs more than summing its terms by broadcasting.
-_EINSUM_PAIRS = 20
+def _cell(r: tuple, a0: float, a1: float, a2: float, b0: float, b1: float, b2: float) -> float:
+    """One joint cell for P_A = [[a0, a1], [a1, a2]] and P_B = [[b0, b1],
+    [b1, b2]]: +0.0 plus the 16 terms (Re rho_IJ * P_A[j, i]) * P_B[l, k]
+    of ``r``, rho's real entries, in row-major order (I = 2i + k, J = 2j +
+    l), added left to right."""
+    r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15 = r
+    return (0.0 + r0 * a0 * b0 + r1 * a0 * b1 + r2 * a1 * b0 + r3 * a1 * b1
+            + r4 * a0 * b1 + r5 * a0 * b2 + r6 * a1 * b1 + r7 * a1 * b2
+            + r8 * a1 * b0 + r9 * a1 * b1 + r10 * a2 * b0 + r11 * a2 * b1
+            + r12 * a1 * b1 + r13 * a1 * b2 + r14 * a2 * b1 + r15 * a2 * b2)
 
 
-def _born_pairs(rho: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Unvalidated Tr(rho P_A x P_B) for the 4x4 matrix ``rho`` and every
-    pair of stacked projector pairs ``pa[x]``, ``pb[y]``: shape [x, y, 2, 2],
-    indexed [angle_a, angle_b, outcome_a, outcome_b]. Up to ``_EINSUM_PAIRS``
-    angle pairs (every scalar joint, a 4-angle grid) this is the einsum;
-    larger grids take ``_born_grid``, the same bits."""
-    if len(pa) * len(pb) <= _EINSUM_PAIRS:
-        return np.einsum("ikjl,xmji,ynlk->xymn", rho.reshape(2, 2, 2, 2), pa, pb).real
-    return _born_grid(rho, pa, pb)
+def _born_cell(state: PhotonPairState, a: AngleLike, b: AngleLike) -> tuple[float, ...]:
+    """Unvalidated Tr(rho P_A x P_B) for analyzers at a, b, as the floats
+    (vv, vh, hv, hh): each cell is ``_cell`` on ``_axis_products``'
+    projector entries. The imaginary parts of rho drop out, since the
+    projectors are real."""
+    ss, sc, cc = _axis_products(a)
+    a_v, a_h = (ss, sc, cc), (cc, -sc, ss)
+    ss, sc, cc = _axis_products(b)
+    b_v, b_h = (ss, sc, cc), (cc, -sc, ss)
+    r = state._real
+    return _cell(r, *a_v, *b_v), _cell(r, *a_v, *b_h), _cell(r, *a_h, *b_v), _cell(r, *a_h, *b_h)
+
+
+def _born_pairs(state: PhotonPairState, a: list, b: list) -> np.ndarray:
+    """Unvalidated Tr(rho P_A x P_B) for every pair of angles in ``a`` and
+    ``b``: shape [x, y, 2, 2], indexed [angle_a, angle_b, outcome_a,
+    outcome_b]. One cell is ``_born_cell``; every larger grid is
+    ``_born_grid``, the same sum by broadcasting, bit for bit."""
+    if len(a) == 1 == len(b):
+        return np.array(_born_cell(state, a[0], b[0])).reshape(1, 1, 2, 2)
+    return _born_grid(state.matrix, _projectors(a), _projectors(b))
 
 
 #: Terms that ``_born_grid`` multiplies and adds at a time (512 KB), so its
 #: scratch memory stays bounded whatever the grid size.
 _GRID_BLOCK_TERMS = 1 << 16
 
+#: For rho's entries in row-major order (I = 2i + k, J = 2j + l), the
+#: flat index of the projector entries P_A[m, j, i] and P_B[n, l, k].
+_A_ENTRY = tuple(2 * j + i for i in (0, 1) for k in (0, 1) for j in (0, 1) for l in (0, 1))
+_B_ENTRY = tuple(2 * l + k for i in (0, 1) for k in (0, 1) for j in (0, 1) for l in (0, 1))
+
 
 def _born_grid(rho: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """``_born_pairs``' einsum summed in the einsum's own order: each cell
-    is a left-to-right sum from +0.0 of 16 terms, one per entry rho_IJ in
-    row-major order, (Re rho_IJ * P_A[m, j, i]) * P_B[n, l, k] with I = 2i +
-    k and J = 2j + l. The projectors' imaginary parts are +0.0, so each
-    complex product's real part is that float product; reducing the outer
-    axis of the terms adds them in order. Rows of angle_a are done in
-    blocks of about ``_GRID_BLOCK_TERMS`` terms. The result is a view laid
-    out [x, m, y, n]."""
+    """``_cell`` by broadcasting, for the 4x4 matrix ``rho`` and every pair
+    of stacked projector pairs ``pa[x]``, ``pb[y]``: each cell is a sum from
+    +0.0 of 16 terms, one per entry rho_IJ in row-major order, (Re rho_IJ *
+    P_A[m, j, i]) * P_B[n, l, k] with I = 2i + k and J = 2j + l; reducing the
+    outer axis of the terms adds them in order. Rows of (angle_a,
+    outcome_a) are done in blocks of about ``_GRID_BLOCK_TERMS`` terms. The
+    result is a view laid out [x, m, y, n]."""
     nx, ny = len(pa), len(pb)
-    a = pa.real.transpose(3, 2, 0, 1)  # [i, j, x, m]
-    b = pb.real.transpose(3, 2, 0, 1)  # [k, l, y, n]
-    ra = (rho.real.reshape(2, 2, 2, 2, 1, 1) * a[:, None, :, None]).reshape(16, nx, 2)
-    rb = np.broadcast_to(b[None, :, None], (2, 2, 2, 2, ny, 2)).reshape(16, 1, 2 * ny)
-    cells = np.empty((nx, 2, 2 * ny))
-    rows = max(1, _GRID_BLOCK_TERMS // (64 * ny))  # 16 terms x 4 cells per angle pair
-    for lo in range(0, nx, rows):
-        terms = ra[:, lo : lo + rows].reshape(16, -1, 1) * rb  # [rho entry, (x m), (y n)]
-        np.add.reduce(terms, axis=0, initial=0.0, out=cells[lo : lo + rows].reshape(-1, 2 * ny))
+    ra = rho.real.reshape(16, 1) * pa.reshape(-1, 4).T.take(_A_ENTRY, axis=0)  # [I J, (x m)]
+    rb = pb.reshape(-1, 4).T.take(_B_ENTRY, axis=0)  # [I J, (y n)]
+    cells = np.empty((2 * nx, 2 * ny))
+    rows = max(1, _GRID_BLOCK_TERMS // (32 * max(ny, 1)))  # 16 terms x 2 cells per (x m) and y
+    for lo in range(0, 2 * nx, rows):
+        terms = ra[:, lo : lo + rows, None] * rb[:, None]
+        np.add.reduce(terms, axis=0, initial=0.0, out=cells[lo : lo + rows])
     return cells.reshape(nx, 2, ny, 2).transpose(0, 2, 1, 3)
 
 
@@ -405,15 +438,17 @@ def born_joint(
 def _joint(state: PhotonPairState, a: AngleLike, b: AngleLike) -> JointDistribution:
     """``born_joint`` for the Born functions and ``chance`` to call
     without passing through the public name."""
-    raw = _born_pairs(state.matrix, _projectors([a]), _projectors([b]))
-    return JointDistribution(*raw.reshape(4).tolist())
+    return JointDistribution(*_born_cell(state, a, b))
 
 
 def _partial_trace(matrix: np.ndarray, keep: Wing) -> np.ndarray:
-    reshaped = matrix.reshape(2, 2, 2, 2)
+    """The reduced matrix of wing ``keep``: each entry is +0.0 plus its two
+    terms, the traced-out index 0 first (the +0.0 turns a -0.0 sum into
+    0.0)."""
+    m = matrix.reshape(2, 2, 2, 2)
     if keep is Wing.A:
-        return np.einsum("ikjk->ij", reshaped)
-    return np.einsum("kikj->ij", reshaped)
+        return 0.0 + m[:, 0, :, 0] + m[:, 1, :, 1]
+    return 0.0 + m[0, :, 0, :] + m[1, :, 1, :]
 
 
 #: The default pair state, ``bell_phi_plus()`` built and checked once at
@@ -435,15 +470,12 @@ def born_marginal(
     Computed from the reduced state of ``wing`` alone, so the result
     never references the remote analyzer angle.
     """
-    # Bit for bit the einsum "ij,mji->m" of the reduced matrix and
-    # _projectors' pair: terms Re rho_ij * P[m, j, i], summed as (t00 + t01)
-    # + (t10 + t11), with _projectors' products (IEEE products commute and
-    # negate exactly). The einsum's +0.0 start matters only for a sum of
-    # -0.0 terms, and with trace 1 a diagonal entry's term is never -0.0.
+    # Terms Re rho_ij * P[m, j, i] of the reduced matrix and _projectors'
+    # pair, summed as (t00 + t01) + (t10 + t11). No +0.0 start is needed: it
+    # matters only for a sum of -0.0 terms, and with trace 1 a diagonal
+    # entry's term is never -0.0.
     r00, r01, r10, r11 = reduced_state(state, wing)._real
-    rad = as_angle(angle).radians
-    s, c = math.sin(rad), math.cos(rad)
-    ss, sc, cc = s * s, s * c, c * c
+    ss, sc, cc = _axis_products(angle)
     v = (r00 * ss + r01 * sc) + (r10 * sc + r11 * cc)
     h = (r00 * cc + r01 * -sc) + (r10 * -sc + r11 * ss)
     return ProbabilityPair(_probability(v, "marginal"), _probability(h, "marginal"))
@@ -494,12 +526,12 @@ def _conditional(
     ratios = [p / denom for p in selected]
     # The exact ratios lie in [0, 1]; rounding r_joint in the numerator and
     # r_marginal in the denominator moves them by at most (r_joint +
-    # r_marginal) / denom. The joint einsum sums at most 16 products of a
-    # rho entry and two projector entries, and for a positive semidefinite
-    # rho their magnitudes total at most 1 (|rho_IJ| <= sqrt(rho_II rho_JJ),
+    # r_marginal) / denom. A joint cell sums 16 products of a real rho
+    # entry and two projector entries, and for a positive semidefinite rho
+    # their magnitudes total at most 1 (|rho_IJ| <= sqrt(rho_II rho_JJ),
     # then Cauchy-Schwarz against the projectors' unit product vector). The
-    # sum costs 15u, two complex products ~6u and the rounded projector
-    # entries ~6u (u = eps / 2), so r <= 27u < _BORN_ROUNDING; the marginal's
+    # sum costs 15u, the two float products 2u and the rounded projector
+    # entries ~6u (u = eps / 2), so r <= 23u < _BORN_ROUNDING; the marginal's
     # 4 products round less. Measured joint rows and marginals differ by at
     # most 1.7e-16. Only a slack above ATOL reaches past what _probability
     # accepts.
@@ -526,6 +558,7 @@ def conditional_remote_state(
         lift = np.kron(proj, _IDENTITY2)
     else:
         lift = np.kron(_IDENTITY2, proj)
+    # Kept as an einsum: no chance, table, checker or sampler reads this state.
     weight = float(np.einsum("ij,ji->", rho.matrix, lift).real)
     if weight <= ZERO_PROBABILITY:
         raise UndefinedConditionalError(

@@ -1,16 +1,20 @@
-"""The scalar and grid Born paths against the numpy forms they replace,
-bit for bit.
+"""The Born paths, bit for bit, against reference forms kept here.
 
 ``born_marginal`` is Python-float arithmetic on the reduced state's real
 entries, and one joint or marginal is checked on its four or two floats.
-The references below are the former numpy forms: the ``"ij,mji->m"``
+Their references are the former numpy forms: the ``"ij,mji->m"``
 marginal einsum, ``_validated``/``_clamp_probabilities`` on arrays and
-the array ratio-slack-clamp step of ``_conditional``. A grid of more than
-``_EINSUM_PAIRS`` angle pairs sums the joint einsum's terms by
-broadcasting (``_born_grid``); its reference is the
-``"ikjl,xmji,ynlk->xymn"`` einsum itself. Equality is exact, sign of zero
-included. If a numpy sums an einsum in another order, these tests fail;
-the scalar and grid forms then have to follow it.
+the array ratio-slack-clamp step of ``_conditional``.
+
+A joint cell is a sum from +0.0 of 16 terms, one per entry of rho in
+row-major order: one cell on Python floats (``_born_cell``), a grid by
+broadcasting (``_born_grid``). Each is pinned against two references:
+the ``"ikjl,xmji,ynlk->xymn"`` einsum the joint used to be, and a plain
+Python loop in the documented order. If a pin fails, its message names
+the reference that disagrees: the einsum alone means numpy sums it in
+another order; the loop means bellsim's own order moved. The reduced
+states (``_partial_trace``) are pinned against their einsums the same
+way. Equality is exact, sign of zero included.
 """
 
 import itertools
@@ -23,8 +27,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim import quantum
+from bellsim.locality import chsh, quantum_model
 from bellsim.quantum import (
     ATOL,
+    AnalyzerAngle,
     JointDistribution,
     OutcomeLabel,
     PhotonPairState,
@@ -42,10 +48,15 @@ V, H = OutcomeLabel.V, OutcomeLabel.H
 NAN = float("nan")
 
 
+def complex_projectors(angles):
+    """``_projectors`` as the complex stack the einsums used to take."""
+    return quantum._projectors(angles).astype(complex)
+
+
 def einsum_marginal(state, wing, angle):
     """The former ``born_marginal``: one einsum, then the array clamp."""
     local = reduced_state(state, wing).matrix
-    p = np.einsum("ij,mji->m", local, quantum._projectors([angle])[0]).real
+    p = np.einsum("ij,mji->m", local, complex_projectors([angle])[0]).real
     quantum._clamp_probabilities(p, "marginal")
     return p.tolist()
 
@@ -117,12 +128,78 @@ states = st.one_of(
 )
 
 
+#: Exact zeros of both signs in the joint's terms: Phi+ and diagonal or
+#: product states at 0, 90 and -90 degrees. At 0 degrees the sine is 0, so
+#: s * c is 0.0 and the H projector holds -0.0; at +-90 the cosine is 6.1e-17.
+DIAGONAL = PhotonPairState(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+ZERO_EXAMPLES = [
+    (state, a, b)
+    for state in (quantum.PHI_PLUS, DIAGONAL, product_polarized(0.0, 90.0), product_polarized(-90.0, 0.0))
+    for a, b in ((0.0, 90.0), (90.0, -90.0), (-90.0, 0.0))
+]
+
+
+def with_examples(cases):
+    """Add each (state, a, b) of ``cases`` as a hypothesis ``@example``."""
+    def decorate(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return decorate
+
+
+def bits(values):
+    """An array's float64 bit patterns in [a, b, outcome_a, outcome_b] order."""
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def einsum_pairs(rho, grid_a, grid_b):
+    """The joint einsum that ``_born_pairs`` used to be, at every grid size."""
+    pa, pb = complex_projectors(grid_a), complex_projectors(grid_b)
+    return np.einsum("ikjl,xmji,ynlk->xymn", rho.reshape(2, 2, 2, 2), pa, pb).real
+
+
+def loop_projector(degrees):
+    """P[outcome][row][col], V=0 and H=1, from the axis's sine and cosine."""
+    rad = AnalyzerAngle(degrees).radians
+    s, c = math.sin(rad), math.cos(rad)
+    return (((s * s, s * c), (c * s, c * c)), ((c * c, -c * s), (-s * c, s * s)))
+
+
+#: rho's entries in row-major order: (I, J, i, j, k, l), I = 2i + k, J = 2j + l.
+ROW_MAJOR = [(I, J, I // 2, J // 2, I % 2, J % 2) for I in range(4) for J in range(4)]
+
+
+def loop_pairs(rho, grid_a, grid_b):
+    """The documented order as a plain loop: each cell is +0.0 plus, for
+    rho's entries in row-major order, (Re rho_IJ * P_A[m, j, i]) * P_B[n, l, k]."""
+    re = rho.real.tolist()
+    pa, pb = [loop_projector(x) for x in grid_a], [loop_projector(y) for y in grid_b]
+    out = np.empty((len(pa), len(pb), 2, 2))
+    for (x, px), (y, py), m, n in itertools.product(enumerate(pa), enumerate(pb), (0, 1), (0, 1)):
+        cell = 0.0
+        for I, J, i, j, k, l in ROW_MAJOR:
+            cell = cell + re[I][J] * px[m][j][i] * py[n][l][k]
+        out[x, y, m, n] = cell
+    return out
+
+
+def assert_both_references(got, rho, grid_a, grid_b):
+    """``got`` [a, b, outcome_a, outcome_b] is the einsum's and the loop's
+    result, bit for bit; a failure names the reference that disagrees."""
+    got = bits(got)
+    for name, reference in (("einsum", einsum_pairs), ("loop", loop_pairs)):
+        want = bits(reference(rho, grid_a, grid_b))
+        mismatched = np.argwhere(got != want)
+        assert mismatched.size == 0, (name, mismatched[:4].tolist(), grid_a, grid_b)
+
+
 class TestScalarBornIsTheEinsum:
     @given(states, angles, angles)
     @example(product_polarized(0.0, 0.0), 0.0, 90.0)
     @example(product_polarized(22.5, 90.0), 112.5, 0.0)
     @example(quantum.PHI_PLUS, 45.0, -22.5)
-    @example(PhotonPairState(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)), 0.0, 90.0)
+    @example(DIAGONAL, 0.0, 90.0)
     @settings(max_examples=500, deadline=None)
     def test_marginal_bit_for_bit(self, state, angle_a, angle_b):
         for wing, angle in ((Wing.A, angle_a), (Wing.B, angle_b)):
@@ -131,11 +208,13 @@ class TestScalarBornIsTheEinsum:
     @given(states, angles, angles)
     @example(product_polarized(0.0, 0.0), 0.0, 0.0)
     @example(product_polarized(90.0, 0.0), 89.99999, 0.0)
+    @with_examples(ZERO_EXAMPLES)
     @settings(max_examples=300, deadline=None)
     def test_joint_and_conditional_bit_for_bit(self, state, a, b):
-        raw = quantum._born_pairs(state.matrix, quantum._projectors([a]), quantum._projectors([b]))
-        cells = array_joint(raw.reshape(4).tolist())
         j = born_joint(state, a, b)
+        raw = quantum._born_cell(state, a, b)
+        assert_both_references(np.reshape(raw, (1, 1, 2, 2)), state.matrix, [a], [b])
+        cells = array_joint(raw)
         assert_bits_equal((j.vv, j.vh, j.hv, j.hh), cells)
         for wing in Wing:
             angle = a if wing is Wing.A else b
@@ -144,22 +223,25 @@ class TestScalarBornIsTheEinsum:
                 want = outcome(array_conditional, cells, denom, given_)
                 assert outcome(born_conditional, state, a, b, given_) == want
 
-
-def einsum_pairs(rho, pa, pb):
-    """The joint einsum of ``_born_pairs``, at every grid size."""
-    return np.einsum("ikjl,xmji,ynlk->xymn", rho.reshape(2, 2, 2, 2), pa, pb).real
-
-
-def bits(values):
-    """An array's float64 bit patterns in [a, b, outcome_a, outcome_b] order."""
-    return np.ascontiguousarray(values).view(np.uint64)
+    @given(states, angles, angles)
+    @with_examples(ZERO_EXAMPLES)
+    @settings(max_examples=300, deadline=None)
+    def test_one_cell_kernel_bit_for_bit(self, state, a, b):
+        """A one-cell table, ``joint`` and ``correlation`` of the quantum
+        model are the references' cell, validated as an array."""
+        assert_both_references(quantum._born_pairs(state, [a], [b]), state.matrix, [a], [b])
+        model = quantum_model(state)
+        vv, vh, hv, hh = cells = array_joint(loop_pairs(state.matrix, [a], [b]).reshape(4))
+        j = model.joint(a, b, 0)
+        assert_bits_equal((j.vv, j.vh, j.hv, j.hh), cells)
+        assert_bits_equal([model.correlation(a, b)], [(vv + hh) - (vh + hv)])
 
 
 #: The 22.5-degree grid from -180 to 180, 17 angles: 289 angle pairs.
 GRID_22_5 = [22.5 * k for k in range(-8, 9)]
 
 grid_states = st.one_of(states, st.just(quantum.PHI_PLUS))
-#: 1 to 40 angles, so both sides of ``_EINSUM_PAIRS`` are drawn.
+#: 1 to 40 angles on each side: grids of 1 x 1 up to 40 x 40.
 grids = st.lists(angles, min_size=1, max_size=40)
 
 
@@ -167,30 +249,70 @@ class TestGridBornIsTheEinsum:
     @given(grid_states, grids, grids)
     @example(quantum.PHI_PLUS, GRID_22_5, GRID_22_5)
     @example(product_polarized(22.5, 90.0), GRID_22_5, [0.0, 45.0])
-    @example(PhotonPairState(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)), GRID_22_5, [90.0])
+    @example(DIAGONAL, GRID_22_5, [90.0])
+    @example(quantum.PHI_PLUS, [0.0, 90.0, -90.0], [-90.0, 0.0, 90.0])
+    @example(product_polarized(0.0, 90.0), [0.0, 90.0, -90.0], [0.0])
     @settings(max_examples=300, deadline=None)
     def test_broadcast_sum_bit_for_bit(self, state, grid_a, grid_b):
         pa, pb = quantum._projectors(grid_a), quantum._projectors(grid_b)
-        want = bits(einsum_pairs(state.matrix, pa, pb))
         for got in (quantum._born_grid(state.matrix, pa, pb),
-                    quantum._born_pairs(state.matrix, pa, pb)):
+                    quantum._born_pairs(state, grid_a, grid_b)):
             assert got.shape == (len(grid_a), len(grid_b), 2, 2)
-            mismatched = np.argwhere(bits(got) != want)
-            assert mismatched.size == 0, (mismatched[:4], grid_a, grid_b)
+            assert_both_references(got, state.matrix, grid_a, grid_b)
 
-    def test_small_grids_keep_the_einsum(self, monkeypatch):
-        """Up to ``_EINSUM_PAIRS`` angle pairs, a scalar joint and a 4-angle
-        CHSH grid included, ``_born_pairs`` does not broadcast."""
-        def broadcast(*args):
-            raise AssertionError("small grid took the broadcast path")
+    def test_empty_grids(self):
+        """A side with no angles gives an empty table of the right shape,
+        as the einsum did."""
+        model = quantum_model()
+        assert model.table([]).shape == (0, 0, 1, 2, 2)
+        assert model.cells([0.0], []).shape == (1, 0, 1, 2, 2)
+        assert model.cells([], [0.0, 22.5]).shape == (0, 2, 1, 2, 2)
+        for grid_a, grid_b in (([], []), ([0.0], []), ([], [0.0]), ([0.0, 45.0], []), ([], [0.0, 45.0])):
+            got = quantum._born_pairs(quantum.PHI_PLUS, grid_a, grid_b)
+            assert got.shape == einsum_pairs(quantum.PHI_PLUS.matrix, grid_a, grid_b).shape
 
-        monkeypatch.setattr(quantum, "_born_grid", broadcast)
-        born_joint(quantum.PHI_PLUS, 0.0, 22.5)
-        rho = quantum.PHI_PLUS.matrix
-        for nx, ny in ((1, 1), (4, 4), (1, 20), (20, 1), (2, 10)):
-            quantum._born_pairs(rho, quantum._projectors([0.0] * nx), quantum._projectors([22.5] * ny))
-        with pytest.raises(AssertionError, match="broadcast"):
-            quantum._born_pairs(rho, quantum._projectors([0.0] * 3), quantum._projectors([22.5] * 7))
+    def test_no_joint_path_calls_einsum(self, monkeypatch):
+        """A state's reduced states, a scalar joint and conditional, 4- and
+        24-angle quantum tables and a CHSH value all run with ``np.einsum``
+        raising."""
+        def einsum(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(quantum.np, "einsum", einsum)
+        state = PhotonPairState(quantum.PHI_PLUS.matrix * 1.0)
+        born_joint(state, 0.0, 22.5)
+        born_conditional(state, 0.0, 22.5, (Wing.A, V))
+        model = quantum_model(state)
+        for count in (4, 24):
+            assert model.table([7.5 * k for k in range(count)]).shape == (count, count, 1, 2, 2)
+        assert chsh(model, 0.0, 45.0, 22.5, -22.5) == pytest.approx(2.0 * math.sqrt(2.0))
+        with pytest.raises(AssertionError, match="einsum"):
+            np.einsum("ii->", np.eye(2))
+
+
+@st.composite
+def signed_zero_matrices(draw):
+    """A density matrix with some of its zero real or imaginary parts
+    negated, so the partial traces meet -0.0 terms."""
+    m = draw(st.sampled_from([quantum.PHI_PLUS.matrix, DIAGONAL.matrix,
+                              product_polarized(0.0, 90.0).matrix])).copy()
+    flips = draw(st.lists(st.booleans(), min_size=32, max_size=32))
+    parts = np.stack([m.real, m.imag]).reshape(32)
+    parts[(parts == 0.0) & np.array(flips)] = -0.0
+    return parts[:16].reshape(4, 4) + 1j * parts[16:].reshape(4, 4)
+
+
+class TestPartialTraceIsTheEinsum:
+    @given(st.one_of(density_matrices(), signed_zero_matrices()))
+    @example(np.full((4, 4), complex(-0.0, -0.0)) + np.diag([1.0, 0.0, 0.0, 0.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit(self, matrix):
+        matrix = np.asarray(matrix, dtype=complex)
+        reshaped = matrix.reshape(2, 2, 2, 2)
+        for wing, spec in ((Wing.A, "ikjk->ij"), (Wing.B, "kikj->ij")):
+            got = quantum._partial_trace(matrix, wing)
+            want = np.einsum(spec, reshaped)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (wing, got, want)
 
 
 #: The edge values of the check: both zeros, the tolerance band's ends on
