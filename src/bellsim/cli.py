@@ -23,8 +23,10 @@ from .harness import (
     CHSH_OPTIMAL_QUADRUPLE,
     MODEL_BUILDERS,
     RunConfig,
+    _plug_in_statistics,
     chsh_schedule,
     render_report,
+    run_trials,
     simulate,
 )
 from .hidden_variables import CHSH_MINIMUM, deterministic_chsh_maximum
@@ -78,7 +80,8 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
     }
     if args.trials is not None:
         schedule = chsh_schedule(a, a_prime, b, b_prime)
-        bundle = simulate(RunConfig(args.model, schedule, args.trials, args.seed))
+        log = run_trials(RunConfig(args.model, schedule, args.trials, args.seed))
+        bundle = _plug_in_statistics(log)  # the payload shows no condition report
         payload.update(
             {
                 "empirical_chsh": bundle.chsh,

@@ -4,11 +4,16 @@ A ``RunConfig`` is the whole description of a run: ``run_trials(config)``
 builds the model ``config.model`` names and reads ``config.scenario``
 through ``spacetime.load_scenario``. ``simulate(config)`` is the one run
 pipeline, the one ``bellsim simulate`` calls: it samples, takes the
-statistics, whose report carries the model's four ``ConditionReport``
-records over the run's own grid table, and writes the trial log and
-then the report to the files the config names, so a config has one
-report whichever entry point runs it. In the CLI a bad config, like
-every bad input, parse errors included, ends in one ``error:`` line.
+statistics, and writes the trial log and then the report to the files
+the config names, so a config has one report whichever entry point runs
+it. A run does only the work its outputs show. The plug-in statistics
+(pair frequencies, CHSH, no-signalling deltas) come from one private
+helper; only a JSON report prints the model's four ``ConditionReport``
+records, so only a JSON run sweeps them, over the run's own grid table
+(``empirical_statistics``), and a CSV run's bundle carries none.
+``bellsim chsh --trials`` takes the plug-in statistics alone. In the CLI
+a bad config, like every bad input, parse errors included, ends in one
+``error:`` line.
 
 Sampling is reproducible to the bit under any execution plan. Each
 (seed, pair) gets its own Philox counter-based stream, and trial i
@@ -25,11 +30,12 @@ The sampler compares integers. ``Generator.random()`` on Philox returns
 exactly ``(raw >> 11) * 2**-53`` for a raw 64-bit word, so each uniform is
 a 53-bit integer k, and u >= c holds exactly when k >= ceil(c * 2**53).
 The cumulative prior becomes such ``uint64`` thresholds once per model,
-in the lambda guide the model builds with its weights, and each pair's
-per-lambda cumulative cells, read from the run's one ``schedule_grid``
-table, once per pair; a trial's cell is the number of its lambda's three
-cumulative-cell thresholds that k reaches. The lambda index is the
-cumulative prior's inverse, ``searchsorted(prior, u, "right")`` clipped
+in the lambda guide the model builds with its weights, and the
+per-lambda cumulative cells of every scheduled pair, gathered from the
+run's one ``schedule_grid`` table in one indexing step, in one call; a
+trial's cell is the number of its lambda's three cumulative-cell
+thresholds that k reaches. The lambda index is the cumulative prior's
+inverse, ``searchsorted(prior, u, "right")`` clipped
 to the last node, found through that guide table over the top bits of k
 (Chen & Asau 1974; Devroye 1986, section III.2.4) and a binary search of
 a few vectorised steps over the widest bucket. Every comparison is the float one's, so
@@ -60,7 +66,7 @@ import os
 import stat
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -263,13 +269,20 @@ def _lambda_index(guide: _LambdaGuide, k: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _cell_thresholds(cells: np.ndarray) -> np.ndarray:
-    """Thresholds of one pair's cumulative VV, VH and HV cells, from its
-    ``[n_lambda, 2, 2]`` table entry: one ``uint64`` row each, one column
-    per lambda."""
-    vv, vh, hv, _ = cells.transpose(1, 2, 0).reshape(4, -1)  # a view when lambda is innermost
-    vv_vh = vv + vh  # cumulative sums, added in the order cumsum adds them
-    return _thresholds(np.stack([vv, vv_vh, vv_vh + hv]))
+def _cell_thresholds(table: np.ndarray, a_rows: Sequence[int], b_rows: Sequence[int]) -> np.ndarray:
+    """Thresholds of the cumulative VV, VH and HV cells of the table
+    entries ``table[a_rows[p], b_rows[p]]`` of a ``[a, b, n_lambda, 2, 2]``
+    table: ``[pair, 3, n_lambda]``, one ``uint64`` row per cumulative cell
+    and one column per lambda. One indexing step copies those three cells
+    of every pair, and never the HH cell, into one array that is summed
+    and thresholded in place: for 2,048 lambdas a copy of whole entries
+    and separate sums and stacks cost more in fresh memory pages than
+    the arithmetic itself."""
+    cumulative = table[np.c_[a_rows], np.c_[b_rows], :, (0, 0, 1), (0, 1, 0)]
+    # cumulative sums, added in the order cumsum adds them
+    np.add(cumulative[:, 0], cumulative[:, 1], out=cumulative[:, 1])
+    np.add(cumulative[:, 1], cumulative[:, 2], out=cumulative[:, 2])
+    return _thresholds(cumulative)
 
 
 def _sample_chunk(
@@ -336,13 +349,13 @@ def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) 
     scenario = None if config.scenario is None else load_scenario(config.scenario)
     model = MODEL_BUILDERS[config.model]()
     grid = schedule_grid(config.schedule)
-    table = model.table(grid)
     row = {degrees: i for i, degrees in enumerate(grid)}
+    a_rows, b_rows = ([row[angle.degrees] for angle in side] for side in zip(*config.schedule))
+    all_thresholds = _cell_thresholds(model.table(grid), a_rows, b_rows)
     chunk = max(2, int(chunk_size))
     chunk += chunk % 2  # chunks must start on even trial indices
     pairs = []
-    for pair_index, (a, b) in enumerate(config.schedule):
-        thresholds = _cell_thresholds(table[row[a.degrees], row[b.degrees]])
+    for pair_index, ((a, b), thresholds) in enumerate(zip(config.schedule, all_thresholds)):
         n = config.trials
         bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
         cells = np.empty(n, dtype=np.uint8)
@@ -405,7 +418,8 @@ class ReportBundle:
     chsh_stderr: float | None
     no_signal_deltas: tuple[NoSignalDelta, ...]
     #: The run model's four analytic condition reports, in the order
-    #: ``empirical_statistics`` computes them.
+    #: ``empirical_statistics`` computes them; ``()`` for a CSV run of
+    #: ``simulate``, whose report does not show them.
     condition_reports: tuple[ConditionReport, ...]
 
     def to_json_dict(self) -> dict:
@@ -457,20 +471,14 @@ def _no_signal_deltas(stats: Sequence[PairStatistics]) -> tuple[NoSignalDelta, .
     return tuple(deltas)
 
 
-def empirical_statistics(log: TrialLog) -> ReportBundle:
-    """Plug-in frequency estimates for every report field, and the log
-    model's four ``ConditionReport`` records over ``schedule_grid``, swept
-    on the table ``run_trials`` already built.
-
-    The CHSH combination E1 + E2 + E3 - E4 and its propagated standard
-    error are filled in only for four-pair schedules.
-    """
+def _plug_in_statistics(log: TrialLog) -> ReportBundle:
+    """The report's plug-in part, with no condition reports: each pair's
+    frequency estimates, the no-signalling deltas and, for four-pair
+    schedules only, the CHSH combination E1 + E2 + E3 - E4 and its
+    propagated standard error."""
     if not log.pairs:
         raise ValueError("trial log is empty")
     stats = tuple(_pair_statistics(pair) for pair in log.pairs)
-    grid = schedule_grid(log.config.schedule)
-    checks = (check_parameter_independence, check_outcome_independence,
-              check_factorizability, check_no_signalling)
     chsh_value = None
     chsh_stderr = None
     if len(stats) == 4:
@@ -483,16 +491,39 @@ def empirical_statistics(log: TrialLog) -> ReportBundle:
         chsh=chsh_value,
         chsh_stderr=chsh_stderr,
         no_signal_deltas=_no_signal_deltas(stats),
-        condition_reports=tuple(check(log.model, grid) for check in checks),
+        condition_reports=(),
     )
+
+
+def empirical_statistics(log: TrialLog) -> ReportBundle:
+    """Plug-in frequency estimates for every report field, and the log
+    model's four ``ConditionReport`` records over ``schedule_grid``, swept
+    on the table ``run_trials`` already built.
+
+    The CHSH combination E1 + E2 + E3 - E4 and its propagated standard
+    error are filled in only for four-pair schedules.
+    """
+    bundle = _plug_in_statistics(log)
+    grid = schedule_grid(log.config.schedule)
+    checks = (check_parameter_independence, check_outcome_independence,
+              check_factorizability, check_no_signalling)
+    return replace(bundle, condition_reports=tuple(check(log.model, grid) for check in checks))
 
 
 def simulate(config: RunConfig) -> ReportBundle:
     """Run ``config`` end to end and return its report: sample, take the
     statistics, then write the trial log and the report, each only when
-    the config names its file."""
+    the config names its file.
+
+    Only a JSON report prints the four condition reports, so only a
+    ``report_format == "json"`` run sweeps them (``empirical_statistics``);
+    a CSV run takes the plug-in statistics alone, and its bundle's
+    ``condition_reports`` is ``()``."""
     log = run_trials(config)
-    bundle = empirical_statistics(log)
+    if config.report_format == "json":
+        bundle = empirical_statistics(log)
+    else:
+        bundle = _plug_in_statistics(log)
     if config.trial_log_path:
         write_trial_log(log, config.trial_log_path)
     if config.report_path:

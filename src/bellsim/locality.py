@@ -92,9 +92,15 @@ _NEVER = np.uint64(2**64 - 1)
 def _thresholds(cumulative: np.ndarray) -> np.ndarray:
     """``uint64`` thresholds T with ``k >= T`` exactly when ``k * 2**-53 >=
     cumulative`` for every 53-bit k. Scaling by 2**53 is exact; a value
-    that rounds above 1 gives 2**53, which no k reaches."""
-    scaled = np.ceil(np.ldexp(cumulative, _UNIFORM_BITS))
-    return np.clip(scaled, 0, 2**_UNIFORM_BITS).astype(np.uint64)
+    that rounds above 1 gives 2**53, which no k reaches. ``cumulative`` is
+    a float array the caller hands over: it is scaled, rounded and clipped
+    in place, to the bits ``np.clip`` gives on a scaled copy at several
+    times the cost, so the thresholds are the only new array."""
+    np.ldexp(cumulative, _UNIFORM_BITS, out=cumulative)
+    np.ceil(cumulative, out=cumulative)
+    np.maximum(cumulative, 0.0, out=cumulative)
+    np.minimum(cumulative, float(2**_UNIFORM_BITS), out=cumulative)
+    return cumulative.astype(np.uint64)
 
 
 class _LambdaGuide(NamedTuple):

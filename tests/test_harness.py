@@ -33,7 +33,8 @@ from bellsim.harness import (
     schedule_grid,
     write_trial_log,
 )
-from bellsim.hidden_variables import VECTOR_LHV, builtin_vector_model
+from bellsim.cli import main
+from bellsim.hidden_variables import VECTOR_LHV, builtin_vector_model, strategy_model
 from bellsim.locality import (
     ConditionReport,
     ProbabilityModel,
@@ -277,7 +278,7 @@ class TestSampling:
         assert (first["pair"], first["trial"]) == (0, 0)
 
     def test_chunk_must_start_on_even_trial(self):
-        thresholds = _cell_thresholds(MODEL_BUILDERS["qm"]().cells([0.0], [22.5])[0, 0])
+        thresholds = _cell_thresholds(MODEL_BUILDERS["qm"]().cells([0.0], [22.5]), [0], [0])[0]
         with pytest.raises(ValueError, match="even"):
             _sample_chunk(0, 0, 3, 10, None, thresholds)
         assert _sample_chunk(0, 0, 4, 10, None, thresholds).dtype == np.uint8
@@ -455,6 +456,27 @@ class TestIntegerSampler:
         if cumulative > 1.0:
             assert t == UNIFORM_GRID  # no 53-bit k reaches it
 
+    def test_thresholds_are_the_clip_formula(self):
+        """Rounding and clipping in place gives the bits of ``np.clip`` on
+        a rounded copy, at the edges and across a run-sized array."""
+        edges = [0.0, -0.0, 5e-324, 1.0 - 2.0**-53, 1.0, float(np.nextafter(1.0, 2.0))]
+        values = np.random.default_rng(5).random((3, 4, 2048))
+        values.reshape(-1)[: len(edges)] = edges
+        for cumulative in (np.array(edges), values):
+            expected = np.clip(np.ceil(np.ldexp(cumulative, 53)), 0, 2**53).astype(np.uint64)
+            got = _thresholds(cumulative.copy())
+            assert got.dtype == np.uint64 and got.shape == cumulative.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("weights", [VECTOR_LHV.weights, np.random.default_rng(3).dirichlet(np.ones(700))],
+                             ids=["lhv", "dirichlet"])
+    def test_guide_prior_is_the_clip_formula(self, weights):
+        cumulative = np.cumsum(weights)
+        expected = np.clip(np.ceil(np.ldexp(cumulative, 53)), 0, 2**53).astype(np.uint64)
+        prior = _lambda_guide(weights).prior[: len(weights)]
+        assert prior[:-1].tobytes() == expected[:-1].tobytes()
+        assert prior[-1] == 2**64 - 1  # the last node takes every k
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 3000),
@@ -499,7 +521,7 @@ class TestIntegerSampler:
         built = MODEL_BUILDERS[model]() if state is None else quantum_model(PhotonPairState(state))
         a, b = map(as_angle, angles)
         guide = _lambda_guide(built.weights) if len(built.weights) > 1 else None
-        thresholds = _cell_thresholds(built.cells([a], [b])[0, 0])
+        thresholds = _cell_thresholds(built.cells([a], [b]), [0], [0])[0]
         if edges is not None:
             assert thresholds[:, 0].tolist() == edges
         prior_cum = np.cumsum(built.weights)
@@ -573,8 +595,8 @@ class TestOneGridTable:
         built = MODEL_BUILDERS[model]()
         guide = _lambda_guide(built.weights) if len(built.weights) > 1 else None
         for pair in log.pairs:
-            cells = built.cells([pair.a], [pair.b])[0, 0]
-            expected = _sample_chunk(seed, pair.pair_index, 0, 301, guide, _cell_thresholds(cells))
+            thresholds = _cell_thresholds(built.cells([pair.a], [pair.b]), [0], [0])[0]
+            expected = _sample_chunk(seed, pair.pair_index, 0, 301, guide, thresholds)
             assert np.array_equal(pair.cells, expected)
 
     @given(density_matrices(), st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=6))
@@ -585,6 +607,39 @@ class TestOneGridTable:
         for i, a in enumerate(grid):
             for j, b in enumerate(grid):
                 assert table[i, j].tobytes() == model.cells([a], [b])[0, 0].tobytes()
+
+    @pytest.mark.parametrize("model", ["qm", "lhv", "fixture", "strategy"])
+    def test_batched_thresholds_are_the_per_pair_ones(self, model, monkeypatch):
+        """``run_trials`` thresholds every pair in one call; each pair's
+        rows are those of ``_cell_thresholds`` on its own one-entry table
+        and of the one-pair formula, bit for bit, on a schedule that
+        repeats angles and a pair."""
+        schedule = ((0.0, 45.0), (45.0, 45.0), (0.0, 0.0), (45.0, 0.0), (0.0, 45.0))
+        if model == "strategy":  # defined on its quadruple's angles only
+            built = strategy_model(0.0, 45.0, 0.0, 45.0, weights=np.random.default_rng(2).dirichlet(np.ones(16)))
+            monkeypatch.setitem(MODEL_BUILDERS, "lhv", lambda: built)
+            model = "lhv"
+        else:
+            schedule += ((10.0, 37.3), (123.4, 37.3), (10.0, 10.0))
+            built = MODEL_BUILDERS[model]()
+        seen = {}
+        real = harness._sample_chunk
+
+        def spy(seed, pair_index, lo, hi, guide, thresholds):
+            seen[pair_index] = thresholds
+            return real(seed, pair_index, lo, hi, guide, thresholds)
+
+        monkeypatch.setattr(harness, "_sample_chunk", spy)
+        log = run_trials(config(model=model, schedule=schedule, trials=20))
+        assert sorted(seen) == list(range(len(schedule)))
+        for pair in log.pairs:
+            cells = built.cells([pair.a], [pair.b])
+            vv, vh, hv, _ = cells[0, 0].transpose(1, 2, 0).reshape(4, -1)
+            one_pair = np.stack([vv, vv + vh, (vv + vh) + hv])
+            expected = np.clip(np.ceil(np.ldexp(one_pair, 53)), 0, 2**53).astype(np.uint64)
+            got = seen[pair.pair_index]
+            assert got.dtype == np.uint64 and got.shape == (3, len(built.weights))
+            assert got.tobytes() == _cell_thresholds(cells, [0], [0])[0].tobytes() == expected.tobytes()
 
     def test_one_table_per_run(self, monkeypatch):
         # a fresh model, so a table the shared one kept from an earlier run
@@ -597,6 +652,69 @@ class TestOneGridTable:
                                 calls.append((_name, *map(tuple, grids))) or _real(self, *grids))
         run_trials(config(model="lhv", schedule=((10.0, 10.0), (10.0, 200.0), (20.0, 10.0))))
         assert calls == [("table", (10.0, 20.0)), ("cells", (10.0, 20.0), (10.0, 20.0))]
+
+
+CHECKER_NAMES = ("check_parameter_independence", "check_outcome_independence",
+                 "check_factorizability", "check_no_signalling")
+FRESH_MODELS = {"qm": quantum_model, "lhv": builtin_vector_model, "fixture": signalling_fixture_model}
+
+
+def forbid_sweeps(monkeypatch, where):
+    """Make the harness's four checkers, or the condition sweep behind
+    them, raise when called."""
+    def swept(*args, **kwargs):
+        raise AssertionError("a condition sweep ran")
+
+    if where == "checkers":
+        for name in CHECKER_NAMES:
+            monkeypatch.setattr(harness, name, swept)
+    else:
+        monkeypatch.setattr(locality, "_sweep", swept)
+
+
+class TestShownWorkOnly:
+    """Only a JSON report prints the four condition reports, so only a
+    JSON run sweeps them; a CSV run and ``chsh --trials`` take the
+    plug-in statistics alone, with the same values."""
+
+    @pytest.mark.parametrize("where", ["checkers", "sweep"])
+    @pytest.mark.parametrize("model", sorted(FRESH_MODELS))
+    def test_csv_simulate_sweeps_nothing(self, model, where, tmp_path, monkeypatch):
+        cfg = config(model=model, trials=200, seed=3, scenario="overlap", report_format="csv",
+                     report_path=str(tmp_path / "report.csv"),
+                     trial_log_path=str(tmp_path / "trials.jsonl"))
+        full = empirical_statistics(run_trials(cfg))
+        fresh = FRESH_MODELS[model]()
+        monkeypatch.setitem(MODEL_BUILDERS, model, lambda: fresh)
+        forbid_sweeps(monkeypatch, where)
+        bundle = harness.simulate(cfg)
+        assert bundle.condition_reports == ()
+        assert bundle == dataclasses.replace(full, condition_reports=())
+        assert fresh._last_table[1] is not None and fresh._last_table[2] is None  # no sweep built
+        assert (tmp_path / "report.csv").read_bytes() == render_report(full, "csv").encode()
+        assert (tmp_path / "trials.jsonl").read_bytes() == per_trial_log(run_trials(cfg))
+
+    @pytest.mark.parametrize("model", sorted(FRESH_MODELS))
+    def test_json_simulate_carries_the_four_reports(self, model, tmp_path):
+        schedule = ((10.0, 37.3), (10.0, 101.9), (123.4, 37.3))
+        cfg = config(model=model, schedule=schedule, trials=50, report_path=str(tmp_path / "report.json"))
+        bundle = harness.simulate(cfg)
+        grid = schedule_grid(cfg.schedule)
+        fresh = FRESH_MODELS[model]()
+        assert bundle.condition_reports == tuple(
+            getattr(locality, name)(fresh, grid) for name in CHECKER_NAMES)
+        assert json.loads((tmp_path / "report.json").read_text())["condition_reports"] == [
+            report.to_json_dict() for report in bundle.condition_reports]
+
+    @pytest.mark.parametrize("where", ["checkers", "sweep"])
+    @pytest.mark.parametrize("model", sorted(FRESH_MODELS))
+    def test_chsh_trials_sweeps_nothing(self, model, where, capsys, monkeypatch):
+        full = empirical_statistics(run_trials(config(model=model, trials=300, seed=6)))
+        forbid_sweeps(monkeypatch, where)
+        assert main(["chsh", "--model", model, "--trials", "300", "--seed", "6"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["empirical_chsh"], payload["empirical_chsh_stderr"]) == (full.chsh, full.chsh_stderr)
+        assert (payload["trials_per_pair"], payload["seed"]) == (300, 6)
 
 
 class TestStatistics:
