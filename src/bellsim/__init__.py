@@ -20,7 +20,6 @@ from .quantum import (
     born_conditional,
     born_joint,
     born_marginal,
-    conditional_remote_state,
     product_polarized,
     reduced_state,
 )

@@ -16,15 +16,14 @@ a bad config, like every bad input, parse errors included, ends in one
 ``error:`` line.
 
 Sampling is reproducible to the bit under any execution plan. Each
-(seed, pair) gets its own Philox counter-based stream, and trial i
+(seed, pair) gets one Philox counter-based generator, and trial i
 consumes exactly the two uniforms at stream positions 2i and 2i + 1:
 one to pick a hidden-variable node from the model prior, one to pick
-the joint outcome cell. Chunks therefore start on even trial indices
-(Philox jumps in blocks of four outputs), and workers write into
-preassigned slots, so the log is identical whether trials run in one
-block, in chunks, or on several threads. The threads are stdlib
-``threading`` ones, taking a pair's chunks round-robin; the first
-exception a worker raises is raised again in the caller.
+the joint outcome cell. A pair's chunks are drawn from its generator
+in turn, which gives the words of one long draw whatever the chunk
+size. With ``workers > 1`` whole pairs go round-robin to at most that
+many stdlib ``threading`` threads; the first exception a worker
+raises is raised again in the caller.
 
 The sampler compares integers. ``Generator.random()`` on Philox returns
 exactly ``(raw >> 11) * 2**-53`` for a raw 64-bit word, so each uniform is
@@ -286,20 +285,13 @@ def _cell_thresholds(table: np.ndarray, a_rows: Sequence[int], b_rows: Sequence[
 
 
 def _sample_chunk(
-    seed: int, pair_index: int, lo: int, hi: int, guide: _LambdaGuide | None, thresholds: np.ndarray
+    bitgen: np.random.Philox, count: int, guide: _LambdaGuide | None, thresholds: np.ndarray
 ) -> np.ndarray:
-    """Joint outcome cells of trials [lo, hi) as a ``uint8`` array, from
-    the prior's guide and the pair's ``_cell_thresholds``. ``guide`` is
-    None for a one-lambda model, which consumes its lambda word unread."""
-    if lo % 2:
-        raise ValueError(
-            f"chunk start must be an even trial index, got {lo}: trial i reads "
-            "Philox positions 2i and 2i + 1, and Philox advances in blocks of two trials"
-        )
-    bitgen = np.random.Philox(key=np.array([seed, pair_index], dtype=np.uint64))
-    if lo:
-        bitgen.advance(lo // 2)  # one Philox block covers two trials
-    raw = bitgen.random_raw(2 * (hi - lo))
+    """Joint outcome cells of the next ``count`` trials of ``bitgen``'s
+    stream as a ``uint8`` array, from the prior's guide and the pair's
+    ``_cell_thresholds``. ``guide`` is None for a one-lambda model, which
+    consumes its lambda word unread."""
+    raw = bitgen.random_raw(2 * count)
     if guide is None:
         # only the cell words are read: shift them into one contiguous array
         k_cell = raw[1::2] >> _LOW_BITS
@@ -314,21 +306,21 @@ def _sample_chunk(
     return out
 
 
-def _fill_on_threads(fill, spans: list[tuple[int, int]], workers: int) -> None:
-    """``fill`` every span on up to ``workers`` threads, thread t taking
-    spans t, t + workers, ...; the first worker exception is raised again
+def _fill_on_threads(fill, pairs: int, workers: int) -> None:
+    """``fill`` every pair on up to ``workers`` threads, thread t taking
+    pairs t, t + workers, ...; the first worker exception is raised again
     in the caller once every thread has ended."""
     errors: list[BaseException] = []
 
     def work(share):
         try:
-            for span in share:
-                fill(span)
+            for pair_index in share:
+                fill(pair_index)
         except BaseException as exc:  # re-raised below, in the caller
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=work, args=(spans[t::workers],)) for t in range(min(workers, len(spans)))
+        threading.Thread(target=work, args=(range(t, pairs, workers),)) for t in range(min(workers, pairs))
     ]
     for thread in threads:
         thread.start()
@@ -341,35 +333,37 @@ def _fill_on_threads(fill, spans: list[tuple[int, int]], workers: int) -> None:
 def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) -> TrialLog:
     """Sample the configured schedule from the configured model.
 
-    ``workers`` and ``chunk_size`` only choose an execution plan; the
-    returned log is bit-identical for every choice. When the config names
-    a scenario, it is read before any trial is sampled and its outcome
+    ``workers`` and ``chunk_size``, integers >= 1, only choose an
+    execution plan (``chunk_size`` trials per draw from a pair's one
+    generator, whole pairs on up to ``workers`` threads); the returned
+    log is bit-identical for every choice. When the config names a
+    scenario, it is read before any trial is sampled and its outcome
     event coordinates are attached to the log.
     """
+    for name, value in (("workers", workers), ("chunk_size", chunk_size)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     scenario = None if config.scenario is None else load_scenario(config.scenario)
     model = MODEL_BUILDERS[config.model]()
     grid = schedule_grid(config.schedule)
     row = {degrees: i for i, degrees in enumerate(grid)}
     a_rows, b_rows = ([row[angle.degrees] for angle in side] for side in zip(*config.schedule))
     all_thresholds = _cell_thresholds(model.table(grid), a_rows, b_rows)
-    chunk = max(2, int(chunk_size))
-    chunk += chunk % 2  # chunks must start on even trial indices
-    pairs = []
-    for pair_index, ((a, b), thresholds) in enumerate(zip(config.schedule, all_thresholds)):
-        n = config.trials
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        cells = np.empty(n, dtype=np.uint8)
+    n, chunk = config.trials, int(chunk_size)
+    cells = [np.empty(n, dtype=np.uint8) for _ in config.schedule]
 
-        def fill(span, *, _pair=pair_index, _ct=thresholds, _cells=cells):
-            lo, hi = span
-            _cells[lo:hi] = _sample_chunk(config.seed, _pair, lo, hi, model._guide, _ct)
+    def fill(pair_index):
+        bitgen = np.random.Philox(key=np.array([config.seed, pair_index], dtype=np.uint64))
+        out, thresholds = cells[pair_index], all_thresholds[pair_index]
+        for lo in range(0, n, chunk):
+            out[lo : lo + chunk] = _sample_chunk(bitgen, min(chunk, n - lo), model._guide, thresholds)
 
-        if workers > 1 and len(bounds) > 1:
-            _fill_on_threads(fill, bounds, workers)
-        else:
-            for span in bounds:
-                fill(span)
-        pairs.append(PairSamples(pair_index, a, b, cells))
+    if workers > 1 and len(cells) > 1:
+        _fill_on_threads(fill, len(cells), workers)
+    else:
+        for pair_index in range(len(cells)):
+            fill(pair_index)
+    pairs = tuple(PairSamples(i, a, b, c) for i, ((a, b), c) in enumerate(zip(config.schedule, cells)))
     coordinates = None
     if scenario is not None:
         coordinates = {}
@@ -377,7 +371,7 @@ def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) 
             outcome = scenario.outcome_event(wing)
             if outcome is not None:
                 coordinates[wing.value] = {"t": outcome.point.t, "x": outcome.point.x}
-    return TrialLog(config, model, tuple(pairs), coordinates)
+    return TrialLog(config, model, pairs, coordinates)
 
 
 # -- statistics ----------------------------------------------------------------

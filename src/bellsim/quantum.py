@@ -301,9 +301,6 @@ class JointDistribution:
         return np.array([[self.vv, self.vh], [self.hv, self.hh]])
 
 
-_IDENTITY2 = np.eye(2, dtype=complex)
-
-
 def bell_phi_plus() -> PhotonPairState:
     """Maximally entangled pair (|HH> + |VV>) / sqrt(2) as a density operator.
 
@@ -540,30 +537,3 @@ def _conditional(
         ratios = [0.0 if r < 0.0 else 1.0 if r > 1.0 else r for r in ratios]
     return ProbabilityPair(*(_probability(r, "conditional") for r in ratios))
 
-
-def conditional_remote_state(
-    state: PhotonPairState | np.ndarray,
-    wing: Wing,
-    angle: AngleLike,
-    outcome: OutcomeLabel,
-) -> SingleWingState:
-    """State of the unobserved wing after conditioning on an observed outcome.
-
-    Projects the observed wing onto the outcome, traces it out and
-    renormalizes. ``wing`` names the observed side.
-    """
-    rho = _as_pair_state(state)
-    proj = _projectors([angle])[0, _outcome_index(outcome)]
-    if wing is Wing.A:
-        lift = np.kron(proj, _IDENTITY2)
-    else:
-        lift = np.kron(_IDENTITY2, proj)
-    # Kept as an einsum: no chance, table, checker or sampler reads this state.
-    weight = float(np.einsum("ij,ji->", rho.matrix, lift).real)
-    if weight <= ZERO_PROBABILITY:
-        raise UndefinedConditionalError(
-            f"observed outcome {outcome.value} on wing {wing.value} has "
-            f"probability {weight!r}"
-        )
-    collapsed = lift @ rho.matrix @ lift / weight
-    return SingleWingState(_partial_trace(collapsed, keep=wing.other()))

@@ -59,6 +59,16 @@ def config(model="qm", trials=1000, seed=11, schedule=OPTIMAL_SCHEDULE, **kw):
     return RunConfig(model=model, schedule=schedule, trials=trials, seed=seed, **kw)
 
 
+def philox(seed, pair_index):
+    """A pair's generator, at the start of its stream."""
+    return np.random.Philox(key=np.array([seed, pair_index], dtype=np.uint64))
+
+
+def philox_key(bitgen):
+    """The (seed, pair_index) key of a pair's generator."""
+    return tuple(int(word) for word in bitgen.state["state"]["key"])
+
+
 class TestRunConfig:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
@@ -181,7 +191,7 @@ class TestDeterminism:
             assert np.array_equal(p1.signs_a, p2.signs_a)
             assert np.array_equal(p1.signs_b, p2.signs_b)
 
-    @pytest.mark.parametrize("workers,chunk", [(1, 17), (3, 64), (4, 250)])
+    @pytest.mark.parametrize("workers,chunk", [(1, 17), (3, 64), (4, 250), (np.int64(2), np.uint16(3))])
     def test_execution_plan_does_not_matter(self, workers, chunk):
         baseline = run_trials(config(trials=3000))
         other = run_trials(config(trials=3000), workers=workers, chunk_size=chunk)
@@ -195,8 +205,9 @@ class TestDeterminism:
         assert r1 == r2
 
     def test_threads_under_fast_switching(self):
-        """More threads than cores, switched every microsecond, fill
-        disjoint slices: no chunk is lost or written twice."""
+        """More threads than cores, switched every microsecond, each draw
+        their own pairs' streams: no chunk is lost, repeated or drawn
+        from another pair's generator."""
         baseline = run_trials(config(model="lhv", trials=3000))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -210,16 +221,48 @@ class TestDeterminism:
     def test_failing_worker_raises_in_the_caller(self, monkeypatch):
         real = harness._sample_chunk
 
-        def sample(seed, pair_index, lo, hi, guide, thresholds):
-            if pair_index == 1 and lo == 600:
-                raise RuntimeError(f"chunk {lo} failed")
-            return real(seed, pair_index, lo, hi, guide, thresholds)
+        def sample(bitgen, count, guide, thresholds):
+            _, pair_index = philox_key(bitgen)
+            if pair_index == 1:
+                raise RuntimeError(f"pair {pair_index} failed")
+            return real(bitgen, count, guide, thresholds)
 
         monkeypatch.setattr(harness, "_sample_chunk", sample)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="chunk 600 failed"):
+        with pytest.raises(RuntimeError, match="pair 1 failed"):
             run_trials(config(trials=1000), workers=3, chunk_size=100)
         assert threading.active_count() == threads  # every worker was joined
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, 7, 300, 1001, 65536])
+    def test_one_generator_per_pair(self, monkeypatch, workers, chunk):
+        """Every chunk of a pair is drawn from that pair's one generator,
+        keyed (seed, pair), and no two pairs share one."""
+        draws = []  # keeps every generator alive, so no two share an id
+        real = harness._sample_chunk
+
+        def spy(bitgen, count, guide, thresholds):
+            draws.append((bitgen, count))
+            return real(bitgen, count, guide, thresholds)
+
+        monkeypatch.setattr(harness, "_sample_chunk", spy)
+        run_trials(config(trials=1001, seed=5), workers=workers, chunk_size=chunk)
+        generators = list({id(bitgen): bitgen for bitgen, _ in draws}.values())
+        assert sorted(map(philox_key, generators)) == [(5, p) for p in range(len(OPTIMAL_SCHEDULE))]
+        for bitgen in generators:
+            counts = [count for other, count in draws if other is bitgen]
+            assert sum(counts) == 1001 and len(counts) == -(-1001 // chunk)
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [("chunk_size", 0), ("chunk_size", -5), ("chunk_size", 2.7), ("chunk_size", True),
+         ("chunk_size", "64"), ("chunk_size", None), ("workers", 0), ("workers", -3),
+         ("workers", True), ("workers", 2.0), ("workers", np.bool_(True))],
+    )
+    def test_bad_execution_plan_is_one_error(self, option, value):
+        with pytest.raises(ValueError, match=rf"^{option} must be an integer >= 1, got .*$") as caught:
+            run_trials(config(trials=10), **{option: value})
+        assert "\n" not in str(caught.value)
 
     def test_import_loads_no_thread_pool(self):
         package_root = os.path.dirname(os.path.dirname(harness.__file__))
@@ -277,12 +320,6 @@ class TestSampling:
         assert first["coordinates"] == log.outcome_coordinates
         assert (first["pair"], first["trial"]) == (0, 0)
 
-    def test_chunk_must_start_on_even_trial(self):
-        thresholds = _cell_thresholds(MODEL_BUILDERS["qm"]().cells([0.0], [22.5]), [0], [0])[0]
-        with pytest.raises(ValueError, match="even"):
-            _sample_chunk(0, 0, 3, 10, None, thresholds)
-        assert _sample_chunk(0, 0, 4, 10, None, thresholds).dtype == np.uint8
-
 
 class TestPairSamples:
     @pytest.mark.parametrize(
@@ -339,7 +376,7 @@ class TestExecutionPlanProperty:
         trials = data.draw(st.integers(1, 5000), label="trials")
         chunk = data.draw(st.integers(1, trials + 3), label="chunk_size")
         cfg = config(model=model, trials=trials, seed=seed, scenario="late" if with_scenario else None)
-        single = run_trials(cfg, workers=1, chunk_size=trials + trials % 2)
+        single = run_trials(cfg, workers=1, chunk_size=trials)
         planned = run_trials(cfg, workers=workers, chunk_size=chunk)
         for p1, p2 in zip(single.pairs, planned.pairs, strict=True):
             assert np.array_equal(p1.cells, p2.cells)
@@ -526,15 +563,14 @@ class TestIntegerSampler:
             assert thresholds[:, 0].tolist() == edges
         prior_cum = np.cumsum(built.weights)
         cell_cum = np.cumsum(built.cells([a], [b])[0, 0].reshape(-1, 4), axis=1)
-        lo = 0
-        for size in (1, 3, 777, 4097, 9):
-            bitgen = np.random.Philox(key=np.array([seed, 2], dtype=np.uint64))
-            bitgen.advance(lo // 2)
-            u = np.random.Generator(bitgen).random(2 * size)
-            lam = np.minimum(np.searchsorted(prior_cum, u[0::2], side="right"), len(prior_cum) - 1)
-            expected = (u[1::2, None] >= cell_cum[lam, :3]).sum(axis=1)
-            assert np.array_equal(_sample_chunk(seed, 2, lo, lo + size, guide, thresholds), expected)
-            lo += size + size % 2  # the next chunk starts on an even trial
+        sizes = (1, 3, 777, 4097, 9)  # odd chunks, drawn back to back from one generator
+        u = np.random.Generator(philox(seed, 2)).random(2 * sum(sizes))
+        lam = np.minimum(np.searchsorted(prior_cum, u[0::2], side="right"), len(prior_cum) - 1)
+        expected = (u[1::2, None] >= cell_cum[lam, :3]).sum(axis=1)
+        bitgen = philox(seed, 2)
+        got = [_sample_chunk(bitgen, size, guide, thresholds) for size in sizes]
+        assert all(chunk.dtype == np.uint8 for chunk in got)
+        assert np.array_equal(np.concatenate(got), expected)
 
 
 class TestSharedLhvModel:
@@ -596,7 +632,7 @@ class TestOneGridTable:
         guide = _lambda_guide(built.weights) if len(built.weights) > 1 else None
         for pair in log.pairs:
             thresholds = _cell_thresholds(built.cells([pair.a], [pair.b]), [0], [0])[0]
-            expected = _sample_chunk(seed, pair.pair_index, 0, 301, guide, thresholds)
+            expected = _sample_chunk(philox(seed, pair.pair_index), 301, guide, thresholds)
             assert np.array_equal(pair.cells, expected)
 
     @given(density_matrices(), st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=6))
@@ -625,9 +661,9 @@ class TestOneGridTable:
         seen = {}
         real = harness._sample_chunk
 
-        def spy(seed, pair_index, lo, hi, guide, thresholds):
-            seen[pair_index] = thresholds
-            return real(seed, pair_index, lo, hi, guide, thresholds)
+        def spy(bitgen, count, guide, thresholds):
+            seen[philox_key(bitgen)[1]] = thresholds
+            return real(bitgen, count, guide, thresholds)
 
         monkeypatch.setattr(harness, "_sample_chunk", spy)
         log = run_trials(config(model=model, schedule=schedule, trials=20))

@@ -27,7 +27,6 @@ from bellsim.quantum import (
     born_conditional,
     born_joint,
     born_marginal,
-    conditional_remote_state,
     product_polarized,
     reduced_state,
 )
@@ -489,23 +488,3 @@ class TestReducedState:
             first = born_marginal(state, wing, angle)
             assert born_marginal(state, wing, angle) == first
             assert first.v == pytest.approx(p_v, abs=1e-15)
-
-
-class TestConditionalRemoteState:
-    def test_collapse_to_observed_axis(self):
-        remote = conditional_remote_state(bell_phi_plus(), Wing.B, 25.0, V)
-        expected = np.outer(axis_ket(25.0), axis_ket(25.0).conj())
-        assert_allclose(remote.matrix, expected, atol=1e-12)
-
-    def test_orthogonal_outcome(self):
-        remote = conditional_remote_state(bell_phi_plus(), Wing.B, 30.0, H)
-        expected = axis_projector(120.0)  # H at 30 degrees is the axis at 120
-        assert_allclose(remote.matrix, expected, atol=1e-12)
-
-    def test_product_state_unaffected(self):
-        remote = conditional_remote_state(product_polarized(0.0, 0.0), Wing.B, 0.0, V)
-        assert_allclose(remote.matrix, axis_projector(0.0), atol=1e-12)
-
-    def test_impossible_observation_rejected(self):
-        with pytest.raises(UndefinedConditionalError):
-            conditional_remote_state(product_polarized(0.0, 0.0), Wing.B, 0.0, H)
