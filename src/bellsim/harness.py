@@ -42,7 +42,7 @@ the cells are those of ``random()``, ``searchsorted`` and
 ``cells >= cumulative`` to the bit. A one-lambda model (``qm``,
 ``fixture``) has no guide and never reads its lambda words: only the
 cell words are shifted, into one contiguous array compared with the
-pair's three scalar thresholds. Models with more lambdas shift the
+pair's three scalar thresholds. Models with more lambda values shift the
 whole buffer in place and compare on its odd words. The ``lhv`` runs
 of a process share one built-in model (``hidden_variables.VECTOR_LHV``),
 so its guide is built once, at import.
@@ -274,7 +274,7 @@ def _cell_thresholds(table: np.ndarray, a_rows: Sequence[int], b_rows: Sequence[
     table: ``[pair, 3, n_lambda]``, one ``uint64`` row per cumulative cell
     and one column per lambda. One indexing step copies those three cells
     of every pair, and never the HH cell, into one array that is summed
-    and thresholded in place: for 2,048 lambdas a copy of whole entries
+    and thresholded in place: for 2,048 lambda values a copy of whole entries
     and separate sums and stacks cost more in fresh memory pages than
     the arithmetic itself."""
     cumulative = table[np.c_[a_rows], np.c_[b_rows], :, (0, 0, 1), (0, 1, 0)]

@@ -7,15 +7,15 @@ them is an executable proof that their CHSH combination never leaves
 uniformly over [0, 180) and responds deterministically per wing, which
 makes every locality condition hold per lambda by construction.
 
-Both models (a strategy mixture and the vector model) are built from
-per-wing responses: array functions mapping analyzer angles
-``degrees[n]`` to the probability of V for every lambda,
-``[n, n_lambda]``. The kernel is the outer product of the two wings'
-responses, Fine's picture of a local model (PRL 48, 291, 1982); a
-strategy mixture's response is a table lookup. The product is formed
-lambda innermost and returned as a transposed view in the unchanged
-kernel layout ``[na, nb, n_lambda, 2, 2]``, so stored tables keep lambda
-innermost for the condition sweeps.
+Both models (a strategy mixture and the vector model) are an
+``LhvModel(weights, responses)``: a prior and per-wing responses, array
+functions mapping analyzer angles ``degrees[n]`` to the probability of
+V for every lambda, ``[n, n_lambda]``. The model builds its kernel as
+the outer product of the two responses, Fine's picture of a local model
+(PRL 48, 291, 1982); a strategy mixture's response is a table lookup.
+The product is formed lambda innermost and returned as a transposed
+view in the unchanged kernel layout ``[na, nb, n_lambda, 2, 2]``, so
+stored tables keep lambda innermost for the condition sweeps.
 
 The vector model's response rule works in doubled-angle space: the
 hidden axis and the analyzer axis are doubled, treated as axes again,
@@ -28,12 +28,12 @@ setting difference: +1 aligned, 0 at 22.5 degrees, -1 at 45 degrees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .locality import ProbabilityModel
+from .locality import Kernel, ProbabilityModel
 from .quantum import AngleLike, OutcomeLabel, Wing, _clamp_probabilities, as_angle
 
 #: Default quadrature resolution for continuous-lambda models.
@@ -108,42 +108,17 @@ Response = Callable[[np.ndarray], np.ndarray]
 class LhvModel(ProbabilityModel):
     """A probability model whose kernel factorizes per lambda.
 
-    ``responses`` holds the (wing A, wing B) response functions; the
-    kernel is their outer product, and correlations reduce the two
-    response rows directly, after the same range check and clamp that
-    ``table`` applies.
+    ``responses`` holds the (wing A, wing B) response functions, the
+    model's only definition besides its prior: the kernel is built as
+    their outer product, and correlations reduce the same two response
+    rows directly, after the same range check and clamp as ``table``.
     """
 
-    responses: tuple[Response, Response] | None = None
+    kernel: Kernel = field(init=False, repr=False)
+    responses: tuple[Response, Response]
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.responses is None:
-            raise ValueError("an LhvModel needs its two wing responses; see from_responses")
-
-    def correlation(self, a: AngleLike, b: AngleLike) -> float:
-        signs = []
-        for response, angle in zip(self.responses, (a, b)):
-            p_v = np.array(response(np.array([as_angle(angle).degrees]))[0], dtype=float)
-            _clamp_probabilities(p_v, "response")
-            signs.append(2.0 * p_v - 1.0)
-        return float(np.dot(self.weights, signs[0] * signs[1]))
-
-    @classmethod
-    def from_responses(
-        cls,
-        name: str,
-        lambdas: Sequence,
-        weights: np.ndarray,
-        response_a: Response,
-        response_b: Response,
-    ) -> "LhvModel":
-        """Build a model from per-wing response probabilities.
-
-        The kernel is the outer product of the two wings' (V, H)
-        probabilities, so factorizability per lambda is exact by
-        construction.
-        """
+        response_a, response_b = self.responses
 
         def kernel(a_deg: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
             pa = np.asarray(response_a(a_deg), dtype=float)
@@ -153,13 +128,16 @@ class LhvModel(ProbabilityModel):
             joint = wing_a[:, None, :, None, :] * wing_b[None, :, None, :, :]
             return joint.transpose(0, 1, 4, 2, 3)  # lambda stays innermost in memory
 
-        return cls(
-            name=name,
-            lambdas=tuple(lambdas),
-            weights=weights,
-            kernel=kernel,
-            responses=(response_a, response_b),
-        )
+        object.__setattr__(self, "kernel", kernel)
+        super().__post_init__()
+
+    def correlation(self, a: AngleLike, b: AngleLike) -> float:
+        signs = []
+        for response, angle in zip(self.responses, (a, b)):
+            p_v = np.array(response(np.array([as_angle(angle).degrees]))[0], dtype=float)
+            _clamp_probabilities(p_v, "response")
+            signs.append(2.0 * p_v - 1.0)
+        return float(np.dot(self.weights, signs[0] * signs[1]))
 
 
 def builtin_vector_model() -> LhvModel:
@@ -182,13 +160,7 @@ def builtin_vector_model() -> LhvModel:
         agrees = np.cos(4.0 * np.radians(lambda_array[None, :] - degrees[:, None])) >= 0.0
         return agrees.astype(float)
 
-    return LhvModel.from_responses(
-        name="vector-lhv",
-        lambdas=lambda_array.tolist(),
-        weights=weights,
-        response_a=response,
-        response_b=response,
-    )
+    return LhvModel(weights, (response, response))
 
 
 #: The built-in vector model, built with its lambda guide once at import.
@@ -213,11 +185,15 @@ def strategy_model(
     strategies.
     """
     chosen = tuple(strategies) if strategies is not None else all_strategies()
+    if not chosen:
+        raise ValueError("a strategy mixture needs at least one strategy")
     prior = (
         np.asarray(weights, dtype=float)
         if weights is not None
         else np.full(len(chosen), 1.0 / len(chosen))
     )
+    if prior.size != len(chosen):
+        raise ValueError(f"{len(chosen)} strategies need as many weights, got {prior.size}")
     index_of = {}
     for wing, pair in ((Wing.A, (a, a_prime)), (Wing.B, (b, b_prime))):
         first, second = (as_angle(angle).degrees for angle in pair)
@@ -245,10 +221,4 @@ def strategy_model(
 
         return response
 
-    return LhvModel.from_responses(
-        name="strategy-mixture",
-        lambdas=chosen,
-        weights=prior,
-        response_a=respond(Wing.A),
-        response_b=respond(Wing.B),
-    )
+    return LhvModel(prior, (respond(Wing.A), respond(Wing.B)))

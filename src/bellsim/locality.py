@@ -1,19 +1,20 @@
 """Locality condition checkers over abstract bipartite probability models.
 
-A model assigns, for every pair of analyzer angles and every value of a
-hidden variable lambda, a joint outcome distribution; the quantum model
-is the degenerate case with a single lambda. Its kernel maps normalized
+A model is its prior over a hidden variable lambda, one weight per
+value, and a kernel that assigns, for every pair of analyzer angles and
+every lambda, a joint outcome distribution; the quantum model is the
+degenerate case with a single lambda. Its kernel maps normalized
 angles ``a_degrees[na]`` and ``b_degrees[nb]`` to the table ``[na, nb,
 n_lambda, 2, 2]``, indexed [a, b, lambda, outcome_a, outcome_b] with
 V=0, H=1. Grid tables, single cells, the sampler's per-pair cells and
 correlations come from that one call and one validation step,
 ``quantum._validated``, whose bounds and errors every scalar Born
 result's check shares, except ``LhvModel.correlation``, which reduces
-the two wings' response rows directly (see ``hidden_variables``); the
-quantum kernel is ``quantum._born_pairs``: one cell on Python floats,
-as ``born_joint`` sums it, and a larger grid by broadcasting, in the
-same order. A model keeps the table of the
-last grid it was asked for, and that grid's condition sweep once a
+the response rows its kernel is built from (see ``hidden_variables``);
+the quantum kernel is ``quantum._born_pairs``: one cell on Python
+floats, as ``born_joint`` sums it, and a larger grid by broadcasting, in
+the same order. A model keeps the table of the last grid it was asked
+for, and that grid's condition sweep once a
 checker has built it, in one slot, ``(key, table, wings)``, each time
 written in one assignment; another grid replaces all three. Kernels
 must be pure for that cache to be sound. A model with more than one
@@ -46,7 +47,7 @@ outcome_b] order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -136,25 +137,18 @@ def _lambda_guide(weights: np.ndarray) -> _LambdaGuide:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityModel:
-    """Bipartite model: prior-weighted lambdas and an array-valued kernel."""
+    """Bipartite model: a prior, one weight per lambda, and a ``Kernel``."""
 
-    name: str
-    lambdas: tuple
     weights: np.ndarray
     kernel: Kernel
-    #: (normalized grid, table, wings) of the last ``table`` call; the
-    #: wings, the grid's condition sweep, are None until a checker sweeps it.
-    _last_table: tuple | None = field(default=None, init=False, repr=False)
-    #: The sampler's guide to the prior, built once from the read-only
-    #: weights; None for a single lambda, which needs no draw.
-    _guide: _LambdaGuide | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if len(self.lambdas) != weights.size:
-            raise ValueError("lambdas and weights must have equal length")
         if weights.size == 0:
             raise ValueError("a model needs at least one lambda value")
+        bad = np.flatnonzero(~np.isfinite(weights))  # NaN passes both tests below
+        if bad.size:
+            raise ValueError(f"non-finite prior weight {weights[bad[0]]} at index {bad[0]}")
         if weights.min() < 0.0:
             raise ValueError(f"negative prior weight {weights.min()!r}")
         total = float(weights.sum())
@@ -162,13 +156,17 @@ class ProbabilityModel:
             raise ValueError(f"prior weights sum to {total!r}, not 1")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "lambdas", tuple(self.lambdas))
+        # (normalized grid, table, wings) of the last ``table`` call; the
+        # wings, the grid's condition sweep, are None until a checker sweeps it.
+        object.__setattr__(self, "_last_table", None)
+        # The sampler's guide to the prior, built once from the read-only
+        # weights; None for a single lambda, which needs no draw.
         object.__setattr__(self, "_guide", _lambda_guide(weights) if weights.size > 1 else None)
 
     def cells(self, a: Sequence[AngleLike], b: Sequence[AngleLike]) -> np.ndarray:
         """Validated joint probabilities, shape (len(a), len(b), n_lambda, 2, 2)."""
         a_deg, b_deg = (np.array(_angle_degrees(angles), dtype=float) for angles in (a, b))
-        shape = (a_deg.size, b_deg.size, len(self.lambdas), 2, 2)
+        shape = (a_deg.size, b_deg.size, self.weights.size, 2, 2)
         return _validated(self.kernel(a_deg, b_deg), shape)
 
     def joint(self, a: AngleLike, b: AngleLike, index: int) -> JointDistribution:
@@ -215,12 +213,7 @@ def quantum_model(state: PhotonPairState | None = None) -> ProbabilityModel:
     def kernel(a_deg: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
         return _born_pairs(pair, a_deg.tolist(), b_deg.tolist())[:, :, None]
 
-    return ProbabilityModel(
-        name="quantum",
-        lambdas=(None,),
-        weights=np.array([1.0]),
-        kernel=kernel,
-    )
+    return ProbabilityModel(np.array([1.0]), kernel)
 
 
 def signalling_fixture_model(bias: float = 0.25) -> ProbabilityModel:
@@ -238,12 +231,7 @@ def signalling_fixture_model(bias: float = 0.25) -> ProbabilityModel:
         rows = np.stack([p_va * 0.5, (1.0 - p_va) * 0.5], axis=-1)  # [b, outcome_a]
         return np.broadcast_to(rows[None, :, None, :, None], (a_deg.size, b_deg.size, 1, 2, 2))
 
-    return ProbabilityModel(
-        name="signalling-fixture",
-        lambdas=(None,),
-        weights=np.array([1.0]),
-        kernel=kernel,
-    )
+    return ProbabilityModel(np.array([1.0]), kernel)
 
 
 @dataclass(frozen=True)

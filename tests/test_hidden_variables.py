@@ -125,7 +125,7 @@ class TestResponseRange:
             return np.full((degrees.size, 1), 0.5)
 
         for response_a, response_b in ((bad, fair), (fair, bad)):
-            model = LhvModel.from_responses("bad", (0,), np.ones(1), response_a, response_b)
+            model = LhvModel(np.ones(1), (response_a, response_b))
             with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
                 model.correlation(0.0, 0.0)
             with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
@@ -135,7 +135,7 @@ class TestResponseRange:
         def nearly_one(degrees):
             return np.full((degrees.size, 1), 1.0 + 1e-13)
 
-        model = LhvModel.from_responses("edge", (0,), np.ones(1), nearly_one, nearly_one)
+        model = LhvModel(np.ones(1), (nearly_one, nearly_one))
         assert model.correlation(0.0, 0.0) == 1.0
         assert model.table([0.0])[0, 0, 0, 0, 0] == 1.0
 

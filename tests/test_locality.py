@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim import locality
-from bellsim.hidden_variables import VECTOR_LHV, LhvModel, builtin_vector_model, strategy_model
+from bellsim.hidden_variables import (
+    VECTOR_LHV,
+    LhvModel,
+    all_strategies,
+    builtin_vector_model,
+    strategy_model,
+)
 from bellsim.locality import (
     ProbabilityModel,
     CONDITION_TOL,
@@ -49,24 +55,43 @@ def vector_lhv():
     return builtin_vector_model()
 
 
-class TestModelValidation:
-    def test_weights_must_normalize(self):
-        with pytest.raises(ValueError, match="sum"):
-            ProbabilityModel(
-                name="bad",
-                lambdas=(0, 1),
-                weights=np.array([0.7, 0.7]),
-                kernel=lambda a, b, lam: born_joint(bell_phi_plus(), a, b),
-            )
+def _fair(degrees):
+    return np.full((degrees.size, 2), 0.5)
 
-    def test_weights_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="negative"):
-            ProbabilityModel(
-                name="bad",
-                lambdas=(0, 1),
-                weights=np.array([1.5, -0.5]),
-                kernel=lambda a, b, lam: born_joint(bell_phi_plus(), a, b),
-            )
+
+#: A two-lambda model from its prior, through each public constructor.
+_PRIOR_BUILDERS = [
+    pytest.param(lambda w: ProbabilityModel(w, quantum_model().kernel), id="ProbabilityModel"),
+    pytest.param(lambda w: LhvModel(w, (_fair, _fair)), id="LhvModel"),
+    pytest.param(lambda w: strategy_model(0.0, 45.0, 0.0, 45.0, all_strategies()[:2], w),
+                 id="strategy_model"),
+]
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("build", _PRIOR_BUILDERS)
+    @pytest.mark.parametrize("weights, message", [
+        pytest.param([0.5, math.nan], "non-finite prior weight nan at index 1", id="half-nan"),
+        pytest.param([1.0, math.nan], "non-finite prior weight nan at index 1", id="one-nan"),
+        pytest.param([math.nan, math.nan], "non-finite prior weight nan at index 0", id="nans"),
+        pytest.param([math.inf, 0.0], "non-finite prior weight inf at index 0", id="inf"),
+        pytest.param([1.5, -0.5], "negative prior weight", id="negative"),
+        pytest.param([0.7, 0.7], "sum to", id="unnormalized"),
+    ])
+    def test_bad_prior_is_refused_at_construction(self, build, weights, message):
+        with pytest.raises(ValueError, match=message):
+            build(np.array(weights))
+
+    @pytest.mark.parametrize("strategies, weights, message", [
+        pytest.param([], None, "at least one strategy", id="no-strategies"),
+        pytest.param([], [], "at least one strategy", id="no-strategies-no-weights"),
+        pytest.param(all_strategies()[:2], [1.0], "2 strategies need as many weights, got 1",
+                     id="short-prior"),
+        pytest.param(None, [0.5, 0.5], "16 strategies need as many weights, got 2", id="long-list"),
+    ])
+    def test_strategy_model_needs_one_weight_per_strategy(self, strategies, weights, message):
+        with pytest.raises(ValueError, match=message):
+            strategy_model(0.0, 45.0, 0.0, 45.0, strategies, weights)
 
     def test_empty_grid_rejected(self, quantum):
         with pytest.raises(ValueError, match="nonempty"):
@@ -187,16 +212,19 @@ def _assert_json_dict_is_asdict(report: ConditionReport) -> None:
 
 
 class TestConditionReportJson:
-    @pytest.mark.parametrize("model", [
-        quantum_model(), builtin_vector_model(), signalling_fixture_model(),
-        signalling_fixture_model(0.1), quantum_model(product_polarized(10.0, 80.0)),
-    ], ids=lambda model: model.name)
+    @pytest.mark.parametrize("model, signals", [
+        pytest.param(quantum_model(), False, id="quantum0"),
+        pytest.param(builtin_vector_model(), False, id="vector-lhv"),
+        pytest.param(signalling_fixture_model(), True, id="signalling-fixture0"),
+        pytest.param(signalling_fixture_model(0.1), True, id="signalling-fixture1"),
+        pytest.param(quantum_model(product_polarized(10.0, 80.0)), False, id="quantum1"),
+    ])
     @pytest.mark.parametrize("grid", [GRID, (0.0, 45.0, 22.5, -22.5), (100.0,)])
-    def test_equals_asdict(self, model, grid):
+    def test_equals_asdict(self, model, signals, grid):
         reports = [check(model, grid) for check in _CHECKS]
         for report in reports:
             _assert_json_dict_is_asdict(report)
-        if model.name == "signalling-fixture" and len(grid) > 1:
+        if signals and len(grid) > 1:
             assert reports[0].witness is not None  # parameter independence fails
 
     @given(density_matrices(), st.lists(st.floats(0.0, 360.0), min_size=1, max_size=6))
@@ -225,10 +253,7 @@ def factorizable_models(draw):
     def lookup(table):
         return lambda degrees: table[[rows[d] for d in degrees.tolist()]]
 
-    model = LhvModel.from_responses(
-        "random-lhv", range(len(weights)), weights, lookup(tables[0]), lookup(tables[1])
-    )
-    return model, grid
+    return LhvModel(weights, (lookup(tables[0]), lookup(tables[1]))), grid
 
 
 class TestJarrett:
@@ -265,8 +290,7 @@ def _opposite_signalling_model():
         rows = np.stack([p_va * 0.5, (1.0 - p_va) * 0.5], axis=-1)  # [b, lambda, outcome_a]
         return np.broadcast_to(rows[None, :, :, :, None], (a_deg.size, b_deg.size, 2, 2, 2))
 
-    return ProbabilityModel(name="opposite", lambdas=(0, 1), weights=np.array([0.5, 0.5]),
-                            kernel=kernel)
+    return ProbabilityModel(np.array([0.5, 0.5]), kernel)
 
 
 class TestNoSignalling:
@@ -278,7 +302,7 @@ class TestNoSignalling:
         pi = check_parameter_independence(model, grid)
         ns = check_no_signalling(model, grid)
         assert ns.max_deviation <= pi.max_deviation + CONDITION_TOL
-        if len(model.lambdas) == 1:
+        if model.weights.size == 1:
             assert ns.to_json_dict() == {**pi.to_json_dict(), "condition": "no_signalling"}
 
     @given(density_matrices(), st.lists(st.floats(0.0, 180.0), min_size=1, max_size=6))
@@ -321,6 +345,64 @@ class TestProductStateOutcomeIndependence:
         assert check_outcome_independence(quantum_model(state), grid).holds
 
 
+def _binned_lhv(seed, n_lambda, bins, deterministic=False):
+    """A random factorizable model: a Dirichlet prior and, per wing, a
+    random P(V | angle bin, lambda) table over ``bins`` equal bins of
+    [0, 180), with half of its entries rounded to 0 or 1, or all of them
+    when ``deterministic``."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_lambda))
+
+    def response():
+        table = rng.uniform(0.0, 1.0, size=(bins, n_lambda))
+        extreme = np.full(table.shape, True) if deterministic else rng.random(table.shape) < 0.5
+        table[extreme] = np.round(table[extreme])  # deterministic strategies reach 2
+        return lambda degrees: table[np.minimum((degrees * bins / 180.0).astype(int), bins - 1)]
+
+    return LhvModel(weights, (response(), response()))
+
+
+class TestLhvCorrelation:
+    """``LhvModel.correlation`` reduces the two response rows its kernel is
+    built from, so it agrees with the reduction of its own table, bit for
+    bit when every response is 0 or 1."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(1, 8),
+        st.booleans(),
+        st.floats(-360.0, 360.0),
+        st.floats(-360.0, 360.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_factorizable_models(self, seed, n_lambda, bins, deterministic, a, b):
+        model = _binned_lhv(seed, n_lambda, bins, deterministic)
+        direct, from_table = model.correlation(a, b), ProbabilityModel.correlation(model, a, b)
+        if deterministic:
+            assert direct == from_table
+        else:
+            assert abs(direct - from_table) <= 4 * np.finfo(float).eps
+
+    @given(st.floats(-360.0, 360.0), st.floats(-360.0, 360.0))
+    @settings(max_examples=100, deadline=None)
+    def test_vector_model_bit_for_bit(self, a, b):
+        assert VECTOR_LHV.correlation(a, b) == ProbabilityModel.correlation(VECTOR_LHV, a, b)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_strategy_mixtures_bit_for_bit(self, seed):
+        quad = (0.0, 45.0, 22.5, -22.5)
+        weights = np.random.default_rng(seed).dirichlet(np.full(16, 0.3))
+        model = strategy_model(*quad, weights=weights)
+        for a, b in itertools.product(quad[:2], quad[2:]):
+            assert model.correlation(a, b) == ProbabilityModel.correlation(model, a, b)
+
+    def test_kernel_is_built_not_passed(self):
+        with pytest.raises(TypeError, match="kernel"):
+            LhvModel(np.ones(1), (_fair, _fair), kernel=quantum_model().kernel)
+
+
 class TestChsh:
     def test_quantum_maximum(self, quantum):
         value = chsh(quantum, 0.0, 45.0, 22.5, -22.5)
@@ -355,16 +437,7 @@ class TestChsh:
         """|CHSH| <= 2 for any factorizable model (Bell's side of the bound):
         a random prior and, per wing, a random P(V | angle bin, lambda)
         table over ``bins`` equal bins of [0, 180), some entries 0 or 1."""
-        rng = np.random.default_rng(seed)
-        weights = rng.dirichlet(np.ones(n_lambda))
-
-        def response():
-            table = rng.uniform(0.0, 1.0, size=(bins, n_lambda))
-            extreme = rng.random(table.shape) < 0.5
-            table[extreme] = np.round(table[extreme])  # deterministic strategies reach 2
-            return lambda degrees: table[np.minimum((degrees * bins / 180.0).astype(int), bins - 1)]
-
-        model = LhvModel.from_responses("random-lhv", range(n_lambda), weights, response(), response())
+        model = _binned_lhv(seed, n_lambda, bins)
         assert check_factorizability(model, quad).holds
         assert abs(chsh(model, *quad)) <= 2.0 + 1e-12
 
@@ -400,7 +473,7 @@ def _mirrored(model, share=1.0):
         swapped = np.swapaxes(np.swapaxes(model.kernel(b_deg, a_deg), 0, 1), 3, 4)
         return share * swapped + (1.0 - share) * model.kernel(a_deg, b_deg)
 
-    return ProbabilityModel(name="mirrored", lambdas=model.lambdas, weights=model.weights, kernel=kernel)
+    return ProbabilityModel(model.weights, kernel)
 
 
 def _tied_model():
@@ -411,7 +484,7 @@ def _tied_model():
         same = (a_deg[:, None] == b_deg[None, :])[:, :, None, None, None]
         return np.where(same, 0.25, np.array([[0.0, 0.25], [0.5, 0.25]]))
 
-    return ProbabilityModel(name="tied", lambdas=(None,), weights=np.array([1.0]), kernel=kernel)
+    return ProbabilityModel(np.array([1.0]), kernel)
 
 
 def _condition_cases():
@@ -567,8 +640,7 @@ def lattice_models(draw):
         def lookup(table):
             return lambda degrees: table[[rows[d] for d in degrees.tolist()]]
 
-        return LhvModel.from_responses("lattice-lhv", range(n_lambda), weights,
-                                       lookup(tables[0]), lookup(tables[1])), grid
+        return LhvModel(weights, (lookup(tables[0]), lookup(tables[1]))), grid
     size = n * n * n_lambda
     cuts = draw(st.lists(st.integers(0, 4), min_size=3 * size, max_size=3 * size))
     cuts = np.sort(np.array(cuts).reshape(size, 3), axis=1)  # each row splits 4 quarters four ways
@@ -580,7 +652,7 @@ def lattice_models(draw):
         ib = [rows[d] for d in b_deg.tolist()]
         return cells[np.ix_(ia, ib)]
 
-    return ProbabilityModel("lattice", tuple(range(n_lambda)), weights, kernel), grid
+    return ProbabilityModel(weights, kernel), grid
 
 
 def _rounding_tie_model():
@@ -597,8 +669,7 @@ def _rounding_tie_model():
         cells[:, :, :, 1, 0] = 1.0 - p
         return cells
 
-    return ProbabilityModel(name="rounding-tie", lambdas=(0, 1), weights=np.array([0.5, 0.5]),
-                            kernel=kernel)
+    return ProbabilityModel(np.array([0.5, 0.5]), kernel)
 
 
 class TestLambdaInnermostLayout:
@@ -638,22 +709,26 @@ class TestLambdaInnermostLayout:
         signalling_fixture_model(), signalling_fixture_model(0.1),
         _mirrored(signalling_fixture_model()), _mirrored(signalling_fixture_model(0.1), 0.5),
         _opposite_signalling_model(), _tied_model(), _rounding_tie_model(), builtin_vector_model(),
-    ], ids=lambda model: model.name)
+    ], ids=["signalling-fixture0", "signalling-fixture1", "mirrored0", "mirrored1",
+            "opposite", "tied", "rounding-tie", "vector-lhv"])
     @pytest.mark.parametrize("grid", [GRID, (0.0, 45.0, 0.0, 90.0, 45.0), (100.0, 10.0)])
     def test_fixtures(self, model, grid):
         assert _reports(model, grid) == _reference_reports(model, grid)
 
 
+_SWEEP_GRIDS = ((0.0, 45.0), (45.0, 0.0, 45.0), (0.0, 45.0, 0.0, 90.0, 45.0))
+
+#: (model factory, grids): a strategy mixture is defined on its quadruple's angles only.
 _SWEEP_MODELS = [
-    pytest.param(quantum_model, id="quantum"),
-    pytest.param(lambda: quantum_model(product_polarized(30.0, 120.0)), id="product"),
-    pytest.param(builtin_vector_model, id="vector-lhv"),
-    pytest.param(signalling_fixture_model, id="fixture"),
-    pytest.param(lambda: _mirrored(signalling_fixture_model(0.1), 0.5), id="mirrored"),
-    pytest.param(_tied_model, id="tied"),
+    pytest.param(quantum_model, _SWEEP_GRIDS, id="quantum"),
+    pytest.param(lambda: quantum_model(product_polarized(30.0, 120.0)), _SWEEP_GRIDS, id="product"),
+    pytest.param(builtin_vector_model, _SWEEP_GRIDS, id="vector-lhv"),
+    pytest.param(signalling_fixture_model, _SWEEP_GRIDS, id="fixture"),
+    pytest.param(lambda: _mirrored(signalling_fixture_model(0.1), 0.5), _SWEEP_GRIDS, id="mirrored"),
+    pytest.param(_tied_model, _SWEEP_GRIDS, id="tied"),
     pytest.param(lambda: strategy_model(0.0, 45.0, 0.0, 45.0,
                                         weights=np.random.default_rng(5).dirichlet(np.ones(16))),
-                 id="strategies"),
+                 _SWEEP_GRIDS[:2], id="strategies"),
 ]
 
 
@@ -664,15 +739,9 @@ class TestKeptSweep:
     replaces the whole slot, and a condition that holds never searches
     for a witness."""
 
-    GRIDS = ((0.0, 45.0), (45.0, 0.0, 45.0), (0.0, 45.0, 0.0, 90.0, 45.0))
-
-    @staticmethod
-    def grids_for(model):
-        return TestKeptSweep.GRIDS[:2] if model.name == "strategy-mixture" else TestKeptSweep.GRIDS
-
-    @pytest.mark.parametrize("factory", _SWEEP_MODELS)
-    def test_reports_do_not_depend_on_call_order_or_repetition(self, factory):
-        for grid in self.grids_for(factory()):
+    @pytest.mark.parametrize("factory, grids", _SWEEP_MODELS)
+    def test_reports_do_not_depend_on_call_order_or_repetition(self, factory, grids):
+        for grid in grids:
             expected = _reports(factory(), grid)
             for order in itertools.permutations(range(4)):
                 model = factory()
@@ -680,10 +749,10 @@ class TestKeptSweep:
                     for k in order:
                         assert _CHECKS[k](model, grid).to_json_dict() == expected[k]
 
-    @pytest.mark.parametrize("factory", _SWEEP_MODELS)
-    def test_alternating_grids_give_each_grids_reports(self, factory):
+    @pytest.mark.parametrize("factory, grids", _SWEEP_MODELS)
+    def test_alternating_grids_give_each_grids_reports(self, factory, grids):
         model = factory()
-        first, second = self.grids_for(model)[-1], self.grids_for(model)[0]
+        first, second = grids[-1], grids[0]
         for grid in (first, second, first):
             assert _reports(model, grid) == _reference_reports(factory(), grid)
             key, table, wings = model._last_table

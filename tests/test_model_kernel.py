@@ -79,12 +79,16 @@ class TestQuantumKernel:
         def kernel(a_deg, b_deg):
             return np.full((a_deg.size, b_deg.size, 1, 2, 2), 0.3)
 
-        model = ProbabilityModel("bad", (None,), np.array([1.0]), kernel)
+        model = ProbabilityModel(np.array([1.0]), kernel)
         with pytest.raises(ValueError, match="sums to"):
             model.table([0.0])
-        short = ProbabilityModel("short", (None,), np.array([1.0]), lambda a, b: np.zeros((1, 1, 1, 2)))
+        short = ProbabilityModel(np.array([1.0]), lambda a, b: np.zeros((1, 1, 1, 2)))
         with pytest.raises(ValueError, match="shape"):
             short.correlation(0.0, 0.0)
+
+
+#: The vector model's hidden axes, the midpoint formula on Python floats.
+NODES = [(i + 0.5) * (180.0 / DEFAULT_LAMBDA_NODES) for i in range(DEFAULT_LAMBDA_NODES)]
 
 
 def scalar_response(lam: float, setting: float) -> float:
@@ -107,11 +111,18 @@ def boundary_settings() -> list[float]:
 
 class TestVectorModelKernel:
     def test_nodes_are_the_midpoint_formula_bit_for_bit(self):
-        step = 180.0 / DEFAULT_LAMBDA_NODES
-        expected = [((i + 0.5) * step).hex() for i in range(DEFAULT_LAMBDA_NODES)]
-        lambdas = builtin_vector_model().lambdas
-        assert all(type(lam) is float for lam in lambdas)
-        assert [lam.hex() for lam in lambdas] == expected
+        """A setting 22.5 degrees to either side of a node sits on that
+        node's response edge, cos(4 * 22.5 degrees) = 6e-17 > 0: the node
+        answers V there, and a node one ulp away would answer H from one of
+        the two sides (from 16 degrees up, where a node's ulp survives the
+        subtraction)."""
+        response = builtin_vector_model().responses[0]
+        for offset in (-22.5, 22.5):
+            settings_deg = np.array(NODES) + offset
+            for start in range(0, DEFAULT_LAMBDA_NODES, 256):
+                rows = response(settings_deg[start:start + 256])  # [setting, node]
+                for k, i in enumerate(range(start, start + 256)):
+                    assert rows[k, i] == scalar_response(NODES[i], settings_deg[i]) == 1.0
 
     def test_response_matrix_equals_scalar_rule(self):
         model = builtin_vector_model()
@@ -119,7 +130,7 @@ class TestVectorModelKernel:
         for response in model.responses:
             matrix = response(np.array(settings_deg))
             expected = np.array(
-                [[scalar_response(lam, s) for lam in model.lambdas] for s in settings_deg]
+                [[scalar_response(lam, s) for lam in NODES] for s in settings_deg]
             )
             assert np.array_equal(matrix, expected)
 
@@ -130,8 +141,8 @@ class TestVectorModelKernel:
         for i, a in enumerate(grid):
             for j, b in enumerate(grid):
                 # [lambda, (V, H)] for each wing, then their per-lambda outer product
-                wa = np.array([[p, 1.0 - p] for p in (scalar_response(l, a) for l in model.lambdas)])
-                wb = np.array([[p, 1.0 - p] for p in (scalar_response(l, b) for l in model.lambdas)])
+                wa = np.array([[p, 1.0 - p] for p in (scalar_response(l, a) for l in NODES)])
+                wb = np.array([[p, 1.0 - p] for p in (scalar_response(l, b) for l in NODES)])
                 assert np.array_equal(table[i, j], wa[:, :, None] * wb[:, None, :])
 
     def test_correlation_is_table_reduction(self):
