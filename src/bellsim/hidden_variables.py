@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .locality import Kernel, ProbabilityModel
+from .locality import Kernel, ProbabilityModel, _angle_degrees
 from .quantum import AngleLike, OutcomeLabel, Wing, _clamp_probabilities, as_angle
 
 #: Default quadrature resolution for continuous-lambda models.
@@ -92,10 +92,11 @@ def deterministic_chsh_maximum(
 ) -> tuple[float, DeterministicStrategy]:
     """Exact maximum of the CHSH expression over all sixteen strategies.
 
-    The angle arguments label the setting indices; the bound itself does
-    not depend on their values, so it is enumerated once at import.
+    The angle arguments label the setting indices and must be finite; the
+    bound itself does not depend on their values, so it is enumerated
+    once at import.
     """
-    del a, a_prime, b, b_prime
+    _angle_degrees((a, a_prime, b, b_prime))
     return _CHSH_MAXIMUM
 
 
@@ -121,8 +122,8 @@ class LhvModel(ProbabilityModel):
         response_a, response_b = self.responses
 
         def kernel(a_deg: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
-            pa = np.asarray(response_a(a_deg), dtype=float)
-            pb = np.asarray(response_b(b_deg), dtype=float)
+            pa = self._rows(response_a, a_deg)
+            pb = self._rows(response_b, b_deg)
             wing_a = np.stack([pa, 1.0 - pa], axis=1)  # [a, outcome_a, lambda]
             wing_b = np.stack([pb, 1.0 - pb], axis=1)  # [b, outcome_b, lambda]
             joint = wing_a[:, None, :, None, :] * wing_b[None, :, None, :, :]
@@ -131,10 +132,20 @@ class LhvModel(ProbabilityModel):
         object.__setattr__(self, "kernel", kernel)
         super().__post_init__()
 
+    def _rows(self, response: Response, degrees: np.ndarray) -> np.ndarray:
+        """``response``'s P(V) rows for ``degrees`` as a float copy, one row
+        per angle and one column per lambda, or a ``ValueError``; construction
+        cannot check this, as a strategy response knows only its quadruple."""
+        rows = np.array(response(degrees), dtype=float)
+        if rows.shape != (degrees.size, self.weights.size):
+            raise ValueError(f"response rows have shape {rows.shape}, not one row per angle "
+                             f"({degrees.size}) and one column per lambda ({self.weights.size})")
+        return rows
+
     def correlation(self, a: AngleLike, b: AngleLike) -> float:
         signs = []
         for response, angle in zip(self.responses, (a, b)):
-            p_v = np.array(response(np.array([as_angle(angle).degrees]))[0], dtype=float)
+            p_v = self._rows(response, np.array([as_angle(angle).degrees]))[0]
             _clamp_probabilities(p_v, "response")
             signs.append(2.0 * p_v - 1.0)
         return float(np.dot(self.weights, signs[0] * signs[1]))

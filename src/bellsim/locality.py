@@ -150,7 +150,7 @@ class ProbabilityModel:
         if bad.size:
             raise ValueError(f"non-finite prior weight {weights[bad[0]]} at index {bad[0]}")
         if weights.min() < 0.0:
-            raise ValueError(f"negative prior weight {weights.min()!r}")
+            raise ValueError(f"negative prior weight {float(weights.min())!r}")
         total = float(weights.sum())
         if abs(total - 1.0) > CONDITION_TOL:
             raise ValueError(f"prior weights sum to {total!r}, not 1")

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
@@ -119,11 +119,6 @@ class AnalyzerAngle:
     def rotated(self, delta_degrees: float) -> "AnalyzerAngle":
         return AnalyzerAngle(self.degrees + delta_degrees)
 
-    def separation(self, other: "AngleLike") -> float:
-        """Axis-to-axis separation in degrees, folded into [0, 90]."""
-        diff = abs(self.degrees - as_angle(other).degrees) % 180.0
-        return min(diff, 180.0 - diff)
-
 
 AngleLike = AnalyzerAngle | float | int
 
@@ -134,14 +129,10 @@ def as_angle(value: AngleLike) -> AnalyzerAngle:
     return AnalyzerAngle(float(value))
 
 
-def _frozen_matrix(matrix: np.ndarray) -> np.ndarray:
-    out = np.array(matrix, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 def _check_density(matrix: np.ndarray, dim: int, what: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    """A read-only complex copy of ``matrix``, checked to be a ``dim`` x
+    ``dim`` density operator; ``what`` names it in the errors."""
+    m = np.array(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"{what}: expected a {dim}x{dim} matrix, got shape {m.shape}")
     finite = np.isfinite(m)
@@ -158,34 +149,51 @@ def _check_density(matrix: np.ndarray, dim: int, what: str) -> np.ndarray:
     lowest = float(np.linalg.eigvalsh(m).min())
     if lowest < -ATOL:
         raise ValueError(f"{what}: negative eigenvalue {lowest:.3e}")
+    m.setflags(write=False)
     return m
 
 
-@dataclass(frozen=True)
-class PhotonPairState:
-    """4x4 density operator for the two-photon polarization system."""
+@dataclass(frozen=True, eq=False)
+class _DensityState:
+    """A checked, read-only density operator: both state records. They
+    compare entry for entry (``np.array_equal``) and are unhashable."""
 
     matrix: np.ndarray
+    _dim: ClassVar[int]
+    _what: ClassVar[str]
 
     def __post_init__(self) -> None:
-        checked = _check_density(self.matrix, 4, "photon pair state")
-        object.__setattr__(self, "matrix", _frozen_matrix(checked))
+        object.__setattr__(self, "matrix", _check_density(self.matrix, self._dim, self._what))
+        # the real entries in row-major order, as floats, for the Born sums
+        object.__setattr__(self, "_real", tuple(self.matrix.real.reshape(-1).tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self is other or np.array_equal(self.matrix, other.matrix)
+
+
+class SingleWingState(_DensityState):
+    """2x2 density operator for one photon."""
+
+    _dim, _what = 2, "single wing state"
+
+
+class PhotonPairState(_DensityState):
+    """4x4 density operator for the two-photon polarization system."""
+
+    _dim, _what = 4, "photon pair state"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         # A marginal is bounded below by its reduced state's lowest
         # eigenvalue, not the pair's, so both reduced states are built and
         # checked here, once.
         try:
-            reduced = {wing: SingleWingState(_partial_trace(checked, keep=wing)) for wing in Wing}
+            reduced = {wing: SingleWingState(_partial_trace(self.matrix, wing)) for wing in Wing}
         except ValueError as exc:
             raise ValueError(f"photon pair state: reduced {exc}") from None
         object.__setattr__(self, "_reduced", reduced)
-        # rho's 16 real entries in row-major order, as floats, for _born_cell
-        object.__setattr__(self, "_real", tuple(self.matrix.real.reshape(16).tolist()))
-
-    def __eq__(self, other: object) -> bool:
-        """Equal density matrices, entry for entry (``np.array_equal``)."""
-        if not isinstance(other, PhotonPairState):
-            return NotImplemented
-        return self is other or np.array_equal(self.matrix, other.matrix)
 
     @classmethod
     def from_vector(cls, vector: np.ndarray) -> "PhotonPairState":
@@ -196,19 +204,6 @@ class PhotonPairState:
             raise ValueError("cannot build a state from the zero vector")
         v = v / norm
         return cls(np.outer(v, v.conj()))
-
-
-@dataclass(frozen=True)
-class SingleWingState:
-    """2x2 density operator for one photon."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        checked = _check_density(self.matrix, 2, "single wing state")
-        object.__setattr__(self, "matrix", _frozen_matrix(checked))
-        # (rho_00, rho_01, rho_10, rho_11).real as floats, for born_marginal
-        object.__setattr__(self, "_real", tuple(self.matrix.real.reshape(4).tolist()))
 
 
 class ProbabilityPair(NamedTuple):
@@ -296,10 +291,6 @@ class JointDistribution:
         """Expectation of the +/-1 outcome product."""
         return (self.vv + self.hh) - (self.vh + self.hv)
 
-    def as_array(self) -> np.ndarray:
-        """2x2 array indexed [a, b] with V=0, H=1."""
-        return np.array([[self.vv, self.vh], [self.hv, self.hh]])
-
 
 def bell_phi_plus() -> PhotonPairState:
     """Maximally entangled pair (|HH> + |VV>) / sqrt(2) as a density operator.
@@ -342,10 +333,6 @@ def _projectors(angles: Iterable[AngleLike]) -> np.ndarray:
     return np.array(
         [e for ss, sc, cc in map(_axis_products, angles) for e in (ss, sc, sc, cc, cc, -sc, -sc, ss)]
     ).reshape(-1, 2, 2, 2)
-
-
-def _outcome_index(outcome: OutcomeLabel) -> int:
-    return 0 if outcome is OutcomeLabel.V else 1
 
 
 def product_polarized(angle_a: AngleLike, angle_b: AngleLike) -> PhotonPairState:
@@ -517,7 +504,7 @@ def _conditional(
             f"conditioning outcome {cond_label.value} on wing {cond_wing.value} "
             f"has probability {denom!r}"
         )
-    index = _outcome_index(cond_label)
+    index = 0 if cond_label is OutcomeLabel.V else 1
     cells = (joint.vv, joint.vh, joint.hv, joint.hh)
     selected = cells[2 * index:2 * index + 2] if cond_wing is Wing.A else cells[index::2]
     ratios = [p / denom for p in selected]

@@ -783,7 +783,8 @@ def _chance_layer_lines():
     lines = {key: [] for key in CHANCE_GOLDEN}
     for state in states:
         for a, b in [(0.0, 22.5), (45.0, 90.0), *rng.uniform(-200.0, 200.0, size=(3, 2)).tolist()]:
-            lines["born"].append(repr(born_joint(state, a, b).as_array().tolist()))
+            j = born_joint(state, a, b)
+            lines["born"].append(repr([[j.vv, j.vh], [j.hv, j.hh]]))
             for wing, angle in ((Wing.A, a), (Wing.B, b)):
                 lines["born"].append(repr(born_marginal(state, wing, angle)))
                 for label in (V, H):

@@ -267,6 +267,11 @@ class TestErrors:
         path = self.write_config(tmp_path, {"model": "qm", "trials": 10, key: value})
         assert message in self.run_error(capsys, "simulate", "--config", path)
 
+    @pytest.mark.parametrize("angles", ["nan,0,0,0", "0,inf,0,0", "0,0,1e400,0", "0,0,0,-inf"])
+    def test_lhv_bound_refuses_a_non_finite_angle(self, capsys, angles):
+        err = self.run_error(capsys, "lhv-bound", "--angles", angles)
+        assert "analyzer angle must be finite" in err
+
     def test_log_and_report_on_one_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = self.write_config(tmp_path, {

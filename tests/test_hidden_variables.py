@@ -71,6 +71,12 @@ class TestDeterministicStrategies:
             value, _ = deterministic_chsh_maximum(*angles)
             assert value == 2.0
 
+    @pytest.mark.parametrize("angles", [(math.nan, 0.0, 0.0, 0.0), (0.0, math.inf, 0.0, 0.0),
+                                        (0.0, 45.0, -math.inf, 0.0), (0.0, 45.0, 22.5, 1e400)])
+    def test_maximum_refuses_a_non_finite_angle(self, angles):
+        with pytest.raises(ValueError, match="analyzer angle must be finite"):
+            deterministic_chsh_maximum(*angles)
+
     def test_minimum_is_exactly_minus_two(self):
         assert min(strategy_chsh(s) for s in all_strategies()) == -2.0
         assert CHSH_MINIMUM == -2.0
@@ -130,6 +136,23 @@ class TestResponseRange:
                 model.correlation(0.0, 0.0)
             with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
                 model.table([0.0])
+
+    @pytest.mark.parametrize("wing", ["A", "B"])
+    def test_table_and_correlation_name_both_counts_of_a_wrong_lambda_count(self, wing):
+        def two_columns(degrees):
+            return np.full((degrees.size, 2), 0.5)
+
+        def fair(degrees):
+            return np.full((degrees.size, 1), 0.5)
+
+        responses = (two_columns, fair) if wing == "A" else (fair, two_columns)
+        model = LhvModel(np.ones(1), responses)
+        with pytest.raises(ValueError, match=r"one row per angle \(3\) and one column per "
+                                             r"lambda \(1\)"):
+            model.table([0.0, 45.0, 90.0])
+        with pytest.raises(ValueError, match=r"one row per angle \(1\) and one column per "
+                                             r"lambda \(1\)"):
+            model.correlation(0.0, 45.0)
 
     def test_correlation_clamps_within_atol(self):
         def nearly_one(degrees):

@@ -75,7 +75,7 @@ class TestModelValidation:
         pytest.param([1.0, math.nan], "non-finite prior weight nan at index 1", id="one-nan"),
         pytest.param([math.nan, math.nan], "non-finite prior weight nan at index 0", id="nans"),
         pytest.param([math.inf, 0.0], "non-finite prior weight inf at index 0", id="inf"),
-        pytest.param([1.5, -0.5], "negative prior weight", id="negative"),
+        pytest.param([1.5, -0.5], r"^negative prior weight -0\.5$", id="negative"),
         pytest.param([0.7, 0.7], "sum to", id="unnormalized"),
     ])
     def test_bad_prior_is_refused_at_construction(self, build, weights, message):

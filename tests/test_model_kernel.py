@@ -52,7 +52,8 @@ class TestQuantumKernel:
         assert table.shape == (len(grid), len(grid), 1, 2, 2)
         for i, a in enumerate(grid):
             for j, b in enumerate(grid):
-                assert np.array_equal(table[i, j, 0], born_joint(state, a, b).as_array())
+                joint = born_joint(state, a, b)
+                assert np.array_equal(table[i, j, 0], [[joint.vv, joint.vh], [joint.hv, joint.hh]])
         a, b = grid[0], grid[-1]
         assert model.correlation(a, b) == born_joint(state, a, b).correlation()
         assert model.joint(a, b, 0) == born_joint(state, a, b)
@@ -66,7 +67,9 @@ class TestQuantumKernel:
             assert table.min() == 0.0 and table.max() <= 1.0
             for i, a in enumerate(grid):
                 for j, b in enumerate(grid):
-                    assert np.array_equal(table[i, j, 0], born_joint(state, a, b).as_array())
+                    joint = born_joint(state, a, b)
+                    assert np.array_equal(table[i, j, 0],
+                                          [[joint.vv, joint.vh], [joint.hv, joint.hh]])
 
     @given(density_matrices(), grids, st.tuples(angles, angles, angles, angles))
     @settings(max_examples=60, deadline=None)

@@ -68,10 +68,6 @@ class TestAnalyzerAngle:
     def test_range_invariant(self, degrees):
         assert 0.0 <= AnalyzerAngle(degrees).degrees < 180.0
 
-    def test_separation_folds_to_quarter_turn(self):
-        assert as_angle(10).separation(100) == 90.0
-        assert as_angle(170).separation(10) == 20.0
-
 
 class TestStateValidation:
     def test_rejects_non_hermitian(self):
@@ -132,6 +128,21 @@ class TestStateValidation:
                             born_conditional(state, a, b, given=(wing, label))
                         except UndefinedConditionalError:
                             pass
+
+    def test_single_wing_states_compare_entry_for_entry(self):
+        mixed = reduced_state(bell_phi_plus(), Wing.A)
+        polarized = reduced_state(product_polarized(0.0, 30.0), Wing.A)
+        assert (mixed == SingleWingState(np.eye(2) / 2)) is True
+        assert (mixed == polarized) is False
+        assert (mixed != polarized) is True
+        assert (mixed == bell_phi_plus()) is False
+        assert (mixed == "mixed") is False
+
+    @pytest.mark.parametrize("state", [bell_phi_plus(), reduced_state(PHI_PLUS, Wing.B)],
+                             ids=["pair", "single-wing"])
+    def test_states_are_unhashable(self, state):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(state)
 
     def test_matrix_is_immutable(self):
         state = bell_phi_plus()

@@ -54,3 +54,5 @@ def test_uncalled_methods_are_gone():
     assert not hasattr(bellsim.PhotonPairState, "purity")
     assert not hasattr(bellsim.SingleWingState, "purity")
     assert not hasattr(bellsim.ReportBundle, "from_json_dict")
+    assert not hasattr(bellsim.JointDistribution, "as_array")
+    assert not hasattr(bellsim.AnalyzerAngle, "separation")
