@@ -21,9 +21,13 @@ consumes exactly the two uniforms at stream positions 2i and 2i + 1:
 one to pick a hidden-variable node from the model prior, one to pick
 the joint outcome cell. A pair's chunks are drawn from its generator
 in turn, which gives the words of one long draw whatever the chunk
-size. With ``workers > 1`` whole pairs go round-robin to at most that
-many stdlib ``threading`` threads; the first exception a worker
-raises is raised again in the caller.
+size. Whole pairs go round-robin to ``workers`` shares: the caller's
+thread fills the first and one stdlib ``threading`` thread fills each
+other, and the first exception a share raises is raised again in the
+caller once every thread has been joined. By default a run whose pairs
+span more than one chunk takes one share per pair, up to the usable
+cores, and a shorter run takes one share, because starting a thread
+costs more than it saves there.
 
 The sampler compares integers. ``Generator.random()`` on Philox returns
 exactly ``(raw >> 11) * 2**-53`` for a raw 64-bit word, so each uniform is
@@ -307,9 +311,10 @@ def _sample_chunk(
 
 
 def _fill_on_threads(fill, pairs: int, workers: int) -> None:
-    """``fill`` every pair on up to ``workers`` threads, thread t taking
-    pairs t, t + workers, ...; the first worker exception is raised again
-    in the caller once every thread has ended."""
+    """``fill`` every pair, share t taking pairs t, t + workers, ...: the
+    calling thread fills share 0 and starts one thread for each other
+    share. Once every thread has been joined, the first exception a
+    share raised, the caller's own included, is raised again."""
     errors: list[BaseException] = []
 
     def work(share):
@@ -320,29 +325,36 @@ def _fill_on_threads(fill, pairs: int, workers: int) -> None:
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=work, args=(range(t, pairs, workers),)) for t in range(min(workers, pairs))
+        threading.Thread(target=work, args=(range(t, pairs, workers),)) for t in range(1, min(workers, pairs))
     ]
     for thread in threads:
         thread.start()
+    work(range(0, pairs, workers))
     for thread in threads:
         thread.join()
     if errors:
         raise errors[0]
 
 
-def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) -> TrialLog:
+def run_trials(config: RunConfig, *, workers: int | None = None, chunk_size: int = 65536) -> TrialLog:
     """Sample the configured schedule from the configured model.
 
     ``workers`` and ``chunk_size``, integers >= 1, only choose an
     execution plan (``chunk_size`` trials per draw from a pair's one
-    generator, whole pairs on up to ``workers`` threads); the returned
-    log is bit-identical for every choice. When the config names a
-    scenario, it is read before any trial is sampled and its outcome
-    event coordinates are attached to the log.
+    generator, whole pairs on up to ``workers`` threads, the caller's
+    included); the returned log is bit-identical for every choice.
+    ``workers=None`` takes one worker per pair, up to the usable cores,
+    when a pair spans more than one chunk, and one worker otherwise,
+    where starting a thread costs more than it saves. When the config
+    names a scenario, it is read before any trial is sampled and its
+    outcome event coordinates are attached to the log.
     """
-    for name, value in (("workers", workers), ("chunk_size", chunk_size)):
+    for name, value in (("workers", 1 if workers is None else workers), ("chunk_size", chunk_size)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if workers is None:  # one share per usable core; _fill_on_threads makes at most one per pair
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = cores if config.trials > chunk_size else 1
     scenario = None if config.scenario is None else load_scenario(config.scenario)
     model = MODEL_BUILDERS[config.model]()
     grid = schedule_grid(config.schedule)
@@ -358,11 +370,7 @@ def run_trials(config: RunConfig, *, workers: int = 1, chunk_size: int = 65536) 
         for lo in range(0, n, chunk):
             out[lo : lo + chunk] = _sample_chunk(bitgen, min(chunk, n - lo), model._guide, thresholds)
 
-    if workers > 1 and len(cells) > 1:
-        _fill_on_threads(fill, len(cells), workers)
-    else:
-        for pair_index in range(len(cells)):
-            fill(pair_index)
+    _fill_on_threads(fill, len(cells), workers)
     pairs = tuple(PairSamples(i, a, b, c) for i, ((a, b), c) in enumerate(zip(config.schedule, cells)))
     coordinates = None
     if scenario is not None:

@@ -7,7 +7,9 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -218,20 +220,27 @@ class TestDeterminism:
         for p1, p2 in zip(baseline.pairs, other.pairs, strict=True):
             assert np.array_equal(p1.cells, p2.cells)
 
-    def test_failing_worker_raises_in_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("failing", [0, 1])  # in the caller's share, in a thread's
+    def test_failing_worker_raises_in_the_caller(self, monkeypatch, failing):
         real = harness._sample_chunk
+        drawn = []
 
         def sample(bitgen, count, guide, thresholds):
             _, pair_index = philox_key(bitgen)
-            if pair_index == 1:
+            if pair_index == failing:
                 raise RuntimeError(f"pair {pair_index} failed")
+            time.sleep(0.002)  # the other shares are still drawing when the failure comes
+            drawn.append(pair_index)
             return real(bitgen, count, guide, thresholds)
 
         monkeypatch.setattr(harness, "_sample_chunk", sample)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="pair 1 failed"):
+        with pytest.raises(RuntimeError, match=f"pair {failing} failed"):
             run_trials(config(trials=1000), workers=3, chunk_size=100)
         assert threading.active_count() == threads  # every worker was joined
+        # shares 0..2 hold pairs {0, 3}, {1} and {2}: the failing share stops,
+        # and every other one drew all ten chunks of its pairs before the raise
+        assert Counter(drawn) == {p: 10 for p in range(4) if p % 3 != failing % 3}
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("chunk", [1, 7, 300, 1001, 65536])
@@ -287,6 +296,48 @@ class TestDeterminism:
         cfg = config(schedule=((0.0, 0.0), (0.0, 0.0)), trials=500)
         log = run_trials(cfg)
         assert not np.array_equal(log.pairs[0].signs_a, log.pairs[1].signs_a)
+
+
+class TestDefaultPlan:
+    """``workers=None`` gives one share per pair, up to the usable cores,
+    when a pair spans more than one chunk, and starts no thread otherwise."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The threads ``run_trials`` creates."""
+        started = []
+        real = threading.Thread
+
+        def spy(*args, **kwargs):
+            started.append(real(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(harness.threading, "Thread", spy)
+        return started
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    @pytest.mark.parametrize("trials", [100, 101])
+    def test_threads_for_multi_chunk_runs_only(self, monkeypatch, started, cores, trials):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        run_trials(config(trials=trials), chunk_size=100)
+        assert len(started) == (min(len(OPTIMAL_SCHEDULE), cores) - 1 if trials > 100 else 0)
+
+    @pytest.mark.parametrize("cpu_count,threads", [(3, 2), (None, 0)])
+    def test_cpu_count_without_affinity(self, monkeypatch, started, cpu_count, threads):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        run_trials(config(trials=101), chunk_size=100)
+        assert len(started) == threads
+
+    @pytest.mark.parametrize("model", ["qm", "lhv"])
+    @pytest.mark.parametrize("trials", [65_536, 65_537, 200_001])
+    def test_cells_are_the_one_worker_cells(self, monkeypatch, started, model, trials):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = config(model=model, trials=trials)
+        planned, single = run_trials(cfg), run_trials(cfg, workers=1)
+        assert len(started) == (trials > 65_536)
+        for p1, p2 in zip(single.pairs, planned.pairs, strict=True):
+            assert np.array_equal(p1.cells, p2.cells)
 
 
 class TestSampling:
