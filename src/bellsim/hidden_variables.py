@@ -12,7 +12,9 @@ Both models (a strategy mixture and the vector model) are an
 functions mapping analyzer angles ``degrees[n]`` to the probability of
 V for every lambda, ``[n, n_lambda]``. The model builds its kernel as
 the outer product of the two responses, Fine's picture of a local model
-(PRL 48, 291, 1982); a strategy mixture's response is a table lookup.
+(PRL 48, 291, 1982), and is nothing else: its correlations and CHSH
+values reduce that kernel's validated cells, as every model's do. A
+strategy mixture's response is a table lookup.
 The product is formed lambda innermost and returned as a transposed
 view in the unchanged kernel layout ``[na, nb, n_lambda, 2, 2]``, so
 stored tables keep lambda innermost for the condition sweeps.
@@ -34,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .locality import Kernel, ProbabilityModel, _angle_degrees
-from .quantum import AngleLike, OutcomeLabel, Wing, _clamp_probabilities, as_angle
+from .quantum import AngleLike, OutcomeLabel, Wing, as_angle
 
 #: Default quadrature resolution for continuous-lambda models.
 DEFAULT_LAMBDA_NODES = 2048
@@ -111,8 +113,8 @@ class LhvModel(ProbabilityModel):
 
     ``responses`` holds the (wing A, wing B) response functions, the
     model's only definition besides its prior: the kernel is built as
-    their outer product, and correlations reduce the same two response
-    rows directly, after the same range check and clamp as ``table``.
+    their outer product, and every reader, correlations included, reduces
+    that kernel's validated cells, as for any ``ProbabilityModel``.
     """
 
     kernel: Kernel = field(init=False, repr=False)
@@ -142,13 +144,9 @@ class LhvModel(ProbabilityModel):
                              f"({degrees.size}) and one column per lambda ({self.weights.size})")
         return rows
 
-    def correlation(self, a: AngleLike, b: AngleLike) -> float:
-        signs = []
-        for response, angle in zip(self.responses, (a, b)):
-            p_v = self._rows(response, np.array([as_angle(angle).degrees]))[0]
-            _clamp_probabilities(p_v, "response")
-            signs.append(2.0 * p_v - 1.0)
-        return float(np.dot(self.weights, signs[0] * signs[1]))
+    # Inherited, and bound here too: ``perfbench/tracer.py`` reads
+    # ``LhvModel.__dict__["correlation"]``, so the name goes only with the benchmark.
+    correlation = ProbabilityModel.correlation
 
 
 def builtin_vector_model() -> LhvModel:

@@ -6,15 +6,14 @@ every lambda, a joint outcome distribution; the quantum model is the
 degenerate case with a single lambda. Its kernel maps normalized
 angles ``a_degrees[na]`` and ``b_degrees[nb]`` to the table ``[na, nb,
 n_lambda, 2, 2]``, indexed [a, b, lambda, outcome_a, outcome_b] with
-V=0, H=1. Grid tables, single cells, the sampler's per-pair cells and
-correlations come from that one call and one validation step,
-``quantum._validated``, whose bounds and errors every scalar Born
-result's check shares, except ``LhvModel.correlation``, which reduces
-the response rows its kernel is built from (see ``hidden_variables``);
-the quantum kernel is ``quantum._born_pairs``: one cell on Python
-floats, as ``born_joint`` sums it, and a larger grid by broadcasting, in
-the same order. A model keeps the table of the last grid it was asked
-for, and that grid's condition sweep once a
+V=0, H=1. Grid tables, single cells, the sampler's per-pair cells,
+correlations and CHSH values, for every model, come from that one call
+and one validation step, ``quantum._validated``, whose bounds and errors
+every scalar Born result's check shares; a correlation is one reduction
+of the validated cells, and ``chsh`` reads its four in one 2x2 call.
+The quantum kernel is ``quantum._born_grid`` at every grid size, the
+sum ``born_joint`` takes, bit for bit. A model keeps the table of the
+last grid it was asked for, and that grid's condition sweep once a
 checker has built it, in one slot, ``(key, table, wings)``, each time
 written in one assignment; another grid replaces all three. Kernels
 must be pure for that cache to be sound. A model with more than one
@@ -60,8 +59,9 @@ from .quantum import (
     OutcomeLabel,
     PhotonPairState,
     _as_pair_state,
-    _born_pairs,
+    _born_grid,
     _normalized_degrees,
+    _projectors,
     _validated,
 )
 
@@ -195,23 +195,28 @@ class ProbabilityModel:
 
     def correlation(self, a: AngleLike, b: AngleLike) -> float:
         """Prior-weighted expectation of the +/-1 outcome product."""
-        p = self.cells([a], [b])[0, 0]
-        values = (p[:, 0, 0] + p[:, 1, 1]) - (p[:, 0, 1] + p[:, 1, 0])
-        return float(np.dot(self.weights, values))
+        return _correlations(self, [a], [b])[0][0]
+
+
+def _correlations(model: ProbabilityModel, a: Sequence, b: Sequence) -> list[list[float]]:
+    """``correlation`` for every pair of ``a`` and ``b`` from one ``cells`` read; each
+    cell's lambda row is made contiguous, so its dot is a one-cell read's, bit for bit."""
+    p = model.cells(a, b)
+    values = np.ascontiguousarray((p[..., 0, 0] + p[..., 1, 1]) - (p[..., 0, 1] + p[..., 1, 0]))
+    return [[float(np.dot(model.weights, cell)) for cell in row] for row in values]
 
 
 def quantum_model(state: PhotonPairState | None = None) -> ProbabilityModel:
     """The orthodox quantum model: one lambda, Born-rule kernel.
 
-    The kernel is ``quantum._born_pairs`` over every angle at once: one
-    cell is ``born_joint``'s own float sum, and a larger grid the same
-    sum by broadcasting, bit for bit. Without a state it uses
-    ``PHI_PLUS``.
+    The kernel is ``quantum._born_grid`` over every angle at once, at
+    every grid size: each cell is ``born_joint``'s own sum by
+    broadcasting, bit for bit. Without a state it uses ``PHI_PLUS``.
     """
     pair = PHI_PLUS if state is None else _as_pair_state(state)
 
     def kernel(a_deg: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
-        return _born_pairs(pair, a_deg.tolist(), b_deg.tolist())[:, :, None]
+        return _born_grid(pair.matrix, _projectors(a_deg), _projectors(b_deg))[:, :, None]
 
     return ProbabilityModel(np.array([1.0]), kernel)
 
@@ -456,13 +461,10 @@ def chsh(
     b: AngleLike,
     b_prime: AngleLike,
 ) -> float:
-    """E(a,b) + E(a,b') + E(a',b) - E(a',b') for the model's correlations."""
-    return (
-        model.correlation(a, b)
-        + model.correlation(a, b_prime)
-        + model.correlation(a_prime, b)
-        - model.correlation(a_prime, b_prime)
-    )
+    """E(a,b) + E(a,b') + E(a',b) - E(a',b') for the model's correlations,
+    all four from one ``cells`` read."""
+    e = _correlations(model, [a, a_prime], [b, b_prime])
+    return e[0][0] + e[0][1] + e[1][0] - e[1][1]
 
 
 def no_signalling_deviation(model: ProbabilityModel, grid: Sequence[AngleLike]) -> float:

@@ -17,11 +17,10 @@ the conventions are fixed once in this module:
 This module is the only place that turns a state and analyzer angles
 into probabilities, in one summation order of its own: a joint cell is
 a left-to-right sum from +0.0 of 16 terms, one per entry of rho in
-row-major order (``_born_cell``). One cell, as in ``born_joint``,
-``born_conditional`` and a one-cell kernel call, is that sum on Python
-floats; a grid of more (``_born_grid``) is the same sum by
-broadcasting. ``_born_pairs`` picks between the two for the quantum
-model's kernel. A marginal is float arithmetic on the reduced state's
+row-major order (``_born_cell``). One cell, as in ``born_joint`` and
+``born_conditional``, is that sum on Python floats; the quantum model's
+kernel, at every grid size, is the same sum by broadcasting
+(``_born_grid``). A marginal is float arithmetic on the reduced state's
 real entries. No result depends on a library's internal summation
 order. Every probability passes one check-and-clamp: entries in
 [-ATOL, 1 + ATOL] clamped to [0, 1], joint cells summing to 1 within
@@ -371,16 +370,6 @@ def _born_cell(state: PhotonPairState, a: AngleLike, b: AngleLike) -> tuple[floa
     b_v, b_h = (ss, sc, cc), (cc, -sc, ss)
     r = state._real
     return _cell(r, *a_v, *b_v), _cell(r, *a_v, *b_h), _cell(r, *a_h, *b_v), _cell(r, *a_h, *b_h)
-
-
-def _born_pairs(state: PhotonPairState, a: list, b: list) -> np.ndarray:
-    """Unvalidated Tr(rho P_A x P_B) for every pair of angles in ``a`` and
-    ``b``: shape [x, y, 2, 2], indexed [angle_a, angle_b, outcome_a,
-    outcome_b]. One cell is ``_born_cell``; every larger grid is
-    ``_born_grid``, the same sum by broadcasting, bit for bit."""
-    if len(a) == 1 == len(b):
-        return np.array(_born_cell(state, a[0], b[0])).reshape(1, 1, 2, 2)
-    return _born_grid(state.matrix, _projectors(a), _projectors(b))
 
 
 #: Terms that ``_born_grid`` multiplies and adds at a time (512 KB), so its

@@ -154,7 +154,7 @@ def bits(values):
 
 
 def einsum_pairs(rho, grid_a, grid_b):
-    """The joint einsum that ``_born_pairs`` used to be, at every grid size."""
+    """The joint einsum that the quantum kernel used to be, at every grid size."""
     pa, pb = complex_projectors(grid_a), complex_projectors(grid_b)
     return np.einsum("ikjl,xmji,ynlk->xymn", rho.reshape(2, 2, 2, 2), pa, pb).real
 
@@ -227,10 +227,11 @@ class TestScalarBornIsTheEinsum:
     @with_examples(ZERO_EXAMPLES)
     @settings(max_examples=300, deadline=None)
     def test_one_cell_kernel_bit_for_bit(self, state, a, b):
-        """A one-cell table, ``joint`` and ``correlation`` of the quantum
-        model are the references' cell, validated as an array."""
-        assert_both_references(quantum._born_pairs(state, [a], [b]), state.matrix, [a], [b])
+        """A one-cell kernel call, ``joint`` and ``correlation`` of the
+        quantum model are the references' cell, validated as an array."""
         model = quantum_model(state)
+        degrees = np.array([AnalyzerAngle(a).degrees]), np.array([AnalyzerAngle(b).degrees])
+        assert_both_references(model.kernel(*degrees)[:, :, 0], state.matrix, [a], [b])
         vv, vh, hv, hh = cells = array_joint(loop_pairs(state.matrix, [a], [b]).reshape(4))
         j = model.joint(a, b, 0)
         assert_bits_equal((j.vv, j.vh, j.hv, j.hh), cells)
@@ -255,8 +256,9 @@ class TestGridBornIsTheEinsum:
     @settings(max_examples=300, deadline=None)
     def test_broadcast_sum_bit_for_bit(self, state, grid_a, grid_b):
         pa, pb = quantum._projectors(grid_a), quantum._projectors(grid_b)
+        degrees = [np.array([AnalyzerAngle(x).degrees for x in grid]) for grid in (grid_a, grid_b)]
         for got in (quantum._born_grid(state.matrix, pa, pb),
-                    quantum._born_pairs(state, grid_a, grid_b)):
+                    quantum_model(state).kernel(*degrees)[:, :, 0]):
             assert got.shape == (len(grid_a), len(grid_b), 2, 2)
             assert_both_references(got, state.matrix, grid_a, grid_b)
 
@@ -268,8 +270,11 @@ class TestGridBornIsTheEinsum:
         assert model.cells([0.0], []).shape == (1, 0, 1, 2, 2)
         assert model.cells([], [0.0, 22.5]).shape == (0, 2, 1, 2, 2)
         for grid_a, grid_b in (([], []), ([0.0], []), ([], [0.0]), ([0.0, 45.0], []), ([], [0.0, 45.0])):
-            got = quantum._born_pairs(quantum.PHI_PLUS, grid_a, grid_b)
-            assert got.shape == einsum_pairs(quantum.PHI_PLUS.matrix, grid_a, grid_b).shape
+            want = einsum_pairs(quantum.PHI_PLUS.matrix, grid_a, grid_b).shape
+            pa, pb = quantum._projectors(grid_a), quantum._projectors(grid_b)
+            assert quantum._born_grid(quantum.PHI_PLUS.matrix, pa, pb).shape == want
+            got = model.kernel(np.array(grid_a, dtype=float), np.array(grid_b, dtype=float))
+            assert got.shape == (*want[:2], 1, 2, 2)
 
     def test_no_joint_path_calls_einsum(self, monkeypatch):
         """A state's reduced states, a scalar joint and conditional, 4- and

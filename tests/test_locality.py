@@ -362,10 +362,33 @@ def _binned_lhv(seed, n_lambda, bins, deterministic=False):
     return LhvModel(weights, (response(), response()))
 
 
+def _response_row_correlation(model, a, b):
+    """The reference correlation of an ``LhvModel``, the formula it once
+    had a method of its own for: each wing's P(V) row for its angle,
+    clamped to [0, 1], as a sign expectation 2 P(V) - 1, and the
+    prior-weighted dot of their product."""
+    signs = []
+    for response, angle in zip(model.responses, (a, b)):
+        p_v = np.array(response(np.array([as_angle(angle).degrees])), dtype=float)[0]
+        signs.append(2.0 * np.clip(p_v, 0.0, 1.0) - 1.0)
+    return float(np.dot(model.weights, signs[0] * signs[1]))
+
+
+def _chsh_pairs(a, a_prime, b, b_prime):
+    """The four CHSH setting pairs, (a, b), (a, b'), (a', b), (a', b')."""
+    return (a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)
+
+
+def _chsh_of(correlation, quad):
+    """E(a,b) + E(a,b') + E(a',b) - E(a',b') of ``correlation(a, b)``."""
+    e = [correlation(x, y) for x, y in _chsh_pairs(*quad)]
+    return e[0] + e[1] + e[2] - e[3]
+
+
 class TestLhvCorrelation:
-    """``LhvModel.correlation`` reduces the two response rows its kernel is
-    built from, so it agrees with the reduction of its own table, bit for
-    bit when every response is 0 or 1."""
+    """An ``LhvModel``'s correlation is the reduction of its table, the
+    one every model has, and it agrees with the response-row reference:
+    bit for bit when every response is 0 or 1, within 4 eps otherwise."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -378,16 +401,16 @@ class TestLhvCorrelation:
     @settings(max_examples=300, deadline=None)
     def test_random_factorizable_models(self, seed, n_lambda, bins, deterministic, a, b):
         model = _binned_lhv(seed, n_lambda, bins, deterministic)
-        direct, from_table = model.correlation(a, b), ProbabilityModel.correlation(model, a, b)
+        got, want = model.correlation(a, b), _response_row_correlation(model, a, b)
         if deterministic:
-            assert direct == from_table
+            assert got == want
         else:
-            assert abs(direct - from_table) <= 4 * np.finfo(float).eps
+            assert abs(got - want) <= 4 * np.finfo(float).eps
 
     @given(st.floats(-360.0, 360.0), st.floats(-360.0, 360.0))
     @settings(max_examples=100, deadline=None)
     def test_vector_model_bit_for_bit(self, a, b):
-        assert VECTOR_LHV.correlation(a, b) == ProbabilityModel.correlation(VECTOR_LHV, a, b)
+        assert VECTOR_LHV.correlation(a, b) == _response_row_correlation(VECTOR_LHV, a, b)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -396,11 +419,107 @@ class TestLhvCorrelation:
         weights = np.random.default_rng(seed).dirichlet(np.full(16, 0.3))
         model = strategy_model(*quad, weights=weights)
         for a, b in itertools.product(quad[:2], quad[2:]):
-            assert model.correlation(a, b) == ProbabilityModel.correlation(model, a, b)
+            assert model.correlation(a, b) == _response_row_correlation(model, a, b)
+
+    def test_one_definition(self):
+        assert LhvModel.__dict__["correlation"] is ProbabilityModel.__dict__["correlation"]
 
     def test_kernel_is_built_not_passed(self):
         with pytest.raises(TypeError, match="kernel"):
             LhvModel(np.ones(1), (_fair, _fair), kernel=quantum_model().kernel)
+
+
+#: Four analyzer angles, from a small set half of the time, so that quadruples
+#: repeat an angle within a wing and across the wings.
+_quads = st.lists(
+    st.one_of(st.floats(-360.0, 360.0), st.sampled_from([0.0, 22.5, 45.0, -22.5, 180.0])),
+    min_size=4,
+    max_size=4,
+)
+
+
+class TestChshReferences:
+    """``chsh`` against references that share none of its code: the
+    ``born_joint`` correlations for the quantum model, the response-row
+    formula for LHV models. It reads the model once."""
+
+    @given(density_matrices(), _quads)
+    @settings(max_examples=300, deadline=None)
+    def test_quantum_is_the_born_joint_sum(self, matrix, quad):
+        state = PhotonPairState(matrix)
+        want = _chsh_of(lambda a, b: born_joint(state, a, b).correlation(), quad)
+        assert chsh(quantum_model(state), *quad) == want
+
+    @given(_quads)
+    @settings(max_examples=100, deadline=None)
+    def test_vector_model_bit_for_bit(self, quad):
+        want = _chsh_of(lambda a, b: _response_row_correlation(VECTOR_LHV, a, b), quad)
+        assert chsh(VECTOR_LHV, *quad) == want
+
+    @given(st.integers(0, 2**32 - 1), st.permutations([0.0, 45.0, 22.5, -22.5, 101.25, 7.0]))
+    @settings(max_examples=50, deadline=None)
+    def test_strategy_mixtures_bit_for_bit(self, seed, angles):
+        quad = angles[:4]
+        weights = np.random.default_rng(seed).dirichlet(np.full(16, 0.3))
+        model = strategy_model(*quad, weights=weights)
+        assert chsh(model, *quad) == _chsh_of(lambda a, b: _response_row_correlation(model, a, b), quad)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8), _quads)
+    @settings(max_examples=200, deadline=None)
+    def test_fractional_responses(self, seed, n_lambda, bins, quad):
+        """With fractional responses ``chsh`` is its model's four
+        correlations, bit for bit, each within 4 eps of the reference."""
+        model = _binned_lhv(seed, n_lambda, bins)
+        assert chsh(model, *quad) == _chsh_of(model.correlation, quad)
+        for a, b in _chsh_pairs(*quad):
+            assert abs(model.correlation(a, b) - _response_row_correlation(model, a, b)) <= (
+                4 * np.finfo(float).eps
+            )
+
+    def test_lambda_outermost_kernel(self):
+        """A kernel that lays lambda out outermost in memory still gives
+        ``chsh`` the sum of its one-cell correlations, bit for bit: each
+        cell's dot over lambda runs on a contiguous row either way."""
+        rng = np.random.default_rng(5)
+        n_lambda = 4099
+        cells = rng.dirichlet(np.ones(4), size=n_lambda).reshape(n_lambda, 1, 1, 2, 2)
+
+        def kernel(a_deg, b_deg):
+            table = np.empty((n_lambda, a_deg.size, b_deg.size, 2, 2))
+            table[:] = cells
+            return table.transpose(1, 2, 0, 3, 4)
+
+        model = ProbabilityModel(rng.dirichlet(np.ones(n_lambda)), kernel)
+        for quad in rng.uniform(0.0, 180.0, size=(20, 4)):
+            assert chsh(model, *quad) == _chsh_of(model.correlation, quad)
+
+    @pytest.mark.parametrize(
+        "build",
+        [quantum_model, builtin_vector_model, signalling_fixture_model,
+         lambda: strategy_model(0.0, 45.0, 22.5, -22.5)],
+        ids=["qm", "lhv", "fixture", "strategies"],
+    )
+    def test_one_cells_read(self, build, monkeypatch):
+        model = build()
+        reads = []
+        cells = ProbabilityModel.cells
+
+        def spy(self, a, b):
+            reads.append((tuple(a), tuple(b)))
+            return cells(self, a, b)
+
+        monkeypatch.setattr(ProbabilityModel, "cells", spy)
+        chsh(model, 0.0, 45.0, 22.5, -22.5)
+        assert reads == [((0.0, 45.0), (22.5, -22.5))]
+        model.correlation(0.0, 22.5)
+        assert reads[1:] == [((0.0,), (22.5,))]
+
+    def test_strategy_model_names_the_first_unknown_angle(self):
+        model = strategy_model(0.0, 45.0, 22.5, -22.5)
+        for quad, unknown in (((10.0, 11.0, 12.0, 13.0), "10.0"), ((0.0, 11.0, 12.0, 13.0), "11.0"),
+                              ((0.0, 45.0, 12.0, 13.0), "12.0"), ((0.0, 45.0, 22.5, 13.0), "13.0")):
+            with pytest.raises(ValueError, match=f"angle {unknown} is not one"):
+                chsh(model, *quad)
 
 
 class TestChsh:
