@@ -274,23 +274,10 @@ class SenselessIntervention:
     reason: str
 
 
-def _acted_on(scenario: Scenario, intervention: ReplacePreparation | SetAngle) -> EventRecord:
-    """The event of ``scenario`` that ``intervention`` acts on."""
-    if isinstance(intervention, ReplacePreparation):
-        event = scenario.preparation_event()
-        if event is None:
-            raise ValueError("scenario has no preparation event")
-        return event
-    event = scenario.setting_event(intervention.wing)
-    if event is None:
-        raise ValueError(f"scenario has no setting event on wing {intervention.wing.value}")
-    return event
-
-
 def set_angle_intervention(scenario: Scenario, wing: Wing, angle: AngleLike | None) -> SetAngle:
-    intervention = SetAngle(wing=wing, angle=None if angle is None else as_angle(angle))
-    _acted_on(scenario, intervention)
-    return intervention
+    if scenario.setting_event(wing) is None:
+        raise ValueError(f"scenario has no setting event on wing {wing.value}")
+    return SetAngle(wing=wing, angle=None if angle is None else as_angle(angle))
 
 
 def apply_intervention(
@@ -315,7 +302,6 @@ def apply_intervention(
                 "could do alters it"
             ),
         )
-    _acted_on(scenario, intervention)
     if isinstance(intervention, ReplacePreparation):
         return scenario.with_state(intervention.state)
     return scenario.with_setting(intervention.wing, intervention.angle)

@@ -21,7 +21,7 @@ import sys
 from . import chance as chance_mod
 from .harness import (
     CHSH_OPTIMAL_QUADRUPLE,
-    MODEL_BUILDERS,
+    MODELS,
     RunConfig,
     chsh_schedule,
     render_report,
@@ -70,11 +70,10 @@ def _emit(payload: dict) -> None:
 
 def _cmd_chsh(args: argparse.Namespace) -> int:
     a, a_prime, b, b_prime = _parse_angles(args.angles)
-    model = MODEL_BUILDERS[args.model]()
     payload = {
         "model": args.model,
         "angles_deg": [a, a_prime, b, b_prime],
-        "analytic_chsh": analytic_chsh(model, a, a_prime, b, b_prime),
+        "analytic_chsh": analytic_chsh(MODELS[args.model], a, a_prime, b, b_prime),
     }
     if args.trials is not None:
         schedule = chsh_schedule(a, a_prime, b, b_prime)
@@ -93,9 +92,9 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
 
 
 _TARGETS = {
-    "eA": lambda: chance_mod.vertical_outcome(Wing.A),
-    "eB": lambda: chance_mod.vertical_outcome(Wing.B),
-    "joint": chance_mod.joint_vertical,
+    "eA": chance_mod.vertical_outcome(Wing.A),
+    "eB": chance_mod.vertical_outcome(Wing.B),
+    "joint": chance_mod.joint_vertical(),
 }
 
 
@@ -111,7 +110,7 @@ def _cmd_chances(args: argparse.Namespace) -> int:
                 f"expected a probe name (p, p', q, r) or 't,x', got {args.point!r}"
             ) from None
         point = SpacetimePoint(t, x)
-    target = _TARGETS[args.target]()
+    target = _TARGETS[args.target]
     payload: dict = {
         "scenario": args.scenario,
         "point": {"t": point.t, "x": point.x},
@@ -129,7 +128,7 @@ def _cmd_chances(args: argparse.Namespace) -> int:
 
 def _cmd_nosignal(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
-    report = check_no_signalling(MODEL_BUILDERS[args.model](), grid)
+    report = check_no_signalling(MODELS[args.model], grid)
     _emit({"model": args.model, "grid_deg": grid, **report.to_json_dict()})
     return 0
 
@@ -181,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_chsh = sub.add_parser("chsh", help="analytic and empirical CHSH combination")
-    p_chsh.add_argument("--model", choices=tuple(MODEL_BUILDERS), default="qm")
+    p_chsh.add_argument("--model", choices=tuple(MODELS), default="qm")
     p_chsh.add_argument(
         "--angles",
         default=",".join(str(x) for x in CHSH_OPTIMAL_QUADRUPLE),
@@ -202,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.set_defaults(func=_cmd_chances)
 
     p_ns = sub.add_parser("nosignal", help="no-signalling condition over a grid")
-    p_ns.add_argument("--model", choices=tuple(MODEL_BUILDERS), default="qm")
+    p_ns.add_argument("--model", choices=tuple(MODELS), default="qm")
     p_ns.add_argument("--grid", default="0:180:8", help="'start:stop:count' or 'a,b,c' degrees")
     p_ns.set_defaults(func=_cmd_nosignal)
 

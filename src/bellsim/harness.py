@@ -1,7 +1,7 @@
 """Monte Carlo trial runner, empirical statistics and report emission.
 
 A ``RunConfig`` is the whole description of a run: ``run_trials(config)``
-builds the model ``config.model`` names and reads ``config.scenario``
+takes ``MODELS[config.model]`` and reads ``config.scenario``
 through ``spacetime.load_scenario``. ``simulate(config)`` is the one run
 pipeline, the one ``bellsim simulate`` calls: it samples, takes the
 statistics, and writes the trial log and then the report to the files
@@ -47,9 +47,10 @@ the cells are those of ``random()``, ``searchsorted`` and
 ``fixture``) has no guide and never reads its lambda words: only the
 cell words are shifted, into one contiguous array compared with the
 pair's three scalar thresholds. Models with more lambda values shift the
-whole buffer in place and compare on its odd words. The ``lhv`` runs
-of a process share one built-in model (``hidden_variables.VECTOR_LHV``),
-so its guide is built once, at import.
+whole buffer in place and compare on its odd words. Every run of a
+process reads the one model ``MODELS`` keeps for its name, built at
+import, so the ``lhv`` guide is built once and a run on the grid the
+model holds reuses its kept table.
 
 A pair's trials are stored as one ``uint8`` array of joint outcome
 cells, cell = 2 * index_A + index_B with V = 0 and H = 1, so 0..3 are
@@ -74,7 +75,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .hidden_variables import VECTOR_LHV
+from .hidden_variables import builtin_vector_model
 from .locality import (
     _UNIFORM_BITS,
     ConditionReport,
@@ -97,11 +98,10 @@ DEFAULT_SEED = 0
 #: the angles where the entangled pair reaches 2*sqrt(2).
 CHSH_OPTIMAL_QUADRUPLE = (0.0, 45.0, 22.5, -22.5)
 
-MODEL_BUILDERS = {
-    "qm": quantum_model,
-    "lhv": lambda: VECTOR_LHV,  # one model per process, with its guide
-    "fixture": signalling_fixture_model,
-}
+#: The model each run name reads, built once at import. A model is
+#: immutable apart from its one-grid table slot, keyed by the normalized
+#: grid, so every run and command of a process shares it.
+MODELS = {"qm": quantum_model(), "lhv": builtin_vector_model(), "fixture": signalling_fixture_model()}
 
 _FREQUENCY_COLUMNS = ("f_VV", "f_VH", "f_HV", "f_HH")
 
@@ -138,10 +138,8 @@ class RunConfig:
     scenario: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.model, str) or self.model not in MODEL_BUILDERS:
-            raise ValueError(
-                f"unknown model {self.model!r}; expected one of {sorted(MODEL_BUILDERS)}"
-            )
+        if not isinstance(self.model, str) or self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}; expected one of {sorted(MODELS)}")
         schedule = tuple((as_angle(a), as_angle(b)) for a, b in self.schedule)
         if not schedule:
             raise ValueError("angle schedule must be nonempty")
@@ -243,7 +241,7 @@ class PairSamples:
 
 @dataclass(frozen=True, eq=False)
 class TrialLog:
-    """A run's samples, with the model ``run_trials`` built for them."""
+    """A run's samples, with the model ``run_trials`` read them from."""
 
     config: RunConfig
     model: ProbabilityModel
@@ -356,7 +354,7 @@ def run_trials(config: RunConfig, *, workers: int | None = None, chunk_size: int
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         workers = cores if config.trials > chunk_size else 1
     scenario = None if config.scenario is None else load_scenario(config.scenario)
-    model = MODEL_BUILDERS[config.model]()
+    model = MODELS[config.model]
     grid = schedule_grid(config.schedule)
     row = {degrees: i for i, degrees in enumerate(grid)}
     a_rows, b_rows = ([row[angle.degrees] for angle in side] for side in zip(*config.schedule))
@@ -500,7 +498,7 @@ def _plug_in_statistics(log: TrialLog) -> ReportBundle:
 def empirical_statistics(log: TrialLog) -> ReportBundle:
     """Plug-in frequency estimates for every report field, and the log
     model's four ``ConditionReport`` records over ``schedule_grid``, swept
-    on the table ``run_trials`` already built.
+    on the table the run read.
 
     The CHSH combination E1 + E2 + E3 - E4 and its propagated standard
     error are filled in only for four-pair schedules.

@@ -158,8 +158,7 @@ def builtin_vector_model() -> LhvModel:
     ``DEFAULT_LAMBDA_NODES`` degrees are exact.
 
     Each call builds a new model, and with it the model's lambda guide;
-    ``VECTOR_LHV`` is the one built at import, which the ``lhv`` runs of
-    a process share.
+    ``harness.MODELS["lhv"]`` is the one the ``lhv`` runs of a process share.
     """
     nodes = DEFAULT_LAMBDA_NODES
     lambda_array = (np.arange(nodes) + 0.5) * (180.0 / nodes)
@@ -170,12 +169,6 @@ def builtin_vector_model() -> LhvModel:
         return agrees.astype(float)
 
     return LhvModel(weights, (response, response))
-
-
-#: The built-in vector model, built with its lambda guide once at import.
-#: It is immutable apart from its one-grid table slot, so every ``lhv`` run
-#: of a process shares it; ``builtin_vector_model()`` still builds a new one.
-VECTOR_LHV = builtin_vector_model()
 
 
 def strategy_model(

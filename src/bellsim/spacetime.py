@@ -274,7 +274,10 @@ class Scenario:
             raise KeyError(f"unknown probe point {name!r}; expected p, p', q or r") from None
 
     def with_state(self, state: PhotonPairState) -> "Scenario":
-        """This scenario with another prepared state; the index carries over."""
+        """This scenario with another prepared state; the index carries over.
+        A scenario with no preparation event raises ``ValueError``."""
+        if self.preparation_event() is None:
+            raise ValueError("scenario has no preparation event")
         return self._edited(state=state)
 
     def with_setting(self, wing: Wing, angle: AngleLike | None) -> "Scenario":

@@ -649,6 +649,7 @@ class TestInterventionActsOnTheScenarioGiven:
         )
         state = product_polarized(90.0, 0.0)
         for call in (
+            lambda: bare.with_state(state),
             lambda: apply_intervention(bare, ReplacePreparation(state)),
             lambda: estimated_chance(bare.p_prime, E_A, ReplacePreparation(state), bare),
         ):

@@ -10,7 +10,7 @@ import pytest
 import bellsim
 from bellsim import harness
 from bellsim.cli import main
-from bellsim.locality import CONDITION_TOL, check_no_signalling, signalling_fixture_model
+from bellsim.locality import CONDITION_TOL, ProbabilityModel, check_no_signalling, signalling_fixture_model
 from bellsim.quantum import OutcomeLabel, product_polarized
 from bellsim.spacetime import standard_scenario
 
@@ -139,14 +139,19 @@ class TestSimulateCommand:
         assert payload["model"] == "lhv"
         assert payload["seed"] == 1
 
-    def test_model_built_once(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("model", ["qm", "lhv", "fixture"])
+    def test_command_builds_no_model(self, capsys, tmp_path, monkeypatch, model):
+        """``simulate``, ``chsh`` and ``nosignal`` read the model
+        ``harness.MODELS`` built at import and build none of their own."""
         built = []
-        builder = harness.MODEL_BUILDERS["lhv"]
-        monkeypatch.setitem(harness.MODEL_BUILDERS, "lhv", lambda: built.append(1) or builder())
+        real = ProbabilityModel.__post_init__
+        monkeypatch.setattr(ProbabilityModel, "__post_init__", lambda self: built.append(1) or real(self))
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"model": "lhv", "trials": 10}))
+        cfg_path.write_text(json.dumps({"model": model, "trials": 10}))
         run_cli(capsys, "simulate", "--config", str(cfg_path))
-        assert len(built) == 1
+        run_cli(capsys, "chsh", "--model", model, "--trials", "10")
+        run_cli(capsys, "nosignal", "--model", model)
+        assert built == []
 
 
 class TestOneReportPerConfig:

@@ -20,7 +20,7 @@ from bellsim import harness, locality
 from bellsim.harness import (
     CHSH_OPTIMAL_QUADRUPLE,
     CSV_COLUMNS,
-    MODEL_BUILDERS,
+    MODELS,
     PairSamples,
     RunConfig,
     _LOG_BLOCK_LINES,
@@ -36,7 +36,7 @@ from bellsim.harness import (
     write_trial_log,
 )
 from bellsim.cli import main
-from bellsim.hidden_variables import VECTOR_LHV, builtin_vector_model, strategy_model
+from bellsim.hidden_variables import builtin_vector_model, strategy_model
 from bellsim.locality import (
     ConditionReport,
     ProbabilityModel,
@@ -55,6 +55,9 @@ from bellsim.spacetime import Scenario, SpacetimePoint, standard_scenario
 from strategies import density_matrices
 
 OPTIMAL_SCHEDULE = chsh_schedule(*CHSH_OPTIMAL_QUADRUPLE)
+
+#: A builder of a new model for each name in ``MODELS``.
+FRESH_MODELS = {"qm": quantum_model, "lhv": builtin_vector_model, "fixture": signalling_fixture_model}
 
 
 def config(model="qm", trials=1000, seed=11, schedule=OPTIMAL_SCHEDULE, **kw):
@@ -556,7 +559,7 @@ class TestIntegerSampler:
             assert got.dtype == np.uint64 and got.shape == cumulative.shape
             assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("weights", [VECTOR_LHV.weights, np.random.default_rng(3).dirichlet(np.ones(700))],
+    @pytest.mark.parametrize("weights", [MODELS["lhv"].weights, np.random.default_rng(3).dirichlet(np.ones(700))],
                              ids=["lhv", "dirichlet"])
     def test_guide_prior_is_the_clip_formula(self, weights):
         cumulative = np.cumsum(weights)
@@ -606,7 +609,7 @@ class TestIntegerSampler:
     )
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_sample_chunk_is_the_float_sampler(self, model, state, angles, edges, seed):
-        built = MODEL_BUILDERS[model]() if state is None else quantum_model(PhotonPairState(state))
+        built = MODELS[model] if state is None else quantum_model(PhotonPairState(state))
         a, b = map(as_angle, angles)
         guide = _lambda_guide(built.weights) if len(built.weights) > 1 else None
         thresholds = _cell_thresholds(built.cells([a], [b]), [0], [0])[0]
@@ -624,9 +627,9 @@ class TestIntegerSampler:
         assert np.array_equal(np.concatenate(got), expected)
 
 
-class TestSharedLhvModel:
-    """``lhv`` runs share one built-in model per process, built with its
-    lambda guide at import, and give the reports of a fresh model."""
+class TestSharedModels:
+    """Every run of a name reads the one model ``MODELS`` built for it at
+    import, and gives the reports of a fresh model."""
 
     def test_runs_build_no_guide(self, monkeypatch):
         built = []
@@ -639,29 +642,56 @@ class TestSharedLhvModel:
             harness.simulate(config(model="lhv", trials=10, seed=seed))
         assert built == []
 
-    def test_grid_sequence_reports_match_a_fresh_model(self, monkeypatch):
+    @pytest.mark.parametrize("report_format", ["json", "csv"])
+    @pytest.mark.parametrize("name", sorted(FRESH_MODELS))
+    def test_grid_sequence_reports_match_a_fresh_model(self, name, report_format, monkeypatch):
         """Grids G1, G2, G1 on the shared model: each report is byte-equal
-        to its config's report on a fresh ``builtin_vector_model()``."""
+        to its config's report on a fresh model."""
         grid_1 = ((10.0, 37.3), (10.0, 101.9), (123.4, 37.3))
         grid_2 = chsh_schedule(*CHSH_OPTIMAL_QUADRUPLE)
-        configs = [config(model="lhv", schedule=s, trials=200, seed=5) for s in (grid_1, grid_2, grid_1)]
-        shared = [render_report(harness.simulate(c), "json") for c in configs]
-        monkeypatch.setitem(MODEL_BUILDERS, "lhv", builtin_vector_model)
-        fresh = [render_report(harness.simulate(c), "json") for c in configs]
+        configs = [config(model=name, schedule=s, trials=200, seed=5, report_format=report_format)
+                   for s in (grid_1, grid_2, grid_1)]
+        shared = [render_report(harness.simulate(c), report_format) for c in configs]
+        fresh = []
+        for c in configs:
+            monkeypatch.setitem(MODELS, name, FRESH_MODELS[name]())
+            fresh.append(render_report(harness.simulate(c), report_format))
         assert shared == fresh
 
-    def test_shared_model_is_read_only(self):
-        model = MODEL_BUILDERS["lhv"]()
-        assert model is MODEL_BUILDERS["lhv"]() is VECTOR_LHV
-        guide = model._guide
-        for array in (model.weights, guide.start, guide.prior):
-            assert not array.flags.writeable
-        assert not model.table([0.0, 45.0]).flags.writeable
+    @pytest.mark.parametrize("name", sorted(FRESH_MODELS))
+    def test_kept_grid_is_read_once(self, name, monkeypatch):
+        """A second run on the grid the model holds reads no cell: the
+        table and, for a JSON report, the condition sweep are kept."""
+        cfg = config(model=name, trials=20)
+        first = harness.simulate(cfg)
+        calls = []
+        real = ProbabilityModel.cells
+        monkeypatch.setattr(ProbabilityModel, "cells",
+                            lambda self, a, b: calls.append(1) or real(self, a, b))
+        assert harness.simulate(cfg) == first
+        assert calls == []
 
-    def test_builtin_vector_model_is_new_on_each_call(self):
-        first, second = builtin_vector_model(), builtin_vector_model()
-        assert first is not second and VECTOR_LHV not in (first, second)
-        assert np.array_equal(first._guide.prior, VECTOR_LHV._guide.prior)
+    @pytest.mark.parametrize("name", sorted(FRESH_MODELS))
+    def test_runs_read_the_shared_model(self, name):
+        assert run_trials(config(model=name, trials=5)).model is MODELS[name]
+
+    @pytest.mark.parametrize("name", sorted(FRESH_MODELS))
+    def test_shared_model_is_read_only(self, name):
+        model = MODELS[name]
+        table = model.table([0.0, 45.0])
+        assert model._last_table[1] is table
+        for array in (model.weights, table):
+            assert not array.flags.writeable
+        if model._guide is not None:
+            assert not (model._guide.start.flags.writeable or model._guide.prior.flags.writeable)
+
+    @pytest.mark.parametrize("name", sorted(FRESH_MODELS))
+    def test_builders_make_a_new_model_on_each_call(self, name):
+        first, second = FRESH_MODELS[name](), FRESH_MODELS[name]()
+        assert first is not second and MODELS[name] not in (first, second)
+        assert np.array_equal(first.weights, MODELS[name].weights)
+        if first._guide is not None:
+            assert np.array_equal(first._guide.prior, MODELS[name]._guide.prior)
 
 
 class TestOneGridTable:
@@ -679,7 +709,7 @@ class TestOneGridTable:
     @settings(max_examples=40, deadline=None)
     def test_samples_equal_the_per_pair_path(self, model, schedule, seed):
         log = run_trials(config(model=model, schedule=schedule, trials=301, seed=seed))
-        built = MODEL_BUILDERS[model]()
+        built = MODELS[model]
         guide = _lambda_guide(built.weights) if len(built.weights) > 1 else None
         for pair in log.pairs:
             thresholds = _cell_thresholds(built.cells([pair.a], [pair.b]), [0], [0])[0]
@@ -704,11 +734,11 @@ class TestOneGridTable:
         schedule = ((0.0, 45.0), (45.0, 45.0), (0.0, 0.0), (45.0, 0.0), (0.0, 45.0))
         if model == "strategy":  # defined on its quadruple's angles only
             built = strategy_model(0.0, 45.0, 0.0, 45.0, weights=np.random.default_rng(2).dirichlet(np.ones(16)))
-            monkeypatch.setitem(MODEL_BUILDERS, "lhv", lambda: built)
+            monkeypatch.setitem(MODELS, "lhv", built)
             model = "lhv"
         else:
             schedule += ((10.0, 37.3), (123.4, 37.3), (10.0, 10.0))
-            built = MODEL_BUILDERS[model]()
+            built = MODELS[model]
         seen = {}
         real = harness._sample_chunk
 
@@ -731,7 +761,7 @@ class TestOneGridTable:
     def test_one_table_per_run(self, monkeypatch):
         # a fresh model, so a table the shared one kept from an earlier run
         # on this grid cannot stand in for the build
-        monkeypatch.setitem(MODEL_BUILDERS, "lhv", builtin_vector_model)
+        monkeypatch.setitem(MODELS, "lhv", builtin_vector_model())
         calls = []
         for name in ("table", "cells"):
             real = getattr(ProbabilityModel, name)
@@ -743,7 +773,6 @@ class TestOneGridTable:
 
 CHECKER_NAMES = ("check_parameter_independence", "check_outcome_independence",
                  "check_factorizability", "check_no_signalling")
-FRESH_MODELS = {"qm": quantum_model, "lhv": builtin_vector_model, "fixture": signalling_fixture_model}
 
 
 def forbid_sweeps(monkeypatch, where):
@@ -772,7 +801,7 @@ class TestShownWorkOnly:
                      trial_log_path=str(tmp_path / "trials.jsonl"))
         full = empirical_statistics(run_trials(cfg))
         fresh = FRESH_MODELS[model]()
-        monkeypatch.setitem(MODEL_BUILDERS, model, lambda: fresh)
+        monkeypatch.setitem(MODELS, model, fresh)
         forbid_sweeps(monkeypatch, where)
         bundle = harness.simulate(cfg)
         assert bundle.condition_reports == ()

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim import locality
+from bellsim.harness import MODELS
 from bellsim.hidden_variables import (
-    VECTOR_LHV,
     LhvModel,
     all_strategies,
     builtin_vector_model,
@@ -410,7 +410,7 @@ class TestLhvCorrelation:
     @given(st.floats(-360.0, 360.0), st.floats(-360.0, 360.0))
     @settings(max_examples=100, deadline=None)
     def test_vector_model_bit_for_bit(self, a, b):
-        assert VECTOR_LHV.correlation(a, b) == _response_row_correlation(VECTOR_LHV, a, b)
+        assert MODELS["lhv"].correlation(a, b) == _response_row_correlation(MODELS["lhv"], a, b)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -453,8 +453,8 @@ class TestChshReferences:
     @given(_quads)
     @settings(max_examples=100, deadline=None)
     def test_vector_model_bit_for_bit(self, quad):
-        want = _chsh_of(lambda a, b: _response_row_correlation(VECTOR_LHV, a, b), quad)
-        assert chsh(VECTOR_LHV, *quad) == want
+        want = _chsh_of(lambda a, b: _response_row_correlation(MODELS["lhv"], a, b), quad)
+        assert chsh(MODELS["lhv"], *quad) == want
 
     @given(st.integers(0, 2**32 - 1), st.permutations([0.0, 45.0, 22.5, -22.5, 101.25, 7.0]))
     @settings(max_examples=50, deadline=None)
@@ -915,7 +915,7 @@ class TestKeptSweep:
         assert reports == _reference_reports(fresh, GRID)
 
     @pytest.mark.parametrize("model", [
-        VECTOR_LHV,
+        MODELS["lhv"],
         strategy_model(0.0, 45.0, 0.0, 45.0, weights=np.random.default_rng(3).dirichlet(np.ones(16))),
     ], ids=["vector-lhv", "strategies"])
     def test_holding_conditions_never_search_for_a_witness(self, model, monkeypatch):
