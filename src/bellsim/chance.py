@@ -139,23 +139,18 @@ class ReferenceClass:
 
 def reference_class_at(point: SpacetimePoint, scenario: Scenario) -> ReferenceClass:
     """What ``point`` sees of the scenario's indexed events: the ones in its
-    closed causal past."""
-
-    def seen(ev: EventRecord | None) -> bool:
-        return ev is not None and in_causal_past(ev.point, point)
-
+    closed causal past, read from the index in wing order A, B."""
+    preparations, setting_events, outcome_events = scenario._by_kind
     settings: dict[Wing, AnalyzerAngle | None] = {}
     outcomes: dict[Wing, OutcomeLabel] = {}
     for wing in (Wing.A, Wing.B):
-        setting = scenario.setting_event(wing)
-        if seen(setting):
+        setting, outcome = setting_events.get(wing), outcome_events.get(wing)
+        if setting is not None and in_causal_past(setting.point, point):
             settings[wing] = setting.kind.angle
-        outcome = scenario.outcome_event(wing)
-        if seen(outcome):
+        if outcome is not None and in_causal_past(outcome.point, point):
             outcomes[wing] = outcome.kind.label
-    return ReferenceClass(
-        state_backed=seen(scenario.preparation_event()), settings=settings, outcomes=outcomes
-    )
+    backed = bool(preparations) and in_causal_past(preparations[0].point, point)
+    return ReferenceClass(state_backed=backed, settings=settings, outcomes=outcomes)
 
 
 # -- chances -------------------------------------------------------------------

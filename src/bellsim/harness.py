@@ -58,8 +58,8 @@ VV, VH, HV and HH: the order of a model table's last two axes and of the
 report's ``f_VV..f_HH`` columns. Statistics count these cells and the
 trial log is written from them without a Python loop over trials: a
 line is its cell's pre-encoded head and its trial index, so lines of
-equal index width form an array of fixed-width (head, tail) records
-whose bytes go to the file in blocks of bounded size.
+equal index width, gathered whole by cell from the pair's four in one
+step, form fixed-width (head, tail) records written in bounded blocks.
 """
 
 from __future__ import annotations
@@ -160,10 +160,13 @@ class RunConfig:
         if self.report_format not in ("json", "csv"):
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
         log_path, report_path = self.trial_log_path, self.report_path
-        if log_path and report_path and os.path.abspath(log_path) == os.path.abspath(report_path):
-            raise ValueError(
-                f"trial_log_path and report_path name the same file {report_path!r}"
-            )
+        if log_path and report_path:
+            try:  # one inode, through symbolic and hard links
+                same = os.path.samefile(log_path, report_path)
+            except OSError:  # one is not there yet: the paths its links lead to
+                same = os.path.realpath(log_path) == os.path.realpath(report_path)
+            if same:
+                raise ValueError(f"trial_log_path and report_path name the same file {report_path!r}")
 
     def to_json_dict(self) -> dict:
         """The fields, with the schedule as ``[a_deg, b_deg]`` pairs."""
@@ -205,8 +208,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PairSamples:
-    """All trials of one scheduled pair, as one read-only array of joint
-    outcome cells (0..3 = VV, VH, HV, HH)."""
+    """All trials of one scheduled pair, at least one, as one read-only
+    array of joint outcome cells (0..3 = VV, VH, HV, HH)."""
 
     pair_index: int
     a: AnalyzerAngle
@@ -220,7 +223,9 @@ class PairSamples:
                 f"cells must be a 1-D integer array, got dtype {cells.dtype} "
                 f"with shape {cells.shape}"
             )
-        if cells.size and not (cells.min() >= 0 and cells.max() <= 3):
+        if not cells.size:
+            raise ValueError("a pair needs at least one trial, got no cells")
+        if not ((cells.dtype.kind == "u" or cells.min() >= 0) and cells.max() <= 3):
             raise ValueError("cells must lie in 0..3 (VV, VH, HV, HH)")
         object.__setattr__(self, "cells", _read_only(cells.astype(np.uint8, copy=False)))
 
@@ -279,7 +284,7 @@ def _cell_thresholds(table: np.ndarray, a_rows: Sequence[int], b_rows: Sequence[
     and thresholded in place: for 2,048 lambda values a copy of whole entries
     and separate sums and stacks cost more in fresh memory pages than
     the arithmetic itself."""
-    cumulative = table[np.c_[a_rows], np.c_[b_rows], :, (0, 0, 1), (0, 1, 0)]
+    cumulative = table[np.reshape(a_rows, (-1, 1)), np.reshape(b_rows, (-1, 1)), :, (0, 0, 1), (0, 1, 0)]
     # cumulative sums, added in the order cumsum adds them
     np.add(cumulative[:, 0], cumulative[:, 1], out=cumulative[:, 1])
     np.add(cumulative[:, 1], cumulative[:, 2], out=cumulative[:, 2])
@@ -434,7 +439,9 @@ class ReportBundle:
 
 def _pair_statistics(pair: PairSamples) -> PairStatistics:
     n = pair.n
-    counts = tuple(int(np.count_nonzero(pair.cells == c)) for c in range(4))
+    # counts of cells >= 1, 2, 3, the sampler's own form, give the four in three passes
+    at_least = (n, *(int(np.count_nonzero(pair.cells >= c)) for c in (1, 2, 3)), 0)
+    counts = tuple(at_least[c] - at_least[c + 1] for c in range(4))
     frequencies = tuple(c / n for c in counts)
     correlation = (counts[0] + counts[3] - counts[1] - counts[2]) / n
     stderr = math.sqrt(max(1.0 - correlation * correlation, 0.0) / n)
@@ -597,8 +604,9 @@ def write_trial_log(log: TrialLog, path: str) -> None:
     pair are encoded once and have one width, so trials whose indices
     have the same number of digits have lines of one width. Such a run
     of trials goes to the file in blocks of at most ``_LOG_BLOCK_LINES``
-    lines, each one array of (head, tail) ``np.void`` records, its heads
-    gathered by cell, written in one call. Every pair numbers its trials
+    lines, each one array of (head, tail) ``np.void`` records written in
+    one call: whole records gathered by cell from the pair's four in one
+    ``take``, then given their tails. Every pair numbers its trials
     from 0, so the tails of the blocks that start within the first
     ``_LOG_BLOCK_LINES`` trials are slices of ``_SHARED_TAILS``, built at
     import; later blocks build theirs, which keeps memory bounded.
@@ -616,8 +624,9 @@ def write_trial_log(log: TrialLog, path: str) -> None:
                     tails = _SHARED_TAILS[digits - 1][: stop - start]
                 else:
                     tails = _line_tails(start, stop, digits)
-                block = np.empty(stop - start, dtype=[("head", heads.dtype), ("tail", tails.dtype)])
-                block["head"] = heads[pair.cells[start:stop]]
+                lines = np.empty(4, dtype=[("head", heads.dtype), ("tail", tails.dtype)])
+                lines["head"] = heads
+                block = lines.take(pair.cells[start:stop])
                 block["tail"] = tails
                 handle.write(block)
 

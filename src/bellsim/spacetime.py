@@ -39,7 +39,8 @@ chance analysis and its tests):
   that this places r later in lab time than the outcomes themselves.
 
 ``load_scenario`` reads a scenario spec: ``"overlap"`` or ``"late"`` for
-the two layouts, or the path of a scenario JSON file.
+the two layouts, each built once at import and shared, or the path of a
+scenario JSON file, read on each call.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ class Scenario:
         if old is None:
             raise ValueError(f"scenario has no setting event on wing {wing.value}")
         angle = None if angle is None else as_angle(angle)
-        new = replace(old, kind=Setting(wing=wing, angle=angle))
+        new = EventRecord(old.id, old.point, old.region, Setting(wing=wing, angle=angle))
         dropped = outcomes.get(wing) if angle is None else None
         if dropped is not None:
             outcomes = {w: ev for w, ev in outcomes.items() if w is not wing}
@@ -305,7 +306,7 @@ class Scenario:
         old = outcomes.get(wing)
         if old is None:
             raise ValueError(f"scenario has no outcome event on wing {wing.value}")
-        new = replace(old, kind=Outcome(wing=wing, label=label))
+        new = EventRecord(old.id, old.point, old.region, Outcome(wing=wing, label=label))
         return self._edited(
             events=tuple(new if ev is old else ev for ev in self.events),
             _by_kind=(preparations, settings, {**outcomes, wing: new}),
@@ -455,10 +456,10 @@ def _event_from_json(ev: dict) -> EventRecord:
 
 def load_scenario(spec: str) -> Scenario:
     """The built-in layout ``"overlap"`` or ``"late"`` (``standard_scenario``
-    with or without ``settings_in_overlap``), or the scenario file at the
-    path ``spec``."""
-    if spec in ("overlap", "late"):
-        return standard_scenario(settings_in_overlap=spec == "overlap")
+    with or without ``settings_in_overlap``), one object built at import,
+    or the scenario file at the path ``spec``, read on each call."""
+    if spec in _LAYOUTS:
+        return _LAYOUTS[spec]
     with open(spec, "r", encoding="utf-8") as handle:
         return Scenario.from_json(handle.read())
 
@@ -557,3 +558,6 @@ def standard_scenario(
         q=_PROBE_Q,
         r=_PROBE_R_OVERLAP if settings_in_overlap else _PROBE_R_LATE,
     )
+
+
+_LAYOUTS = {"overlap": standard_scenario(settings_in_overlap=True), "late": standard_scenario()}

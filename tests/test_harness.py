@@ -33,6 +33,7 @@ from bellsim.harness import (
     render_report,
     run_trials,
     schedule_grid,
+    simulate,
     write_trial_log,
 )
 from bellsim.cli import main
@@ -49,8 +50,16 @@ from bellsim.locality import (
     quantum_model,
     signalling_fixture_model,
 )
-from bellsim.quantum import PhotonPairState, as_angle, bell_phi_plus, born_joint
-from bellsim.spacetime import Scenario, SpacetimePoint, standard_scenario
+from bellsim.quantum import (
+    OutcomeLabel,
+    PhotonPairState,
+    Wing,
+    as_angle,
+    bell_phi_plus,
+    born_joint,
+    product_polarized,
+)
+from bellsim.spacetime import Scenario, SpacetimePoint, load_scenario, standard_scenario
 
 from strategies import density_matrices
 
@@ -182,6 +191,43 @@ class TestRunConfig:
     def test_log_and_report_on_two_files_accepted(self):
         cfg = config(trial_log_path="out.txt", report_path="sub/out.txt")
         assert (cfg.trial_log_path, cfg.report_path) == ("out.txt", "sub/out.txt")
+
+    @pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hardlink"])
+    def test_log_linked_to_the_report_rejected(self, tmp_path, link):
+        """A symbolic link resolves to the report's path; a hard link is
+        another path to the report's inode."""
+        report, linked = tmp_path / "r.csv", tmp_path / "link.csv"
+        report.write_text("report\n")
+        link(report, linked)
+        for log_path, report_path in ((linked, report), (report, linked)):
+            with pytest.raises(ValueError, match="same file"):
+                config(trials=10, report_path=str(report_path), trial_log_path=str(log_path),
+                       report_format="csv")
+
+    def test_log_linked_to_a_report_not_yet_written_rejected(self, tmp_path):
+        os.symlink(tmp_path / "r.csv", tmp_path / "link.csv")
+        with pytest.raises(ValueError, match="same file"):
+            config(report_path=str(tmp_path / "r.csv"), trial_log_path=str(tmp_path / "link.csv"))
+
+    def test_two_existing_files_accepted(self, tmp_path):
+        for name in ("r.csv", "t.jsonl"):
+            (tmp_path / name).write_text("old\n")
+        config(report_path=str(tmp_path / "r.csv"), trial_log_path=str(tmp_path / "t.jsonl"))
+
+    @pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hardlink"])
+    def test_cli_refuses_a_log_linked_to_the_report(self, capsys, tmp_path, monkeypatch, link):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.csv").write_text("report\n")
+        link("r.csv", "link.csv")
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"model": "qm", "trials": 10, "report_path": "r.csv", "trial_log_path": "link.csv",
+             "report_format": "csv"}))
+        assert main(["simulate", "--config", "config.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "same file" in captured.err
+        assert (tmp_path / "r.csv").read_text() == "report\n"
 
     def test_unhashable_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -378,8 +424,17 @@ class TestSampling:
 class TestPairSamples:
     @pytest.mark.parametrize(
         "cells",
-        [np.array([0, 3, 4]), np.array([0, -1]), np.array([0.0, 1.0]), np.zeros((2, 2), dtype=int)],
-        ids=["cell-4", "negative", "float", "2-D"],
+        [
+            np.array([0, 3, 4]),
+            np.array([0, -1]),
+            np.array([0.0, 1.0]),
+            np.zeros((2, 2), dtype=int),
+            np.array([0, 4], dtype=np.uint16),
+            np.array([0, 256], dtype=np.uint16),  # astype(uint8) would wrap it to 0
+            np.array([0, -1], dtype=np.int8),
+            np.array([], dtype=np.uint8),
+        ],
+        ids=["cell-4", "negative", "float", "2-D", "uint16-4", "uint16-256", "int8-negative", "empty"],
     )
     def test_rejects_bad_cells(self, cells):
         with pytest.raises(ValueError, match="cells"):
@@ -397,6 +452,45 @@ class TestPairSamples:
             assert signs.dtype == np.int8
             assert not signs.flags.writeable
             assert np.array_equal(signs, expected)
+
+
+class TestCumulativeCounts:
+    """A pair's four counts, taken as differences of the counts of
+    cells >= 1, 2 and 3, are ``np.bincount``'s."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 1000, 65537])
+    @pytest.mark.parametrize(
+        "values",
+        [(0, 1, 2, 3), (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2), (0, 3), (1, 2), (0,), (2,), (3,)],
+        ids=lambda values: "cells-" + "".join(map(str, values)),
+    )
+    def test_counts_are_the_bincount(self, size, values):
+        rng = np.random.default_rng([size, *values])
+        cells = rng.choice(np.array(values, dtype=np.uint8), size=size)
+        stats = harness._pair_statistics(PairSamples(0, as_angle(0.0), as_angle(0.0), cells))
+        assert stats.counts == tuple(np.bincount(cells, minlength=4).tolist())
+        assert all(type(count) is int for count in stats.counts)
+
+
+class TestKeptLayouts:
+    def test_edits_of_a_kept_layout_leave_the_log_bytes(self, tmp_path):
+        """A run on ``"overlap"`` writes the same log after the kept layout
+        has been edited, one edit at a time and all four in a chain."""
+        cfg = config(trials=120, seed=8, scenario="overlap", trial_log_path=str(tmp_path / "before.jsonl"))
+        simulate(cfg)
+        kept = load_scenario("overlap")
+        state = product_polarized(30.0, 60.0)
+        kept.with_setting(Wing.B, None)
+        kept.with_setting(Wing.A, 12.5)
+        kept.with_outcome(Wing.A, OutcomeLabel.H)
+        kept.with_state(state)
+        kept.with_setting(Wing.B, None).with_setting(Wing.A, 12.5).with_outcome(
+            Wing.A, OutcomeLabel.H).with_state(state)
+        assert load_scenario("overlap") is kept
+        simulate(dataclasses.replace(cfg, trial_log_path=str(tmp_path / "after.jsonl")))
+        before = (tmp_path / "before.jsonl").read_bytes()
+        assert (tmp_path / "after.jsonl").read_bytes() == before
+        assert before.count(b"\n") == 4 * 120
 
 
 def per_trial_log(log) -> bytes:

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellsim.chance import NoChanceDefinedError, chance_at, joint_vertical, vertical_outcome
+from bellsim.chance import (
+    JointTarget,
+    NoChanceDefinedError,
+    OutcomeTarget,
+    chance_at,
+    joint_vertical,
+    vertical_outcome,
+)
 from bellsim.cli import main
 from bellsim.quantum import OutcomeLabel, Wing, product_polarized
 from bellsim.spacetime import (
@@ -22,6 +29,7 @@ from bellsim.spacetime import (
     causal_relation,
     in_causal_past,
     is_spacelike,
+    load_scenario,
     standard_scenario,
 )
 
@@ -464,3 +472,60 @@ class TestEventIndex:
         assert stripped.outcome_event(Wing.B) is None
         assert s.outcome_event(Wing.B) is not None
         assert stripped == s.with_events(stripped.events)
+
+
+class TestKeptLayouts:
+    """``load_scenario`` returns one object per built-in layout; its
+    payload edits return copies and leave it as it was."""
+
+    @pytest.mark.parametrize("name", ["overlap", "late"])
+    def test_a_layout_is_one_object(self, name):
+        assert load_scenario(name) is load_scenario(name)
+        assert load_scenario(name) == standard_scenario(settings_in_overlap=name == "overlap")
+
+    def test_standard_scenario_builds_a_new_object(self):
+        assert standard_scenario() is not standard_scenario()
+        overlap = standard_scenario(settings_in_overlap=True)
+        assert overlap is not standard_scenario(settings_in_overlap=True)
+        assert overlap is not load_scenario("overlap")
+
+    @pytest.mark.parametrize("name", ["overlap", "late"])
+    def test_edits_leave_the_kept_layout_unchanged(self, name):
+        kept = load_scenario(name)
+        labels = (OutcomeLabel.V, OutcomeLabel.H)
+        targets = [OutcomeTarget(wing, label) for wing in (Wing.A, Wing.B) for label in labels]
+        targets += [JointTarget(a, b) for a in labels for b in labels]
+
+        def snapshot():
+            chances = {}
+            for probe in ("p", "p'", "q", "r"):
+                for target in targets:
+                    try:
+                        chances[probe, target] = chance_at(kept.probe(probe), target, kept).value.hex()
+                    except NoChanceDefinedError as exc:
+                        chances[probe, target] = str(exc)
+            preparations, settings_by_wing, outcomes_by_wing = kept._by_kind
+            index = (list(preparations), dict(settings_by_wing), dict(outcomes_by_wing))
+            return kept.events, index, chances, kept.state
+
+        events, index, chances, state = snapshot()
+        old_setting = kept.setting_event(Wing.A)
+        edits = [
+            kept.with_setting(Wing.B, None),
+            kept.with_setting(Wing.A, 12.5),
+            kept.with_outcome(Wing.A, OutcomeLabel.H),
+            kept.with_state(product_polarized(30.0, 60.0)),
+        ]
+        edits.append(edits[0].with_setting(Wing.A, 12.5).with_outcome(Wing.A, OutcomeLabel.H)
+                     .with_state(product_polarized(30.0, 60.0)))
+        assert edits[1].setting_event(Wing.A) == dataclasses.replace(
+            old_setting, kind=Setting(Wing.A, edits[1].angle(Wing.A)))
+        after_events, after_index, after_chances, after_state = snapshot()
+        assert after_events is events
+        assert all(a is b for a, b in zip(after_index[0], index[0], strict=True))
+        for before, after in zip(index[1:], after_index[1:]):
+            assert list(after) == list(before)
+            assert all(after[wing] is before[wing] for wing in before)
+        assert after_chances == chances
+        assert after_state is state
+        assert load_scenario(name) is kept
