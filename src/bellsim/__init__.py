@@ -28,7 +28,6 @@ from .spacetime import (
     EventRecord,
     Outcome,
     Preparation,
-    RegionLabel,
     Scenario,
     Setting,
     SpacetimePoint,
@@ -48,7 +47,6 @@ from .chance import (
     OutcomeTarget,
     ReferenceClass,
     ReplacePreparation,
-    SenselessIntervention,
     SenselessInterventionError,
     SetAngle,
     apply_intervention,

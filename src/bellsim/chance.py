@@ -25,9 +25,11 @@ preparation (``ReplacePreparation``) or one wing's setting (``SetAngle``),
 and it acts on that event of whichever scenario it is applied to, as a
 payload edit (``Scenario.with_state`` or ``Scenario.with_setting``) that
 keeps the scenario's event index.
-Interventions that force a measurement outcome (``ForceOutcome``) are
-representable but always refused; the refusal is a first-class verdict,
-not an error.
+An intervention that forces a measurement outcome (``ForceOutcome``) is
+representable but has no scenario: ``apply_intervention``, and so
+``estimated_chance``, raise ``SenselessInterventionError`` for it, while
+``causally_depends`` reports an outcome cause as the
+``SENSELESS_INTERVENTION`` verdict that names the ``ForceOutcome``.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class NoChanceDefinedError(Exception):
 
 
 class SenselessInterventionError(Exception):
-    """Raised when an inadmissible intervention is used as a premise."""
+    """Raised when an intervention forces an outcome: no such scenario exists."""
 
 
 # -- targets -----------------------------------------------------------------
@@ -261,41 +263,28 @@ class ForceOutcome:
 Intervention = Union[ReplacePreparation, SetAngle, ForceOutcome]
 
 
-@dataclass(frozen=True)
-class SenselessIntervention:
-    """Refusal verdict: this intervention has no scenario at all."""
-
-    intervention: ForceOutcome
-    reason: str
-
-
 def set_angle_intervention(scenario: Scenario, wing: Wing, angle: AngleLike | None) -> SetAngle:
     if scenario.setting_event(wing) is None:
         raise ValueError(f"scenario has no setting event on wing {wing.value}")
     return SetAngle(wing=wing, angle=None if angle is None else as_angle(angle))
 
 
-def apply_intervention(
-    scenario: Scenario, intervention: Intervention
-) -> Scenario | SenselessIntervention:
-    """Apply an intervention to the event it names in ``scenario``, or refuse it.
+def apply_intervention(scenario: Scenario, intervention: Intervention) -> Scenario:
+    """Apply an intervention to the event it names in ``scenario``.
 
     Preparation replacement and setting changes yield a modified
     scenario, and raise ``ValueError`` when ``scenario`` lacks the event.
-    Forcing an outcome is refused with a :class:`SenselessIntervention`
-    verdict; it never yields a scenario. Changing a setting to None
-    removes that wing's outcome event, since an unperformed measurement
-    registers nothing.
+    Forcing an outcome raises :class:`SenselessInterventionError`; it
+    never yields a scenario. Changing a setting to None removes that
+    wing's outcome event, since an unperformed measurement registers
+    nothing.
     """
     if isinstance(intervention, ForceOutcome):
-        return SenselessIntervention(
-            intervention=intervention,
-            reason=(
-                f"forcing outcome {intervention.label.value} on wing "
-                f"{intervention.wing.value} is not an admissible intervention: the "
-                "outcome's own chance is fixed by the prepared state, and nothing one "
-                "could do alters it"
-            ),
+        raise SenselessInterventionError(
+            f"forcing outcome {intervention.label.value} on wing "
+            f"{intervention.wing.value} is not an admissible intervention: the "
+            "outcome's own chance is fixed by the prepared state, and nothing one "
+            "could do alters it"
         )
     if isinstance(intervention, ReplacePreparation):
         return scenario.with_state(intervention.state)
@@ -322,13 +311,7 @@ def estimated_chance(
     intervened scenario.
     """
     if contemplated is not None:
-        applied = apply_intervention(scenario, contemplated)
-        if isinstance(applied, SenselessIntervention):
-            raise SenselessInterventionError(
-                "cannot estimate a chance under an outcome-forcing intervention; "
-                "no such scenario exists"
-            )
-        scenario = applied
+        scenario = apply_intervention(scenario, contemplated)
     state = scenario.state
     rc = reference_class_at(point, scenario)
     remote = target.wing.other() if isinstance(target, OutcomeTarget) else None
@@ -390,6 +373,7 @@ _SETTING_OFFSETS = (30.0, 45.0, 60.0)
 
 
 def _admissible_interventions(cause: EventRecord) -> list[Intervention]:
+    """The interventions tried on a preparation or setting event."""
     if isinstance(cause.kind, Preparation):
         return [ReplacePreparation(state) for state in _PREPARATION_BATTERY]
     if isinstance(cause.kind, Setting):
@@ -400,7 +384,7 @@ def _admissible_interventions(cause: EventRecord) -> list[Intervention]:
         return [SetAngle(wing, current.rotated(off)) for off in _SETTING_OFFSETS] + [
             SetAngle(wing, None)
         ]
-    return []
+    raise ValueError(f"unknown event kind {cause.kind!r}")
 
 
 def causally_depends(effect: Target, cause: EventRecord, scenario: Scenario) -> CausalVerdict:
@@ -410,21 +394,19 @@ def causally_depends(effect: Target, cause: EventRecord, scenario: Scenario) -> 
     compares the effect's chance at the scenario's probe r (inside the
     preparation's future, outside both outcome futures); a change beyond
     ``DEPENDENCE_TOL`` is a dependence. Outcome events admit no
-    intervention at all, which is reported as a verdict, not an error.
-    Interventions that leave the effect's chance undefined are skipped:
-    they withdraw the chance rather than altering it.
+    intervention at all, which is reported as a verdict naming the
+    ``ForceOutcome``, not an error; a cause of any other kind
+    raises ``ValueError``. Interventions that leave the effect's chance
+    undefined are skipped: they withdraw the chance rather than altering it.
     """
-    if isinstance(cause.kind, Outcome) and isinstance(effect, OutcomeTarget):
-        if cause.kind.wing is effect.wing:
+    if isinstance(cause.kind, Outcome):
+        if isinstance(effect, OutcomeTarget) and cause.kind.wing is effect.wing:
             raise ValueError("effect and cause must be distinct events")
-    interventions = _admissible_interventions(cause)
-    if not interventions:
         return CausalVerdict(
             kind=CausalVerdictKind.SENSELESS_INTERVENTION,
-            intervention=ForceOutcome(cause.kind.wing, cause.kind.label)
-            if isinstance(cause.kind, Outcome)
-            else None,
+            intervention=ForceOutcome(cause.kind.wing, cause.kind.label),
         )
+    interventions = _admissible_interventions(cause)
     baseline = chance_at(scenario.r, effect, scenario)
     for intervention in interventions:
         altered_scenario = apply_intervention(scenario, intervention)

@@ -15,8 +15,12 @@ own causal past. Inputs are classified by their float values:
 Scenario JSON writes u and w beside t and x, so a point, boosted or
 not, loads with the null coordinates it was saved with.
 
-Regions are represented by labeled events rather than extended point
-sets, since only membership and causal relations are ever queried.
+An event is an id, a point and a kind, and nothing else: which region a
+point belongs to (a wing's outcome region, the settings' shared past) is
+never stored, since every rule and every reference class compares the
+points themselves. Files from older versions also give each event a
+``region`` label; reading ignores it, as there is no stored label left
+to check it against.
 
 A scenario validates its events and indexes them by kind once, when it
 is built, and ``with_events`` validates and indexes again. The payload
@@ -128,15 +132,6 @@ def is_spacelike(p: SpacetimePoint, q: SpacetimePoint) -> bool:
     return causal_relation(p, q) is CausalRelation.SPACELIKE
 
 
-class RegionLabel(Enum):
-    ONE = "one"
-    TWO = "two"
-    THREE_A = "three_a"
-    THREE_B = "three_b"
-    OVERLAP = "overlap"
-    SOURCE_WORLDLINE = "source_worldline"
-
-
 @dataclass(frozen=True)
 class Preparation:
     """The pair-production event backing the scenario's state assignment."""
@@ -165,11 +160,7 @@ EventKind = Union[Preparation, Setting, Outcome]
 class EventRecord:
     id: str
     point: SpacetimePoint
-    region: RegionLabel
     kind: EventKind
-
-
-_OUTCOME_REGION = {Wing.A: RegionLabel.ONE, Wing.B: RegionLabel.TWO}
 
 
 def _events_by_kind(events: Iterable[EventRecord]):
@@ -215,11 +206,6 @@ class Scenario:
         preparations, settings, outcomes = _events_by_kind(self.events)
         object.__setattr__(self, "_by_kind", (preparations, settings, outcomes))
         for wing, outcome in outcomes.items():
-            if outcome.region is not _OUTCOME_REGION[wing]:
-                raise ValueError(
-                    f"outcome for wing {wing.value} must carry region "
-                    f"{_OUTCOME_REGION[wing].value}"
-                )
             setting = settings.get(wing)
             if setting is None or setting.kind.angle is None:
                 raise ValueError(
@@ -290,7 +276,7 @@ class Scenario:
         if old is None:
             raise ValueError(f"scenario has no setting event on wing {wing.value}")
         angle = None if angle is None else as_angle(angle)
-        new = EventRecord(old.id, old.point, old.region, Setting(wing=wing, angle=angle))
+        new = EventRecord(old.id, old.point, Setting(wing=wing, angle=angle))
         dropped = outcomes.get(wing) if angle is None else None
         if dropped is not None:
             outcomes = {w: ev for w, ev in outcomes.items() if w is not wing}
@@ -306,7 +292,7 @@ class Scenario:
         old = outcomes.get(wing)
         if old is None:
             raise ValueError(f"scenario has no outcome event on wing {wing.value}")
-        new = EventRecord(old.id, old.point, old.region, Outcome(wing=wing, label=label))
+        new = EventRecord(old.id, old.point, Outcome(wing=wing, label=label))
         return self._edited(
             events=tuple(new if ev is old else ev for ev in self.events),
             _by_kind=(preparations, settings, {**outcomes, wing: new}),
@@ -350,12 +336,7 @@ class Scenario:
                 "matrix_imag": matrix.imag.tolist(),
             },
             "events": [
-                {
-                    "id": ev.id,
-                    **point_dict(ev.point),
-                    "region": ev.region.value,
-                    "kind": kind_dict(ev.kind),
-                }
+                {"id": ev.id, **point_dict(ev.point), "kind": kind_dict(ev.kind)}
                 for ev in self.events
             ],
             "probes": {
@@ -446,12 +427,7 @@ def _event_from_json(ev: dict) -> EventRecord:
         kind = Outcome(wing=Wing(kind_data["wing"]), label=OutcomeLabel(kind_data["label"]))
     else:
         raise ValueError(f"unknown event kind {kind_data['type']!r}")
-    return EventRecord(
-        id=ev["id"],
-        point=_point(ev),
-        region=RegionLabel(ev["region"]),
-        kind=kind,
-    )
+    return EventRecord(id=ev["id"], point=_point(ev), kind=kind)
 
 
 def load_scenario(spec: str) -> Scenario:
@@ -496,9 +472,9 @@ def standard_scenario(
     """Build the canonical two-wing layout.
 
     By default the setting events sit just below their own outcome
-    regions, spacelike separated from everything on the opposite side.
+    events, spacelike separated from everything on the opposite side.
     With ``settings_in_overlap=True`` both settings move deep into the
-    shared past, inside the backward cones of both outcome regions, and
+    shared past, inside the backward cones of both outcome events, and
     every probe point can see them.
 
     An angle of None means no measurement is performed on that wing, in
@@ -518,25 +494,12 @@ def standard_scenario(
             )
 
     setting_points = _OVERLAP_SETTING if settings_in_overlap else _LATE_SETTING
-    setting_region = (
-        {Wing.A: RegionLabel.OVERLAP, Wing.B: RegionLabel.OVERLAP}
-        if settings_in_overlap
-        else {Wing.A: RegionLabel.ONE, Wing.B: RegionLabel.TWO}
-    )
-    events = [
-        EventRecord(
-            id="o",
-            point=_SOURCE,
-            region=RegionLabel.SOURCE_WORLDLINE,
-            kind=Preparation(),
-        )
-    ]
+    events = [EventRecord(id="o", point=_SOURCE, kind=Preparation())]
     for wing, suffix in ((Wing.A, "a"), (Wing.B, "b")):
         events.append(
             EventRecord(
                 id=f"setting-{suffix}",
                 point=setting_points[wing],
-                region=setting_region[wing],
                 kind=Setting(wing=wing, angle=angles[wing]),
             )
         )
@@ -546,7 +509,6 @@ def standard_scenario(
                 EventRecord(
                     id=f"outcome-{suffix}",
                     point=_OUTCOME_POINT[wing],
-                    region=_OUTCOME_REGION[wing],
                     kind=Outcome(wing=wing, label=label),
                 )
             )

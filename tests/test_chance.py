@@ -7,15 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellsim import chance
 from bellsim.chance import (
+    DEPENDENCE_TOL,
+    CausalVerdict,
     CausalVerdictKind,
+    ChanceValue,
     ForceOutcome,
     JointTarget,
     NoChanceDefinedError,
     OutcomeTarget,
     ReferenceClass,
     ReplacePreparation,
-    SenselessIntervention,
     SenselessInterventionError,
     SetAngle,
     _admissible_interventions,
@@ -42,6 +45,7 @@ from bellsim.quantum import (
     product_polarized,
 )
 from bellsim.spacetime import (
+    EventRecord,
     Outcome,
     Preparation,
     Scenario,
@@ -242,41 +246,42 @@ class TestChanceTable:
             chance_at(s.q, E_B, s)
 
 
-class TestConeDependence:
-    def spacelike_perturbations(self, scenario, point, count, seed):
-        """Scenarios differing from `scenario` only in remote events
-        spacelike to `point`: moved, relabeled or removed."""
-        rng = np.random.default_rng(seed)
-        outcome_b = scenario.outcome_event(Wing.B)
-        variants = []
-        while len(variants) < count:
-            choice = rng.integers(0, 3)
-            if choice == 0:  # remove the remote outcome
-                variants.append(
-                    scenario.with_events(
-                        ev for ev in scenario.events if ev.id != outcome_b.id
-                    )
-                )
-                continue
-            t = float(rng.uniform(5.7, 6.3))
-            x = float(rng.uniform(3.4, 4.6))
-            moved_point = SpacetimePoint(t, x)
-            if not is_spacelike(point, moved_point):
-                continue
-            label = V if choice == 1 else H
-            moved = dataclasses.replace(
-                outcome_b, point=moved_point, kind=Outcome(Wing.B, label)
-            )
+def spacelike_perturbations(scenario, point, count, seed):
+    """Scenarios differing from `scenario` only in remote events
+    spacelike to `point`: moved, relabeled or removed."""
+    rng = np.random.default_rng(seed)
+    outcome_b = scenario.outcome_event(Wing.B)
+    variants = []
+    while len(variants) < count:
+        choice = rng.integers(0, 3)
+        if choice == 0:  # remove the remote outcome
             variants.append(
                 scenario.with_events(
-                    moved if ev.id == outcome_b.id else ev for ev in scenario.events
+                    ev for ev in scenario.events if ev.id != outcome_b.id
                 )
             )
-        return variants
+            continue
+        t = float(rng.uniform(5.7, 6.3))
+        x = float(rng.uniform(3.4, 4.6))
+        moved_point = SpacetimePoint(t, x)
+        if not is_spacelike(point, moved_point):
+            continue
+        label = V if choice == 1 else H
+        moved = dataclasses.replace(
+            outcome_b, point=moved_point, kind=Outcome(Wing.B, label)
+        )
+        variants.append(
+            scenario.with_events(
+                moved if ev.id == outcome_b.id else ev for ev in scenario.events
+            )
+        )
+    return variants
 
+
+class TestConeDependence:
     def test_bit_identical_under_remote_perturbations(self, overlap):
         baseline = chance_at(overlap.p, E_A, overlap).value
-        for variant in self.spacelike_perturbations(overlap, overlap.p, 60, seed=7):
+        for variant in spacelike_perturbations(overlap, overlap.p, 60, seed=7):
             assert chance_at(variant.p, E_A, variant).value == baseline
 
     def test_bit_identical_in_late_layout(self):
@@ -312,6 +317,61 @@ class TestConeDependence:
 grid_angles = st.sampled_from([k * 22.5 for k in range(8)])
 grid_or_any_angle = st.one_of(grid_angles, st.floats(-360.0, 360.0))
 product_states = st.builds(product_polarized, grid_angles, grid_angles)
+
+
+def sees_remote_outcome(point, scenario):
+    """A leaky reference class: the real one, plus wing B's setting and
+    outcome wherever they are."""
+    rc = reference_class_at(point, scenario)
+    outcome = scenario.outcome_event(Wing.B)
+    if outcome is None:
+        return rc
+    return ReferenceClass(
+        state_backed=rc.state_backed,
+        settings={**rc.settings, Wing.B: scenario.angle(Wing.B)},
+        outcomes={**rc.outcomes, Wing.B: outcome.kind.label},
+    )
+
+
+def sees_every_event(point, scenario):
+    """A leaky reference class: every event, from any point."""
+    return reference_class_at(SpacetimePoint(1e6, 0.0), scenario)
+
+
+class TestLeakyReferenceClassesAreCaught:
+    """Negative controls: with ``reference_class_at`` swapped for a leaky
+    variant, the fixed-point reading and the remote-perturbation check
+    both see a change at p; with the real one, neither does. Wing A
+    registers nothing here: a leak that saw A's own outcome would settle
+    the target at p to exactly 1 and hide the remote outcome's effect."""
+
+    leaks = pytest.mark.parametrize(
+        "leak", [None, sees_remote_outcome, sees_every_event],
+        ids=["real", "remote-outcome", "every-event"],
+    )
+
+    @pytest.fixture
+    def scenario(self):
+        return standard_scenario(
+            settings_in_overlap=True, angle_a=0.0, angle_b=22.5, outcome_a=None
+        )
+
+    @leaks
+    def test_fixed_point_reading(self, monkeypatch, scenario, leak):
+        if leak is not None:
+            monkeypatch.setattr(chance, "reference_class_at", leak)
+        readings = local_causality_readings(scenario)
+        assert [sample[0] for sample in readings.fixed_point_samples] == ["p"]
+        assert readings.fixed_point_holds is (leak is None)
+
+    @leaks
+    def test_remote_perturbations_at_p(self, monkeypatch, scenario, leak):
+        if leak is not None:
+            monkeypatch.setattr(chance, "reference_class_at", leak)
+        baseline = chance_at(scenario.p, E_A, scenario).value
+        variants = spacelike_perturbations(scenario, scenario.p, 60, seed=7)
+        changed = [chance_at(v.p, E_A, v).value != baseline for v in variants]
+        assert any(changed) is (leak is not None)
 
 
 def public_mixture(state, wing, label, own_angle, remote_angle):
@@ -439,9 +499,8 @@ class TestApplyIntervention:
         assert altered.outcome_event(Wing.B) is None
 
     def test_force_outcome_refused(self, overlap):
-        refusal = apply_intervention(overlap, ForceOutcome(Wing.B, H))
-        assert isinstance(refusal, SenselessIntervention)
-        assert "forcing outcome" in refusal.reason
+        with pytest.raises(SenselessInterventionError, match="forcing outcome"):
+            apply_intervention(overlap, ForceOutcome(Wing.B, H))
 
 
 def fresh_build(scenario):
@@ -712,6 +771,36 @@ class TestCausalDependence:
         with pytest.raises(ValueError, match="distinct"):
             causally_depends(E_A, overlap.outcome_event(Wing.A), overlap)
 
+    def test_outcome_cause_names_the_refused_intervention(self, overlap):
+        verdict = causally_depends(joint_vertical(), overlap.outcome_event(Wing.B), overlap)
+        assert verdict == CausalVerdict(
+            kind=CausalVerdictKind.SENSELESS_INTERVENTION, intervention=ForceOutcome(Wing.B, V)
+        )
+        with pytest.raises(SenselessInterventionError, match="forcing outcome V on wing B"):
+            apply_intervention(overlap, verdict.intervention)
+
+    def test_unknown_cause_kind_rejected(self, overlap):
+        odd = EventRecord(id="odd", point=SpacetimePoint(0.5, 0.0), kind="bogus")
+        with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
+            causally_depends(E_A, odd, overlap)
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("value", [-0.25, 1.5, math.nan])
+    def test_chance_value_outside_the_unit_interval(self, overlap, value):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            ChanceValue(value, overlap.p, E_A)
+
+    def test_dependent_verdict_requires_a_witness(self):
+        with pytest.raises(ValueError, match="requires a witness pair"):
+            CausalVerdict(kind=CausalVerdictKind.DEPENDENT)
+
+    def test_dependent_witnesses_must_differ_beyond_tolerance(self, overlap):
+        witness = (ChanceValue(0.5, overlap.r, E_A),
+                   ChanceValue(0.5 + DEPENDENCE_TOL / 2, overlap.r, E_A))
+        with pytest.raises(ValueError, match="do not differ beyond tolerance"):
+            CausalVerdict(kind=CausalVerdictKind.DEPENDENT, witness=witness)
+
 
 class TestLocalCausalityReadings:
     def test_entangled_scenario_splits_the_readings(self, overlap):
@@ -721,6 +810,14 @@ class TestLocalCausalityReadings:
         assert readings.conditional_on_remote == pytest.approx(cos2(22.5), abs=1e-12)
         assert readings.fixed_point_holds
         assert readings.fixed_point_samples  # at least one probe was spacelike
+
+    @pytest.mark.parametrize("unmeasured", [
+        dict(outcome_b=None), dict(angle_b=None, outcome_b=None), dict(angle_a=None, outcome_a=None),
+    ], ids=["no-b-outcome", "b-unmeasured", "a-unmeasured"])
+    def test_needs_both_wings_measured_and_a_b_outcome(self, unmeasured):
+        s = standard_scenario(settings_in_overlap=True, **unmeasured)
+        with pytest.raises(ValueError, match="registered B outcome"):
+            local_causality_readings(s)
 
     def test_forty_five_degrees_masks_the_difference(self):
         s = standard_scenario(settings_in_overlap=True, angle_a=0.0, angle_b=45.0)

@@ -340,6 +340,8 @@ class TestErrors:
             data["events"][0]["t"] = None
         elif part == "event 1":
             data["events"][1]["kind"]["angle_deg"] = True
+        elif part == "event kind":
+            data["events"][2]["kind"]["type"] = "bogus"
         elif part == "probes":
             data["probes"] = []
         elif part == "state":
@@ -357,6 +359,7 @@ class TestErrors:
         ("events", "malformed scenario events"),
         ("event 0", "malformed scenario event 0"),
         ("event 1", "malformed scenario event 1: expected a number, got True"),
+        ("event kind", "malformed scenario event 2: unknown event kind 'bogus'"),
         ("state", "malformed scenario state: expected a number, got '0.5'"),
         ("NaN state", "malformed scenario state: photon pair state: non-finite entry (nan+0j)"),
         ("probes", "malformed scenario probes"),
@@ -375,8 +378,6 @@ class TestErrors:
          "duplicate setting event for wing A"),
         (lambda d: d["events"].append({**d["events"][0], "id": "o2"}),
          "at most one preparation event"),
-        (lambda d: d["events"][2].update(region="two"),
-         "outcome for wing A must carry region one"),
         (lambda d: moved(d["events"][1], 7.0, -4.0),
          "setting for wing A must causally precede its outcome"),
         (lambda d: moved(d["events"][4], 16.0, 4.0),
@@ -392,8 +393,8 @@ class TestErrors:
         (lambda d: moved(d["probes"]["r"], -1.0, 0.0),
          "probe r must lie in the preparation's causal future"),
         (lambda d: moved(d["probes"]["r"], 20.0, 0.0), "probe r must not see the wing-A outcome"),
-    ], ids=["duplicate-id", "second-setting", "second-preparation", "outcome-region",
-            "late-setting", "timelike-outcomes", "p", "p-prime", "q-blind", "q-sees-a",
+    ], ids=["duplicate-id", "second-setting", "second-preparation", "late-setting",
+            "timelike-outcomes", "p", "p-prime", "q-blind", "q-sees-a",
             "r-before-preparation", "r-sees-outcome"])
     def test_invalid_scenario_file(self, capsys, tmp_path, edit, message):
         data = standard_scenario(settings_in_overlap=True).to_json_dict()

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bellsim.cli import main
 from bellsim.quantum import OutcomeLabel, Wing, product_polarized
 from bellsim.spacetime import (
     CausalRelation,
+    EventRecord,
     Outcome,
     Preparation,
     Scenario,
@@ -40,6 +42,11 @@ SPACELIKE = CausalRelation.SPACELIKE
 coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 points = st.builds(SpacetimePoint, t=coords, x=coords)
 rapidities = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+#: The two layouts' ``to_json()`` bytes from before events lost their
+#: ``region`` labels: each event still carries one.
+OLD_FILES = {name: Path(__file__).parent / "data" / f"scenario-v1-{name}.json"
+             for name in ("overlap", "late")}
 
 
 def transformed(scenario: Scenario, scale: float, zeta: float, q=None) -> Scenario:
@@ -175,11 +182,17 @@ class TestScenarioValidation:
         # drag the B outcome into p's causal past
         moved = [
             ev if not (isinstance(ev.kind, Outcome) and ev.kind.wing is Wing.B)
-            else type(ev)(id=ev.id, point=SpacetimePoint(0.5, -3.9), region=ev.region, kind=ev.kind)
+            else type(ev)(id=ev.id, point=SpacetimePoint(0.5, -3.9), kind=ev.kind)
             for ev in s.events
         ]
         with pytest.raises(ValueError):
             s.with_events(moved)
+
+    def test_unknown_event_kind_rejected(self):
+        s = standard_scenario()
+        odd = EventRecord(id="odd", point=SpacetimePoint(0.5, 0.0), kind="bogus")
+        with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
+            s.with_events([*s.events, odd])
 
 
 class TestBackwardCone:
@@ -340,6 +353,40 @@ class TestSerialization:
         restored = Scenario.from_json(s.to_json())
         assert restored.outcome_event(Wing.B) is None
         assert isinstance(restored.preparation_event().kind, Preparation)
+
+    @pytest.mark.parametrize("name", sorted(OLD_FILES))
+    def test_files_with_region_labels_load_as_the_layout(self, name):
+        text = OLD_FILES[name].read_text(encoding="utf-8")
+        assert all("region" in ev for ev in json.loads(text)["events"])
+        assert Scenario.from_json(text) == load_scenario(name)
+
+    def test_region_labels_are_ignored_not_checked(self):
+        data = json.loads(OLD_FILES["overlap"].read_text(encoding="utf-8"))
+        for ev in data["events"]:
+            ev["region"] = "nonsense"
+        assert Scenario.from_json_dict(data) == load_scenario("overlap")
+
+    @pytest.mark.parametrize("name", sorted(OLD_FILES))
+    def test_written_files_carry_no_region_and_round_trip(self, name):
+        s = load_scenario(name)
+        text = s.to_json()
+        assert all(set(ev) == {"id", "t", "x", "u", "w", "kind"}
+                   for ev in json.loads(text)["events"])
+        restored = Scenario.from_json(text)
+        assert restored == s
+        assert restored.to_json() == text
+
+    @pytest.mark.parametrize("name", sorted(OLD_FILES))
+    def test_cli_answers_an_old_file_as_the_layout(self, capsys, name):
+        """The same answer, apart from the ``scenario`` key echoing the spec."""
+        answers = []
+        for scenario in (str(OLD_FILES[name]), name):
+            assert main(["chances", "--scenario", scenario, "--point", "q",
+                         "--target", "eA"]) == 0
+            answer = json.loads(capsys.readouterr().out)
+            assert answer.pop("scenario") == scenario
+            answers.append(answer)
+        assert answers[0] == answers[1]
 
 
 SCALES = (1.0, 1e3, 1e5, 1e6)
