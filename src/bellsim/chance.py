@@ -23,11 +23,12 @@ assign different, equally correct values to the same event.
 An intervention names the event it acts on by its own fields: the
 preparation (``ReplacePreparation``) or one wing's setting (``SetAngle``),
 and it acts on that event of whichever scenario it is applied to, as a
-payload edit (``Scenario.with_state`` or ``Scenario.with_setting``) that
-keeps the scenario's event index.
+payload edit. ``apply_intervention`` is the scenario-level edit, kept for
+callers; the what-if queries build no scenario but edit the point's
+reference class, since no intervention moves a point.
 An intervention that forces a measurement outcome (``ForceOutcome``) is
-representable but has no scenario: ``apply_intervention``, and so
-``estimated_chance``, raise ``SenselessInterventionError`` for it, while
+representable but has no scenario: ``apply_intervention`` and
+``estimated_chance`` raise ``SenselessInterventionError`` for it, while
 ``causally_depends`` reports an outcome cause as the
 ``SENSELESS_INTERVENTION`` verdict that names the ``ForceOutcome``.
 """
@@ -76,6 +77,10 @@ class NoChanceDefinedError(Exception):
 
 class SenselessInterventionError(Exception):
     """Raised when an intervention forces an outcome: no such scenario exists."""
+
+
+_SENSELESS = ("forcing outcome {0.label.value} on wing {0.wing.value} is not an admissible intervention: "
+              "the outcome's own chance is fixed by the prepared state, and nothing one could do alters it")
 
 
 # -- targets -----------------------------------------------------------------
@@ -264,8 +269,7 @@ Intervention = Union[ReplacePreparation, SetAngle, ForceOutcome]
 
 
 def set_angle_intervention(scenario: Scenario, wing: Wing, angle: AngleLike | None) -> SetAngle:
-    if scenario.setting_event(wing) is None:
-        raise ValueError(f"scenario has no setting event on wing {wing.value}")
+    scenario._edited_event(wing)
     return SetAngle(wing=wing, angle=None if angle is None else as_angle(angle))
 
 
@@ -280,15 +284,29 @@ def apply_intervention(scenario: Scenario, intervention: Intervention) -> Scenar
     nothing.
     """
     if isinstance(intervention, ForceOutcome):
-        raise SenselessInterventionError(
-            f"forcing outcome {intervention.label.value} on wing "
-            f"{intervention.wing.value} is not an admissible intervention: the "
-            "outcome's own chance is fixed by the prepared state, and nothing one "
-            "could do alters it"
-        )
+        raise SenselessInterventionError(_SENSELESS.format(intervention))
     if isinstance(intervention, ReplacePreparation):
         return scenario.with_state(intervention.state)
     return scenario.with_setting(intervention.wing, intervention.angle)
+
+
+def _what_if(
+    scenario: Scenario, rc: ReferenceClass, intervention: Intervention | None
+) -> tuple[PhotonPairState, ReferenceClass]:
+    """The state and ``rc``, a point's reference class in ``scenario``, as
+    ``apply_intervention`` would leave them, or the error it would raise."""
+    if isinstance(intervention, SetAngle):
+        checked = set_angle_intervention(scenario, intervention.wing, intervention.angle)
+        wing, angle = checked.wing, checked.angle
+        if wing in rc.settings:  # None also drops the wing's outcome
+            outcomes = {w: lab for w, lab in rc.outcomes.items() if angle is not None or w is not wing}
+            rc = ReferenceClass(rc.state_backed, {**rc.settings, wing: angle}, outcomes)
+    elif isinstance(intervention, ReplacePreparation):
+        scenario._edited_event(None)
+        return intervention.state, rc
+    elif intervention is not None:
+        raise SenselessInterventionError(_SENSELESS.format(intervention))
+    return scenario.state, rc
 
 
 # -- estimated chances ---------------------------------------------------------
@@ -310,12 +328,11 @@ def estimated_chance(
     label. Every other estimate is the chance at ``point`` in the
     intervened scenario.
     """
-    if contemplated is not None:
-        scenario = apply_intervention(scenario, contemplated)
-    state = scenario.state
-    rc = reference_class_at(point, scenario)
+    state, rc = _what_if(scenario, reference_class_at(point, scenario), contemplated)
     remote = target.wing.other() if isinstance(target, OutcomeTarget) else None
     remote_angle = None if remote is None else scenario.angle(remote)
+    if isinstance(contemplated, SetAngle) and contemplated.wing is remote:
+        remote_angle = contemplated.angle
     if remote_angle is None or rc.outcomes or not rc.state_backed:
         return ChanceValue(_chance(state, rc, target, point, "estimate"), point, target)
 
@@ -395,9 +412,11 @@ def causally_depends(effect: Target, cause: EventRecord, scenario: Scenario) -> 
     preparation's future, outside both outcome futures); a change beyond
     ``DEPENDENCE_TOL`` is a dependence. Outcome events admit no
     intervention at all, which is reported as a verdict naming the
-    ``ForceOutcome``, not an error; a cause of any other kind
-    raises ``ValueError``. Interventions that leave the effect's chance
-    undefined are skipped: they withdraw the chance rather than altering it.
+    ``ForceOutcome``, not an error; any other cause kind raises ``ValueError``.
+    Interventions that leave the effect's chance undefined are skipped: they
+    withdraw the chance rather than alter it. An effect with no chance at r
+    in the unintervened scenario raises ``NoChanceDefinedError``, as there
+    is no baseline to alter.
     """
     if isinstance(cause.kind, Outcome):
         if isinstance(effect, OutcomeTarget) and cause.kind.wing is effect.wing:
@@ -407,17 +426,18 @@ def causally_depends(effect: Target, cause: EventRecord, scenario: Scenario) -> 
             intervention=ForceOutcome(cause.kind.wing, cause.kind.label),
         )
     interventions = _admissible_interventions(cause)
-    baseline = chance_at(scenario.r, effect, scenario)
+    r = scenario.r
+    rc = reference_class_at(r, scenario)
+    baseline = _chance(scenario.state, rc, effect, r, "chance")
     for intervention in interventions:
-        altered_scenario = apply_intervention(scenario, intervention)
         try:
-            altered = chance_at(scenario.r, effect, altered_scenario)
+            altered = _chance(*_what_if(scenario, rc, intervention), effect, r, "chance")
         except NoChanceDefinedError:
             continue
-        if abs(altered.value - baseline.value) > DEPENDENCE_TOL:
+        if abs(altered - baseline) > DEPENDENCE_TOL:
             return CausalVerdict(
                 kind=CausalVerdictKind.DEPENDENT,
-                witness=(baseline, altered),
+                witness=(ChanceValue(baseline, r, effect), ChanceValue(altered, r, effect)),
                 intervention=intervention,
             )
     return CausalVerdict(kind=CausalVerdictKind.INDEPENDENT)
@@ -461,24 +481,20 @@ def local_causality_readings(scenario: Scenario) -> LocalCausalityReadings:
     ).v
 
     target = vertical_outcome(Wing.A)
+    flipped_label = OutcomeLabel.H if outcome_b.kind.label is OutcomeLabel.V else OutcomeLabel.V
     samples = []
-    fixed_point_holds = True
-    flipped_label = (
-        OutcomeLabel.H if outcome_b.kind.label is OutcomeLabel.V else OutcomeLabel.V
-    )
-    flipped = scenario.with_outcome(Wing.B, flipped_label)
     for name, point in (("p", scenario.p), ("p_prime", scenario.p_prime)):
         if not is_spacelike(point, outcome_b.point):
             continue
-        base = chance_at(point, target, scenario).value
-        respecified = chance_at(point, target, flipped).value
-        samples.append((name, base, respecified))
-        if base != respecified:
-            fixed_point_holds = False
+        rc = reference_class_at(point, scenario)
+        base = _chance(scenario.state, rc, target, point, "chance")
+        if Wing.B in rc.outcomes:  # respecify the remote outcome where the point sees it
+            rc = ReferenceClass(rc.state_backed, rc.settings, {**rc.outcomes, Wing.B: flipped_label})
+        samples.append((name, base, _chance(scenario.state, rc, target, point, "chance")))
     return LocalCausalityReadings(
         conditional_equality_holds=abs(unconditional - conditional) <= ATOL,
         unconditional=unconditional,
         conditional_on_remote=conditional,
-        fixed_point_holds=fixed_point_holds,
+        fixed_point_holds=all(base == respecified for _, base, respecified in samples),
         fixed_point_samples=tuple(samples),
     )

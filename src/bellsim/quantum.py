@@ -269,13 +269,13 @@ class JointDistribution:
     def __post_init__(self) -> None:
         # _validated on four floats: each clamped by _probability, then
         # summed in the same order
-        raw = float(self.vv), float(self.vh), float(self.hv), float(self.hh)
-        cells = [_probability(p, "joint") for p in raw]
-        total = cells[0] + cells[1] + cells[2] + cells[3]
+        vv, vh, hv, hh = float(self.vv), float(self.vh), float(self.hv), float(self.hh)
+        vv, vh = _probability(vv, "joint"), _probability(vh, "joint")
+        hv, hh = _probability(hv, "joint"), _probability(hh, "joint")
+        total = vv + vh + hv + hh
         if abs(total - 1.0) > ATOL:
             raise _sum_error(total)
-        for name, value in zip(("vv", "vh", "hv", "hh"), cells):
-            object.__setattr__(self, name, value)
+        vars(self).update(vv=vv, vh=vh, hv=hv, hh=hh)
 
     def prob(self, a: OutcomeLabel, b: OutcomeLabel) -> float:
         key = ("v" if a is OutcomeLabel.V else "h") + ("v" if b is OutcomeLabel.V else "h")
@@ -493,10 +493,9 @@ def _conditional(
             f"conditioning outcome {cond_label.value} on wing {cond_wing.value} "
             f"has probability {denom!r}"
         )
-    index = 0 if cond_label is OutcomeLabel.V else 1
-    cells = (joint.vv, joint.vh, joint.hv, joint.hh)
-    selected = cells[2 * index:2 * index + 2] if cond_wing is Wing.A else cells[index::2]
-    ratios = [p / denom for p in selected]
+    v, row = cond_label is OutcomeLabel.V, cond_wing is Wing.A  # A picks a row of joint, B a column
+    first = (joint.vv if v else joint.hv if row else joint.vh) / denom
+    second = ((joint.vh if row else joint.hv) if v else joint.hh) / denom
     # The exact ratios lie in [0, 1]; rounding r_joint in the numerator and
     # r_marginal in the denominator moves them by at most (r_joint +
     # r_marginal) / denom. A joint cell sums 16 products of a real rho
@@ -509,7 +508,7 @@ def _conditional(
     # most 1.7e-16. Only a slack above ATOL reaches past what _probability
     # accepts.
     slack = 2.0 * _BORN_ROUNDING / denom
-    if slack > ATOL and all(-slack <= r <= 1.0 + slack for r in ratios):  # false for NaN
-        ratios = [0.0 if r < 0.0 else 1.0 if r > 1.0 else r for r in ratios]
-    return ProbabilityPair(*(_probability(r, "conditional") for r in ratios))
+    if slack > ATOL and -slack <= first <= 1.0 + slack and -slack <= second <= 1.0 + slack:  # false for NaN
+        first, second = min(max(first, 0.0), 1.0), min(max(second, 0.0), 1.0)
+    return ProbabilityPair(_probability(first, "conditional"), _probability(second, "conditional"))
 

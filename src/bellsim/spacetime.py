@@ -260,11 +260,18 @@ class Scenario:
         except KeyError:
             raise KeyError(f"unknown probe point {name!r}; expected p, p', q or r") from None
 
+    def _edited_event(self, wing: Wing | None) -> EventRecord:
+        """The preparation (``wing`` None) or ``wing``'s setting; ``ValueError`` if absent."""
+        event = self.preparation_event() if wing is None else self.setting_event(wing)
+        if event is None:
+            what = "preparation event" if wing is None else f"setting event on wing {wing.value}"
+            raise ValueError(f"scenario has no {what}")
+        return event
+
     def with_state(self, state: PhotonPairState) -> "Scenario":
         """This scenario with another prepared state; the index carries over.
         A scenario with no preparation event raises ``ValueError``."""
-        if self.preparation_event() is None:
-            raise ValueError("scenario has no preparation event")
+        self._edited_event(None)
         return self._edited(state=state)
 
     def with_setting(self, wing: Wing, angle: AngleLike | None) -> "Scenario":
@@ -272,9 +279,7 @@ class Scenario:
         (measure nothing) also drops that wing's outcome event, since an
         unperformed measurement registers nothing. The index carries over."""
         preparations, settings, outcomes = self._by_kind
-        old = settings.get(wing)
-        if old is None:
-            raise ValueError(f"scenario has no setting event on wing {wing.value}")
+        old = self._edited_event(wing)
         angle = None if angle is None else as_angle(angle)
         new = EventRecord(old.id, old.point, Setting(wing=wing, angle=angle))
         dropped = outcomes.get(wing) if angle is None else None

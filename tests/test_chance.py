@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellsim import chance
+from bellsim import chance, quantum
 from bellsim.chance import (
     DEPENDENCE_TOL,
     CausalVerdict,
@@ -53,6 +54,7 @@ from bellsim.spacetime import (
     SpacetimePoint,
     backward_cone_contents,
     is_spacelike,
+    load_scenario,
     standard_scenario,
 )
 from strategies import density_matrices
@@ -671,6 +673,168 @@ class TestNoRebuilds:
         local_causality_readings(overlap)
         assert builds == []
 
+    @pytest.mark.parametrize("layout", ["overlap", "late"])
+    def test_what_if_queries_edit_no_scenario(self, monkeypatch, builds, layout):
+        """The chance-queries battery on a built-in layout never reaches
+        ``Scenario._edited``, the copy every payload edit makes."""
+        def edited(self, **fields):
+            raise AssertionError("a what-if query built a scenario copy")
+
+        monkeypatch.setattr(Scenario, "_edited", edited)
+        s = load_scenario(layout)
+        with pytest.raises(AssertionError, match="scenario copy"):
+            apply_intervention(s, SetAngle(Wing.B, None))
+        for beta in [22.5 * k for k in range(8)] + [None]:
+            iv = set_angle_intervention(s, Wing.B, beta)
+            answer(lambda: estimated_chance(s.p_prime, E_A, iv, s))  # undefined in the late layout
+        for cause in (s.preparation_event(), s.setting_event(Wing.A), s.setting_event(Wing.B),
+                      s.outcome_event(Wing.B)):
+            causally_depends(E_A, cause, s)
+        local_causality_readings(s)
+        assert builds == []
+
+
+def scenario_route_estimate(point, target, contemplated, scenario):
+    """``estimated_chance`` by the scenario route, kept as the reference for
+    the what-if step: ``apply_intervention``, then the chance or the mixture
+    read from the scenario it returns."""
+    if contemplated is not None:
+        scenario = apply_intervention(scenario, contemplated)
+    state = scenario.state
+    rc = reference_class_at(point, scenario)
+    remote = target.wing.other() if isinstance(target, OutcomeTarget) else None
+    remote_angle = None if remote is None else scenario.angle(remote)
+    if remote_angle is None or rc.outcomes or not rc.state_backed:
+        return ChanceValue(chance._chance(state, rc, target, point, "estimate"), point, target)
+    own_angle = chance._visible_angle(rc, target.wing, point)
+    angles = (own_angle, remote_angle) if remote is Wing.B else (remote_angle, own_angle)
+    weights = born_marginal(state, remote, remote_angle)
+    joint = quantum._joint(state, *angles)
+    estimate = 0.0
+    for hypothesized, weight in zip((V, H), weights):
+        if weight <= ZERO_PROBABILITY:
+            continue
+        downstream = quantum._conditional(joint, weight, (remote, hypothesized))
+        estimate += weight * downstream.for_label(target.label)
+    return ChanceValue(value=min(max(estimate, 0.0), 1.0), at=point, target=target)
+
+
+def scenario_route_depends(effect, cause, scenario):
+    """``causally_depends`` by the scenario route: each intervention applied
+    to the scenario, then ``chance_at`` on the scenario it returns."""
+    if isinstance(cause.kind, Outcome):
+        if isinstance(effect, OutcomeTarget) and cause.kind.wing is effect.wing:
+            raise ValueError("effect and cause must be distinct events")
+        return CausalVerdict(kind=CausalVerdictKind.SENSELESS_INTERVENTION,
+                             intervention=ForceOutcome(cause.kind.wing, cause.kind.label))
+    interventions = _admissible_interventions(cause)
+    baseline = chance_at(scenario.r, effect, scenario)
+    for intervention in interventions:
+        altered_scenario = apply_intervention(scenario, intervention)
+        try:
+            altered = chance_at(scenario.r, effect, altered_scenario)
+        except NoChanceDefinedError:
+            continue
+        if abs(altered.value - baseline.value) > DEPENDENCE_TOL:
+            return CausalVerdict(kind=CausalVerdictKind.DEPENDENT, witness=(baseline, altered),
+                                 intervention=intervention)
+    return CausalVerdict(kind=CausalVerdictKind.INDEPENDENT)
+
+
+def scenario_route_samples(scenario):
+    """The readings' fixed-point samples by the scenario route: wing B's
+    outcome flipped with ``with_outcome``, then ``chance_at`` on both."""
+    outcome_b = scenario.outcome_event(Wing.B)
+    flipped = scenario.with_outcome(Wing.B, H if outcome_b.kind.label is V else V)
+    return tuple(
+        (name, chance_at(point, E_A, scenario).value, chance_at(point, E_A, flipped).value)
+        for name, point in (("p", scenario.p), ("p_prime", scenario.p_prime))
+        if is_spacelike(point, outcome_b.point)
+    )
+
+
+def exact(query):
+    """A query's result with its floats as hex, or its error's type and text."""
+    try:
+        result = query()
+    except (NoChanceDefinedError, SenselessInterventionError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, ChanceValue):
+        return result.value.hex(), result.at, result.target
+    if isinstance(result, CausalVerdict):
+        witness = result.witness and tuple(exact(lambda: c) for c in result.witness)
+        return result.kind, witness, result.intervention
+    return tuple((name, base.hex(), other.hex()) for name, base, other in result)
+
+
+@st.composite
+def contemplated_interventions(draw):
+    """A random ``SetAngle`` (None, a float or an ``AnalyzerAngle``), a
+    ``ReplacePreparation`` or a ``ForceOutcome``."""
+    kind = draw(st.sampled_from(["set", "prepare", "force"]))
+    wing = draw(st.sampled_from([Wing.A, Wing.B]))
+    if kind == "set":
+        degrees = st.floats(-360.0, 360.0)
+        return SetAngle(wing, draw(st.one_of(st.none(), degrees, degrees.map(AnalyzerAngle))))
+    if kind == "prepare":
+        return ReplacePreparation(PhotonPairState(draw(density_matrices())))
+    return ForceOutcome(wing, draw(st.sampled_from([V, H])))
+
+
+class TestWhatIfMatchesTheScenarioRoute:
+    """The what-if queries edit a point's reference class; the scenario
+    route they replaced must give the same values to the last bit, the same
+    verdicts and the same errors, everywhere."""
+
+    @given(
+        st.booleans(),
+        st.one_of(st.none(), st.floats(-360.0, 360.0)),
+        st.one_of(st.none(), st.floats(-360.0, 360.0)),
+        optional_labels,
+        optional_labels,
+        density_matrices(),
+        st.one_of(st.none(), st.floats(-2.0, 2.0)),
+        st.sampled_from([(), ("o",), ("setting-b", "outcome-b")]),
+        st.lists(st.tuples(st.floats(-2.0, 12.0), st.floats(-8.0, 8.0)), max_size=4),
+        st.lists(contemplated_interventions(), max_size=4),
+    )
+    @example(  # the overlap layout, whole, unboosted: every probe and intervention
+        overlap_layout=True, angle_a=0.0, angle_b=22.5, label_a=V, label_b=H,
+        matrix=bell_phi_plus().matrix, zeta=None, dropped=(), coords=[], extra=[],
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_queries_match(
+        self, overlap_layout, angle_a, angle_b, label_a, label_b, matrix, zeta, dropped,
+        coords, extra,
+    ):
+        whole = standard_scenario(
+            settings_in_overlap=overlap_layout, angle_a=angle_a, angle_b=angle_b,
+            outcome_a=None if angle_a is None else label_a,
+            outcome_b=None if angle_b is None else label_b,
+            state=PhotonPairState(matrix),
+        )
+        points = [SpacetimePoint(t, x) for t, x in coords]
+        if zeta is not None:
+            whole = moved_scenario(whole, lambda point: point.boosted(zeta))
+            points = [point.boosted(zeta) for point in points]
+        s = whole.with_events(ev for ev in whole.events if ev.id not in dropped)
+        points += [s.probe(name) for name in ("p", "p'", "q", "r")]
+        interventions = [None, *extra]
+        for cause in whole.events:
+            if not isinstance(cause.kind, Outcome):
+                interventions += _admissible_interventions(cause)
+        targets = (E_A, E_B, OutcomeTarget(Wing.B, H), joint_vertical())
+        for point, intervention in itertools.product(points, interventions):
+            for target in targets:
+                assert exact(lambda: estimated_chance(point, target, intervention, s)) == exact(
+                    lambda: scenario_route_estimate(point, target, intervention, s))
+        for cause, effect in itertools.product(whole.events, targets):
+            assert exact(lambda: causally_depends(effect, cause, s)) == exact(
+                lambda: scenario_route_depends(effect, cause, s))
+        if s.outcome_event(Wing.B) is not None and None not in (s.angle(Wing.A), s.angle(Wing.B)):
+            assert exact(lambda: local_causality_readings(s).fixed_point_samples) == exact(
+                lambda: scenario_route_samples(s))
+
 
 def renamed_setting_b(scenario):
     """``scenario`` with its wing-B setting event under another id."""
@@ -778,6 +942,13 @@ class TestCausalDependence:
         )
         with pytest.raises(SenselessInterventionError, match="forcing outcome V on wing B"):
             apply_intervention(overlap, verdict.intervention)
+
+    def test_effect_without_a_baseline_raises(self):
+        """Wing B measures nothing, so its outcome has no chance at r for an
+        intervention to alter, although setting B to an axis would define one."""
+        s = standard_scenario(settings_in_overlap=True, angle_b=None, outcome_b=None)
+        with pytest.raises(NoChanceDefinedError, match="no measurement is performed on wing B"):
+            causally_depends(E_B, s.setting_event(Wing.B), s)
 
     def test_unknown_cause_kind_rejected(self, overlap):
         odd = EventRecord(id="odd", point=SpacetimePoint(0.5, 0.0), kind="bogus")

@@ -438,10 +438,57 @@ _quads = st.lists(
 )
 
 
+#: Pauli z and x in the {|H>, |V>} basis, the analyzers' plane.
+_PAULI_ZX = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _zx_correlations(matrix):
+    """T_ij = Tr(rho sigma_i x sigma_j) for i, j in {z, x}."""
+    return np.array([[np.trace(matrix @ np.kron(si, sj)).real for sj in _PAULI_ZX]
+                     for si in _PAULI_ZX])
+
+
+def _bloch(degrees):
+    """The (z, x) Bloch vector of the V outcome at an analyzer angle: the
+    +/-1 observable is -(n_z sigma_z + n_x sigma_x), and the two signs cancel
+    in a correlation, so E(a, b) = n(a) . T n(b)."""
+    return np.array([math.cos(math.radians(2.0 * degrees)), -math.sin(math.radians(2.0 * degrees))])
+
+
+def _analyzer_angle(n):
+    """The angle, in degrees, whose Bloch vector is the unit vector ``n``."""
+    return math.degrees(math.atan2(-n[1], n[0])) / 2.0
+
+
 class TestChshReferences:
     """``chsh`` against references that share none of its code: the
     ``born_joint`` correlations for the quantum model, the response-row
-    formula for LHV models. It reads the model once."""
+    formula for LHV models, and the state's tight bound. It reads the model
+    once."""
+
+    @given(density_matrices(), _quads)
+    @settings(max_examples=200, deadline=None)
+    def test_quantum_meets_the_states_tight_bound(self, matrix, quad):
+        """For correlations n(a) . T n(b) the largest CHSH value over
+        analyzer angles is 2 sqrt(s1^2 + s2^2), s1 and s2 the singular
+        values of T: at most that at any angles, and that at the optimal
+        ones, a = u1, a' = u2, b and b' = cos(phi) w1 +/- sin(phi) w2 with
+        T = U S W^T and tan(phi) = s2 / s1."""
+        state = PhotonPairState(matrix)
+        model = quantum_model(state)
+        t = _zx_correlations(state.matrix)
+        u, (s1, s2), wt = np.linalg.svd(t)
+        bound = 2.0 * math.hypot(s1, s2)
+        value = chsh(model, *quad)
+        assert value == pytest.approx(_chsh_of(lambda a, b: _bloch(a) @ t @ _bloch(b), quad),
+                                      abs=1e-12)
+        assert abs(value) <= bound + 1e-12
+        phi = math.atan2(s2, s1)
+        w1, w2 = wt
+        optimal = (_analyzer_angle(u[:, 0]), _analyzer_angle(u[:, 1]),
+                   _analyzer_angle(math.cos(phi) * w1 + math.sin(phi) * w2),
+                   _analyzer_angle(math.cos(phi) * w1 - math.sin(phi) * w2))
+        assert chsh(model, *optimal) == pytest.approx(bound, abs=1e-12)
 
     @given(density_matrices(), _quads)
     @settings(max_examples=300, deadline=None)

@@ -439,6 +439,54 @@ class TestBornConditional:
         assert overshoots > 0  # the sweep reaches the rounding-overshoot branch
 
 
+class TestScalarCheckErrors:
+    """Each raise of ``JointDistribution`` and ``_conditional``, with its
+    exact text: the first bad entry in (vv, vh, hv, hh) order, after all
+    four are read as floats, then the sum; a conditioning marginal at or
+    below ``ZERO_PROBABILITY``; a ratio past both the slack and ``ATOL``."""
+
+    @pytest.mark.parametrize("cells, message", [
+        ((-0.5, 1.5, 0.0, 0.0), "joint entry: probability -0.5 outside [0, 1]"),
+        ((0.0, 0.5, 0.5, float("nan")), "joint entry: probability nan outside [0, 1]"),
+        ((2.0, "x", 0.0, 0.0), "could not convert string to float: 'x'"),
+        ((0.5, 0.5, 0.5, 0.0), "joint distribution sums to 1.5, not 1"),
+        ((0.25, 0.25, 0.25, 0.25 + 2e-12), f"joint distribution sums to {1.0 + 2e-12!r}, not 1"),
+    ], ids=["range", "nan", "float-first", "sum", "sum-past-atol"])
+    def test_joint_distribution(self, cells, message):
+        with pytest.raises(ValueError) as caught:
+            quantum.JointDistribution(*cells)
+        assert str(caught.value) == message
+
+    def test_joint_distribution_clamps(self):
+        joint = quantum.JointDistribution(-1e-13, 0.5, 0.5, 1e-13)
+        assert (joint.vv, joint.vh, joint.hv, joint.hh) == (0.0, 0.5, 0.5, 1e-13)
+
+    @pytest.mark.parametrize("denom", [ZERO_PROBABILITY, 0.0, -0.0])
+    def test_undefined_conditional(self, denom):
+        joint = quantum.JointDistribution(0.25, 0.25, 0.25, 0.25)
+        with pytest.raises(UndefinedConditionalError) as caught:
+            quantum._conditional(joint, denom, (Wing.A, H))
+        assert str(caught.value) == f"conditioning outcome H on wing A has probability {denom!r}"
+
+    @pytest.mark.parametrize("given, cells, denom, ratio", [
+        # slack 2 * 16 eps / 1e-3 = 7.1e-12 > ATOL: a ratio past it raises
+        ((Wing.A, V), (0.0011, 0.0, 0.5, 0.4989), 1e-3, 0.0011 / 1e-3),
+        # slack below ATOL at a marginal of 0.5: a ratio past ATOL raises
+        ((Wing.B, H), (0.0, 0.5 + 4e-12, 0.5 - 4e-12, 0.0), 0.5, (0.5 + 4e-12) / 0.5),
+    ], ids=["past-slack", "past-atol"])
+    def test_ratio_out_of_range(self, given, cells, denom, ratio):
+        joint = quantum.JointDistribution(*cells)
+        with pytest.raises(ValueError) as caught:
+            quantum._conditional(joint, denom, given)
+        assert str(caught.value) == f"conditional entry: probability {ratio!r} outside [0, 1]"
+
+    def test_ratio_within_slack_is_clamped(self):
+        joint = quantum.JointDistribution(0.001 + 5e-15, 0.0, 0.5, 0.499 - 5e-15)
+        pair = quantum._conditional(joint, 1e-3, (Wing.A, V))
+        assert (0.001 + 5e-15) / 1e-3 > 1.0 + quantum.ATOL
+        assert pair == (1.0, 0.0)
+
+
 def correlation(state, a, b):
     return born_joint(state, a, b).correlation()
 
